@@ -49,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TWOSTATE_SEED", "0"))
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         write_text_atomic(out, text)
@@ -100,10 +96,16 @@ def cmd_runs(args) -> int:
     else:
         raise _UsageError("give --input FILE or --p/--q/--n to simulate")
 
+    # every curve is computed before any is emitted: a data error writes nothing
     hists = [extract_runs(seq) for seq in sequences]
     try:
         on_curve = average_and_normalize([ha for ha, _ in hists])
         off_curve = average_and_normalize([hb for _, hb in hists])
+        if args.reference:
+            n = len(sequences[0])
+            p_bar = float(np.mean([seq.frequency for seq in sequences]))
+            max_m = max(max(on_curve), max(off_curve))
+            reference = memoryfree_curve(n, p_bar, max_m)
     except ParameterError as exc:
         raise DataFormatError(f"cannot build run curves: {exc}") from exc
 
@@ -115,12 +117,8 @@ def cmd_runs(args) -> int:
     else:
         sys.stdout.write("# state A (on) runs\n" + curve_text(on_curve))
         sys.stdout.write("# state B (off) runs\n" + curve_text(off_curve))
-
     if args.reference:
-        n = len(sequences[0])
-        p_bar = float(np.mean([seq.frequency for seq in sequences]))
-        max_m = max(max(on_curve), max(off_curve))
-        _emit(curve_text(memoryfree_curve(n, p_bar, max_m)), args.reference)
+        _emit(curve_text(reference), args.reference)
     return 0
 
 
@@ -180,14 +178,10 @@ def cmd_fit_runs(args) -> int:
             extract_runs(generate(params, args.length, child_seed(seed, i)))
             for i in range(args.confirm_seeds)
         ]
-        on_total = sum(ha.occupied_length for ha, _ in hists)
-        on_runs = sum(ha.n_runs for ha, _ in hists)
-        off_total = sum(hb.occupied_length for _, hb in hists)
-        off_runs = sum(hb.n_runs for _, hb in hists)
         details["mc_confirmation"] = {
             "seeds": args.confirm_seeds,
-            "mle_p11": (on_total - on_runs) / on_total,
-            "mle_p22": (off_total - off_runs) / off_total,
+            "mle_p11": fit_runs_mle(*(ha for ha, _ in hists)),
+            "mle_p22": fit_runs_mle(*(hb for _, hb in hists)),
         }
     report = AnalysisReport.build(
         command="fit-runs",
@@ -242,7 +236,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--q", type=float, required=True)
     p_sim.add_argument("--p1", type=float, default=None, help="initial A probability (default: stationary)")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=_default_seed())
+    p_sim.add_argument("--seed", type=int, default=None, help="default: $TWOSTATE_SEED, else 0")
     p_sim.add_argument("--count", type=int, default=1, help="number of independent sequences")
     p_sim.add_argument("--out", default=None, help="output path; indexed when --count > 1")
     p_sim.set_defaults(func=cmd_simulate)
@@ -254,7 +248,7 @@ def build_parser() -> _Parser:
     p_runs.add_argument("--q", type=float, default=None)
     p_runs.add_argument("--n", type=int, default=None)
     p_runs.add_argument("--seeds", type=int, default=10, help="sequences to average when simulating")
-    p_runs.add_argument("--seed", type=int, default=_default_seed())
+    p_runs.add_argument("--seed", type=int, default=None, help="default: $TWOSTATE_SEED, else 0")
     p_runs.add_argument("--out-on", default=None, help="state-A curve path")
     p_runs.add_argument("--out-off", default=None, help="state-B curve path")
     p_runs.add_argument("--reference", default=None, help="also write the memory-free expectation curve")
@@ -282,7 +276,7 @@ def build_parser() -> _Parser:
     p_frn.add_argument("--floor", type=float, default=1e-4)
     p_frn.add_argument("--length", type=int, default=10_000, help="sequence length assumed by the model curves")
     p_frn.add_argument("--confirm-seeds", type=int, default=0, help="Monte Carlo confirmation sequences")
-    p_frn.add_argument("--seed", type=int, default=_default_seed())
+    p_frn.add_argument("--seed", type=int, default=None, help="default: $TWOSTATE_SEED, else 0")
     p_frn.add_argument("--out", default=None)
     p_frn.set_defaults(func=cmd_fit_runs)
 
@@ -306,6 +300,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return exc.code or 0
     try:
+        if getattr(args, "seed", 0) is None:  # read here, so a bad value is a usage error
+            value = os.environ.get("TWOSTATE_SEED", "0")
+            try:
+                args.seed = int(value)
+            except ValueError:
+                raise _UsageError(f"TWOSTATE_SEED must be an integer, got {value!r}") from None
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

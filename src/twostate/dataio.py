@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass
@@ -252,7 +253,7 @@ def parse_curve(source) -> dict:
         try:
             m = int(parts[0])
             f = float(parts[1])
-            if m < 1 or f < 0.0:
+            if m < 1 or not 0.0 <= f < math.inf:  # rejects nan and inf too
                 raise ValueError
         except ValueError:
             raise CurveFileError(f"line {lineno}: bad (m, frequency) pair {line!r}") from None

@@ -5,7 +5,7 @@ the width factor as an empirical quantile of standardized deviations, then
 inverts the (pinf, nu) pair algebraically to (p, q).  The run route fits
 the two self-transition probabilities to normalized run-length curves by a
 coarse-then-refined grid search in log-frequency space, with a geometric
-maximum-likelihood shortcut available per state.
+maximum-likelihood shortcut per state, pooled over that state's histograms.
 """
 
 from __future__ import annotations
@@ -153,17 +153,20 @@ def fit_scatter(
     )
 
 
-def fit_runs_mle(histogram: RunHistogram) -> float:
-    """Maximum-likelihood continuation probability of geometric run lengths:
+def fit_runs_mle(*histograms: RunHistogram) -> float:
+    """Maximum-likelihood continuation probability of geometric run lengths,
+    pooled over one or more histograms of one state:
     sum (m-1) * count / sum m * count.
 
     Returns 0.0 when no run exceeds length one (boundary-degenerate: a
     valid chain needs a strictly positive self-transition probability).
     """
-    total = histogram.occupied_length
+    if any(h.state != histograms[0].state for h in histograms):
+        raise ParameterError("histograms must all describe the same state")
+    total = sum(h.occupied_length for h in histograms)
     if total == 0:
         raise ParameterError("histogram contains no runs")
-    return (total - histogram.n_runs) / total
+    return (total - sum(h.n_runs for h in histograms)) / total
 
 
 def _curve_arrays(curve: dict) -> tuple[np.ndarray, np.ndarray]:

@@ -11,9 +11,9 @@ bands may over- or under-cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .chain import ParameterError
 from .simulate import ScatterDataset
@@ -27,7 +27,7 @@ def z_from_level(level: float) -> float:
     """Two-sided normal quantile for a coverage level in (0, 1)."""
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie strictly inside (0, 1), got {level!r}")
-    return float(norm.ppf(0.5 + level / 2.0))
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 @dataclass(frozen=True)

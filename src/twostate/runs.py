@@ -3,10 +3,15 @@
 A run is a maximal stretch of one state.  Persistence (p, q > 0.5) lengthens
 runs, anti-persistence shortens them; the run-length histogram is where the
 chain's memory is most directly visible.
+
+The memory-free reference is `expected_runs_markov` at (p, q) = (p_bar,
+1-p_bar), and run frequencies divide its counts by their closed-form total
+over m = 1..n-2, so no curve builds an array of length n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,45 +75,50 @@ def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
     return hist(STATE_A), hist(STATE_B)
 
 
-def _check_run_domain(n: int, m: int) -> None:
-    if m < 1:
-        raise ParameterError(f"run length must be >= 1, got {m!r}")
-    if m > n - 2:
-        raise ParameterError(f"run length {m} outside formula domain (needs m <= n-2 for n={n})")
+def _check_run_domain(n: int, m) -> None:
+    m = np.asarray(m)
+    if m.size and m.min() < 1:
+        raise ParameterError(f"run length must be >= 1, got {m.min()!r}")
+    if m.size and m.max() > n - 2:
+        raise ParameterError(f"run length {m.max()} outside formula domain (needs m <= n-2 for n={n})")
 
 
-def expected_runs_memoryfree(n: int, p_bar: float, m: int) -> float:
-    """Expected number of runs of length m (both states) in a memory-free
-    sequence of length n with state-A frequency p_bar:
-
-        (n-m-1) * [p_bar^2 (1-p_bar)^m + (1-p_bar)^2 p_bar^m]
-    """
-    _check_run_domain(n, m)
-    if not 0.0 < p_bar < 1.0:
-        raise ParameterError(f"p_bar must lie strictly inside (0, 1), got {p_bar!r}")
-    return (n - m - 1) * (
-        p_bar**2 * (1.0 - p_bar) ** m + (1.0 - p_bar) ** 2 * p_bar**m
-    )
+def _state_factors(params: MarkovParams, state: int) -> tuple[float, float, float]:
+    """(enter, stay, other) of a state: the probability of crossing into it,
+    of staying in it, and the stationary frequency of the other state."""
+    pinf = derive(params).pinf
+    if state == STATE_A:
+        return 1.0 - params.q, params.p, 1.0 - pinf
+    if state == STATE_B:
+        return 1.0 - params.p, params.q, pinf
+    raise ParameterError(f"state must be 0 or 1, got {state!r}")
 
 
-def expected_runs_markov(params: MarkovParams, n: int, m: int, state: int) -> float:
-    """Expected number of runs of one state with length exactly m.
+def expected_runs_markov(params: MarkovParams, n: int, m, state: int):
+    """Expected number of runs of one state with length exactly m (an int or
+    an array of ints).
 
     For state A: (n-m-1) * (1-pinf)(1-q) * p^(m-1) * (1-p) -- the stationary
     probability that a position opens an A-run of exactly m steps, times the
     number of interior positions.  State B swaps p with q and pinf with
-    1-pinf.  Summed over both states at p = q = 0.5 this reduces to the
-    memory-free expectation.
+    1-pinf.  A memory-free sequence with state-A frequency p_bar is the chain
+    at (p, q) = (p_bar, 1-p_bar); there the sum over both states is the
+    paper's (n-m-1) * [p_bar^2 (1-p_bar)^m + (1-p_bar)^2 p_bar^m].
     """
     _check_run_domain(n, m)
-    pinf = derive(params).pinf
-    if state == STATE_A:
-        enter, stay, other = 1.0 - params.q, params.p, 1.0 - pinf
-    elif state == STATE_B:
-        enter, stay, other = 1.0 - params.p, params.q, pinf
-    else:
-        raise ParameterError(f"state must be 0 or 1, got {state!r}")
+    enter, stay, other = _state_factors(params, state)
     return (n - m - 1) * other * enter * stay ** (m - 1) * (1.0 - stay)
+
+
+def _expected_runs_total(params: MarkovParams, n: int, state: int) -> float:
+    """Expected number of runs of one state over all lengths m = 1..n-2, in
+    closed form: with K = n-2 and stay s, the sum of (n-m-1) s^(m-1) is
+    K/(1-s) - s(1-s^K)/(1-s)^2, which loses about log10(2/(K(1-s))) digits
+    to cancellation when K(1-s) < 1.  Callers first check m <= n-2."""
+    enter, stay, other = _state_factors(params, state)
+    k, x = n - 2, 1.0 - stay
+    escape = -math.expm1(k * math.log1p(-x))  # 1 - s^K, accurate for s near 1
+    return other * enter * x * (k / x - stay * escape / x**2)
 
 
 def average_and_normalize(histograms) -> dict:
@@ -137,30 +147,18 @@ def average_and_normalize(histograms) -> dict:
 def expected_run_frequencies(params: MarkovParams, n: int, ms, state: int) -> np.ndarray:
     """Model run-length frequencies at the requested lengths, normalized
     over the full domain 1..n-2 (not just the requested bins)."""
-    all_m = np.arange(1, n - 1, dtype=float)
-    if state == STATE_A:
-        stay = params.p
-    elif state == STATE_B:
-        stay = params.q
-    else:
-        raise ParameterError(f"state must be 0 or 1, got {state!r}")
-    weights = (n - all_m - 1) * stay ** (all_m - 1)
-    total = weights.sum()
     ms = np.asarray(ms, dtype=np.int64)
-    if ms.size and (ms.min() < 1 or ms.max() > n - 2):
-        raise ParameterError("requested run lengths outside formula domain")
-    return weights[ms - 1] / total
+    return expected_runs_markov(params, n, ms, state) / _expected_runs_total(params, n, state)
 
 
 def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:
-    """Normalized memory-free run-length curve over lengths 1..max_m."""
-    _check_run_domain(n, max_m)
-    all_m = np.arange(1, n - 1, dtype=float)
-    counts = (n - all_m - 1) * (
-        p_bar**2 * (1.0 - p_bar) ** all_m + (1.0 - p_bar) ** 2 * p_bar**all_m
-    )
-    freq = counts / counts.sum()
-    return {m: float(freq[m - 1]) for m in range(1, max_m + 1)}
+    """Normalized memory-free run-length curve over lengths 1..max_m: the
+    Markov expectation at (p, q) = (p_bar, 1-p_bar), both states summed."""
+    params = MarkovParams(p_bar, 1.0 - p_bar)
+    ms = np.arange(1, max_m + 1)
+    counts = expected_runs_markov(params, n, ms, STATE_A) + expected_runs_markov(params, n, ms, STATE_B)
+    total = _expected_runs_total(params, n, STATE_A) + _expected_runs_total(params, n, STATE_B)
+    return dict(zip(ms.tolist(), (counts / total).tolist()))
 
 
 def simulate_run_curves(params: MarkovParams, n: int, n_seqs: int, seed: int) -> tuple[dict, dict]:

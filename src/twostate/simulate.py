@@ -2,13 +2,11 @@
 
 Generation is driven by numpy's PCG64 generator.  Each ensemble member gets
 its own sub-stream keyed by (master seed, member index), so members are
-independent and the result does not depend on the order (or the number of
-threads) in which they are produced.
+independent and each member's result does not depend on the others.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +42,14 @@ class BinarySequence:
     seed: int | None = None
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.uint8)
+        states = np.asarray(self.states)
         if states.ndim != 1 or states.size < 1:
             raise ParameterError("sequence must be a non-empty 1-d array")
-        if states.size and states.max() > 1:
+        # other dtypes are checked before the cast, which would make 0.7 or 256 a state
+        binary = states.max() <= 1 if states.dtype == np.uint8 else np.isin(states, (0, 1)).all()
+        if not binary:
             raise ParameterError("sequence elements must be 0 or 1")
+        states = states.astype(np.uint8, copy=False)
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
 
@@ -159,11 +160,11 @@ def _member_frequency(params: MarkovParams, n: int, seed: int, index: int) -> fl
     return float(_markov_states(params, rng.random(int(n))).mean())
 
 
-def ensemble(params: MarkovParams, sizes, seed: int, workers: int = 1) -> ScatterDataset:
+def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     """One independent study per requested size: (n, observed frequency).
 
-    Member i always uses the sub-stream child_seed(seed, i), so the output
-    is identical whether members are generated serially or concurrently.
+    Member i always uses the sub-stream child_seed(seed, i), so the first k
+    members are the same whatever sizes follow them.
     """
     sizes = list(sizes)
     if not sizes:
@@ -171,13 +172,7 @@ def ensemble(params: MarkovParams, sizes, seed: int, workers: int = 1) -> Scatte
     for n in sizes:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ParameterError(f"study sizes must be positive integers, got {n!r}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            freqs = list(
-                pool.map(lambda i: _member_frequency(params, sizes[i], seed, i), range(len(sizes)))
-            )
-    else:
-        freqs = [_member_frequency(params, n, seed, i) for i, n in enumerate(sizes)]
+    freqs = [_member_frequency(params, n, seed, i) for i, n in enumerate(sizes)]
     return ScatterDataset(np.array(sizes), np.array(freqs))
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -97,6 +98,19 @@ class TestRuns:
         seq_file = tmp_path / "seq.txt"
         seq_file.write_text("11111111\n")
         assert main(["runs", "--input", str(seq_file)]) == 2
+
+    def test_reference_outside_formula_domain_writes_nothing(self, tmp_path, capsys):
+        # the B run of length 9 exceeds n - 2 = 8, the reference formula's domain
+        seq_file = tmp_path / "seq.txt"
+        seq_file.write_text("0000000001\n")
+        on, off, ref = (tmp_path / x for x in ("on.csv", "off.csv", "ref.csv"))
+        argv = ["runs", "--input", str(seq_file), "--reference", str(ref)]
+        assert main(argv + ["--out-on", str(on), "--out-off", str(off)]) == 2
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 2
+        assert not any(path.exists() for path in (on, off, ref))
 
 
 class TestFunnel:
@@ -211,6 +225,16 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    def test_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("TWOSTATE_SEED", "abc")
+        assert main(["simulate", "--p", "0.5", "--q", "0.5", "--n", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: TWOSTATE_SEED must be an integer, got 'abc'"]
+        # an explicit --seed needs no default, and --version no seed at all
+        assert main(["simulate", "--p", "0.5", "--q", "0.5", "--n", "10", "--seed", "1"]) == 0
+        assert main(["--version"]) == 0
+
 
 class TestSubprocessEntry:
     def test_module_invocation(self):
@@ -221,6 +245,23 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert set(result.stdout.strip()) <= {"0", "1"}
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, twostate; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stdout.strip() == "[]"
+
+    def test_module_bad_env_seed_has_no_traceback(self):
+        env = {**os.environ, "TWOSTATE_SEED": "abc"}
+        argv = [sys.executable, "-m", "twostate"]
+        version = subprocess.run(argv + ["--version"], capture_output=True, text=True, env=env)
+        assert version.returncode == 0 and version.stdout.startswith("twostate ")
+        simulate = subprocess.run(
+            argv + ["simulate", "--p", "0.5", "--q", "0.5", "--n", "10"], capture_output=True, text=True, env=env
+        )
+        assert simulate.returncode == 1
+        assert simulate.stderr.splitlines() == ["error: TWOSTATE_SEED must be an integer, got 'abc'"]
 
     def test_module_usage_error_code(self):
         result = subprocess.run(

@@ -125,8 +125,9 @@ class TestCurveIO:
             parse_curve(io.StringIO("m,frequency\n1,0.5\n1,0.5\n"))
 
     def test_bad_row(self):
-        with pytest.raises(CurveFileError, match="line 2"):
-            parse_curve(io.StringIO("m,frequency\n0,0.5\n"))
+        for row in ("0,0.5", "1,-0.5", "1,nan", "1,inf", "1,-inf"):
+            with pytest.raises(CurveFileError, match="line 2"):
+                parse_curve(io.StringIO(f"m,frequency\n{row}\n"))
 
     def test_canonical_format(self):
         text = curve_text({1: 1 / 3, 2: 2 / 3})

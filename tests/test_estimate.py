@@ -159,6 +159,16 @@ class TestFitRunsMle:
         with pytest.raises(ParameterError):
             fit_runs_mle(RunHistogram(STATE_A, {}, 10))
 
+    def test_pools_histograms(self):
+        # (3 + 2) continuations over (4 + 4) occupied positions
+        h1 = RunHistogram(STATE_A, {4: 1}, 10)
+        h2 = RunHistogram(STATE_A, {1: 1, 3: 1}, 10)
+        assert fit_runs_mle(h1, h2) == pytest.approx(5 / 8, abs=1e-12)
+        with pytest.raises(ParameterError):
+            fit_runs_mle(h1, RunHistogram(STATE_B, {2: 1}, 10))
+        with pytest.raises(ParameterError):
+            fit_runs_mle()
+
     def test_monte_carlo(self):
         ha, hb = extract_runs(generate(MarkovParams(0.65, 0.25), 10**6, 4))
         assert fit_runs_mle(ha) == pytest.approx(0.65, abs=0.01)

@@ -12,11 +12,17 @@ from twostate.runs import (
     average_and_normalize,
     expected_run_frequencies,
     expected_runs_markov,
-    expected_runs_memoryfree,
+    _expected_runs_total,
     extract_runs,
     memoryfree_curve,
     simulate_run_curves,
 )
+
+
+def expected_runs_memoryfree(n, p_bar, m):
+    """Oracle: the paper's expected count of length-m runs (both states) in a
+    memory-free sequence of length n with state-A frequency p_bar."""
+    return (n - m - 1) * (p_bar**2 * (1.0 - p_bar) ** m + (1.0 - p_bar) ** 2 * p_bar**m)
 
 
 def seq_of(bits):
@@ -92,9 +98,9 @@ class TestExpectedRunsMemoryfree:
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
-            expected_runs_memoryfree(10, 0.5, 9)
+            memoryfree_curve(10, 0.5, 9)
         with pytest.raises(ParameterError):
-            expected_runs_memoryfree(10, 0.0, 1)
+            memoryfree_curve(10, 0.0, 1)
 
 
 class TestExpectedRunsMarkov:
@@ -201,3 +207,45 @@ class TestModelCurves:
         curve = memoryfree_curve(10**4, 0.5, 30)
         assert curve[1] == pytest.approx(0.5, abs=1e-3)
         assert all(curve[m] > curve[m + 1] for m in range(1, 30))
+
+    @pytest.mark.parametrize("n", [4, 10, 1000, 10**4])
+    @pytest.mark.parametrize("p_bar", [0.001, 0.12, 0.5, 0.88, 0.999])
+    def test_memoryfree_curve_matches_paper_formula(self, n, p_bar):
+        # the reference curve is the Markov formula at (p_bar, 1 - p_bar);
+        # the oracle normalizes the paper's counts by an explicit sum
+        max_m = min(n - 2, 60)
+        oracle = np.array([expected_runs_memoryfree(n, p_bar, m) for m in range(1, n - 1)])
+        curve = memoryfree_curve(n, p_bar, max_m)
+        assert list(curve) == list(range(1, max_m + 1))
+        np.testing.assert_allclose(list(curve.values()), oracle[:max_m] / oracle.sum(), rtol=1e-9, atol=0)
+
+
+STAYS = np.linspace(0.001, 0.999, 999)
+
+
+class TestExpectedRunsTotal:
+    """The closed-form total against the explicit sum over m = 1..n-2, at a
+    relative tolerance of 1e-9 (the closed form loses a few digits to
+    cancellation as the stay nears 1)."""
+
+    @staticmethod
+    def explicit(params, n, state):
+        return float(np.sum(expected_runs_markov(params, n, np.arange(1, n - 1), state)))
+
+    @pytest.mark.parametrize("n", [4, 10, 10**4])
+    def test_matches_explicit_sum(self, n):
+        for stay in STAYS:
+            for params, state in ((MarkovParams(stay, 0.37), STATE_A), (MarkovParams(0.61, stay), STATE_B)):
+                expected = self.explicit(params, n, state)
+                assert _expected_runs_total(params, n, state) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("stay", [0.001, 0.5, 0.9, 0.999])
+    def test_matches_explicit_sum_long_sequence(self, stay):
+        n, params = 5 * 10**6, MarkovParams(stay, 0.5)
+        expected = self.explicit(params, n, STATE_A)
+        assert _expected_runs_total(params, n, STATE_A) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_frequencies_sum_to_one_over_the_domain(self):
+        params, n = MarkovParams(0.88, 0.5), 500
+        freqs = expected_run_frequencies(params, n, np.arange(1, n - 1), STATE_A)
+        assert freqs.sum() == pytest.approx(1.0, abs=1e-12)
