@@ -30,7 +30,6 @@ from .dataio import (
 )
 from .estimate import (
     InfeasibleParametersError,
-    RunFitConfig,
     fit_runs_mle,
     fit_runs_simulated,
     fit_scatter,
@@ -158,16 +157,15 @@ def cmd_fit_scatter(args) -> int:
 def cmd_fit_runs(args) -> int:
     on_curve = parse_curve(args.on)
     off_curve = parse_curve(args.off)
-    config = RunFitConfig(
-        grid_step=args.grid, refine_step=args.refine, floor=args.floor, length=args.length
-    )
-    fit = fit_runs_simulated(on_curve, off_curve, config)
-    details = {
-        "grid_step": args.grid,
-        "refine_step": args.refine,
-        "floor": args.floor,
-        "length": args.length,
-    }
+    if args.length < 4:
+        raise _UsageError(f"--length must be >= 4, got {args.length}")
+    longest = max(max(on_curve), max(off_curve))
+    if longest > args.length - 2:
+        raise DataFormatError(
+            f"longest run {longest} outside the formula domain of --length {args.length} (needs m <= length-2)"
+        )
+    fit = fit_runs_simulated(on_curve, off_curve, args.length)
+    details = {"length": args.length}
     seed = None
     if args.confirm_seeds > 0:
         # Monte Carlo confirmation: simulate at the fitted parameters and
@@ -268,13 +266,10 @@ def build_parser() -> _Parser:
     _add_scatter_fit_flags(p_fsc)
     p_fsc.set_defaults(func=cmd_fit_scatter)
 
-    p_frn = sub.add_parser("fit-runs", help="fit (p11, p22) to run-length curves")
+    p_frn = sub.add_parser("fit-runs", help="fit (p11, p22) to run-length curves by per-state maximum likelihood")
     p_frn.add_argument("--on", required=True, help="state-A (on) curve file")
     p_frn.add_argument("--off", required=True, help="state-B (off) curve file")
-    p_frn.add_argument("--grid", type=float, default=0.05)
-    p_frn.add_argument("--refine", type=float, default=0.01)
-    p_frn.add_argument("--floor", type=float, default=1e-4)
-    p_frn.add_argument("--length", type=int, default=10_000, help="sequence length assumed by the model curves")
+    p_frn.add_argument("--length", type=int, default=10_000, help="model sequence length, >= longest run + 2")
     p_frn.add_argument("--confirm-seeds", type=int, default=0, help="Monte Carlo confirmation sequences")
     p_frn.add_argument("--seed", type=int, default=None, help="default: $TWOSTATE_SEED, else 0")
     p_frn.add_argument("--out", default=None)

@@ -3,8 +3,8 @@
 The scatter route estimates the funnel center as a size-weighted mean and
 the width factor as an empirical quantile of standardized deviations, then
 inverts the (pinf, nu) pair algebraically to (p, q).  The run route fits
-the two self-transition probabilities to normalized run-length curves by a
-coarse-then-refined grid search in log-frequency space, with a geometric
+the two self-transition probabilities to normalized run-length curves by
+maximum likelihood, one 1-D search per state, with a closed-form geometric
 maximum-likelihood shortcut per state, pooled over that state's histograms.
 """
 
@@ -18,8 +18,13 @@ import numpy as np
 
 from .chain import MarkovParams, ParameterError, derive
 from .funnel import FunnelSpec, coverage, z_from_level
-from .runs import STATE_A, STATE_B, RunHistogram, expected_run_frequencies
+from .runs import STATE_A, STATE_B, RunHistogram, average_and_normalize, log_run_frequencies
 from .simulate import ScatterDataset
+
+# the run-curve fit searches log(stay) over [log(STAY_BOUND), log(1 - STAY_BOUND)] to LOG_STAY_TOLERANCE
+STAY_BOUND = 1e-6
+LOG_STAY_TOLERANCE = 1e-9
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class InfeasibleParametersError(ValueError):
@@ -40,37 +45,19 @@ class ScatterFit:
 
 class RunFitMethod(Enum):
     MLE = "mle"
-    SIMULATED_LEAST_SQUARES = "simulated-least-squares"
+    CURVE_MLE = "curve-mle"
 
 
 @dataclass(frozen=True)
 class RunFit:
-    """Estimated self-transition probabilities from run-length curves."""
+    """Estimated self-transition probabilities from run-length curves.
+    `objective` is `run_curve_objective` at the estimates: the negative
+    log-likelihood of the curves, summed over both states."""
 
     p11_hat: float
     p22_hat: float
     objective: float
     method: RunFitMethod
-
-
-@dataclass(frozen=True)
-class RunFitConfig:
-    """Grid-search settings for the run-curve fit.
-
-    `length` is the sequence length assumed when building model curves;
-    `floor` drops bins whose observed or model frequency falls below it.
-    """
-
-    grid_step: float = 0.05
-    refine_step: float = 0.01
-    floor: float = 1e-4
-    length: int = 10_000
-
-    def __post_init__(self):
-        if not 0.0 < self.refine_step <= self.grid_step < 0.5:
-            raise ParameterError("need 0 < refine_step <= grid_step < 0.5")
-        if self.floor <= 0.0 or self.length < 4:
-            raise ParameterError("floor must be positive and length at least 4")
 
 
 def estimate_center(dataset: ScatterDataset) -> float:
@@ -172,81 +159,85 @@ def fit_runs_mle(*histograms: RunHistogram) -> float:
 def _curve_arrays(curve: dict) -> tuple[np.ndarray, np.ndarray]:
     ms = np.array(sorted(curve), dtype=np.int64)
     freqs = np.array([curve[m] for m in ms], dtype=float)
-    if ms.size == 0 or ms.min() < 1:
-        raise ParameterError("run curve must map positive lengths to frequencies")
+    if ms.size == 0 or ms.min() < 1 or freqs.min() < 0.0:
+        raise ParameterError("run curve must map positive lengths to nonnegative frequencies")
     return ms, freqs
 
 
-def run_curve_objective(
-    on_curve: dict, off_curve: dict, p11: float, p22: float, config: RunFitConfig = RunFitConfig()
-) -> float:
-    """Sum of squared log10-frequency differences between observed and
-    model curves, over bins where both exceed the floor, both states."""
-    params = MarkovParams(p11, p22)
-    total = 0.0
-    for curve, state in ((on_curve, STATE_A), (off_curve, STATE_B)):
-        ms, observed = _curve_arrays(curve)
-        model = expected_run_frequencies(params, config.length, ms, state)
-        mask = (observed >= config.floor) & (model >= config.floor)
-        if mask.any():
-            total += float(np.sum((np.log10(observed[mask]) - np.log10(model[mask])) ** 2))
-    return total
+def _state_log_likelihood(ms: np.ndarray, freqs: np.ndarray, stay: float, length: int, state: int) -> float:
+    """Sum of f_m log g_m(stay) over one state's curve; log g_m is finite, so
+    empty bins add 0.  MarkovParams(stay, stay) gives either state that stay
+    probability; the other state's parameter cancels from g."""
+    return float(np.dot(freqs, log_run_frequencies(MarkovParams(stay, stay), length, ms, state)))
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    ticks = np.arange(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
-    return ticks * step
-
-
-def _best_cell(cells) -> tuple[float, float, float]:
-    """Lowest objective wins; exact ties break toward (0.5, 0.5), then
-    lexicographically, so the result is independent of evaluation order."""
-    best = min(cells, key=lambda c: (c[0], (c[1] - 0.5) ** 2 + (c[2] - 0.5) ** 2, c[1], c[2]))
-    return best
-
-
-def fit_runs_simulated(on_curve: dict, off_curve: dict, config: RunFitConfig = RunFitConfig()) -> RunFit:
-    """Grid search for (p11, p22) against normalized run-length curves.
-
-    Coarse pass at `grid_step` over (0, 1)^2, then a refinement at
-    `refine_step` within one coarse cell of the winner.
-    """
-    for name, curve in (("on", on_curve), ("off", off_curve)):
-        _, freqs = _curve_arrays(curve)
-        if np.count_nonzero(freqs >= config.floor) < 2:
-            raise InfeasibleParametersError(
-                f"degenerate {name} curve: fewer than two bins above the floor"
-            )
-
-    def search(p_values, q_values):
-        cells = [
-            (run_curve_objective(on_curve, off_curve, p, q, config), p, q)
-            for p in p_values
-            for q in q_values
-        ]
-        return _best_cell(cells)
-
-    coarse = _grid(config.grid_step, 1.0 - config.grid_step, config.grid_step)
-    _, p0, q0 = search(coarse, coarse)
-    margin = config.grid_step
-    fine_p = _grid(max(config.refine_step, p0 - margin), min(1.0 - config.refine_step, p0 + margin), config.refine_step)
-    fine_q = _grid(max(config.refine_step, q0 - margin), min(1.0 - config.refine_step, q0 + margin), config.refine_step)
-    objective, p_hat, q_hat = search(fine_p, fine_q)
-    return RunFit(
-        p11_hat=float(p_hat),
-        p22_hat=float(q_hat),
-        objective=float(objective),
-        method=RunFitMethod.SIMULATED_LEAST_SQUARES,
+def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float, length: int = 10_000) -> float:
+    """Negative multinomial log-likelihood of both curves under the chain at
+    (p11, p22): minus the sum over states and bins of f_m log g_m, where g_m
+    is the model run-length frequency for sequences of `length` steps.  The
+    state-A term depends only on p11 and the state-B term only on p22."""
+    return -sum(
+        _state_log_likelihood(*_curve_arrays(curve), stay, length, state)
+        for curve, stay, state in ((on_curve, p11, STATE_A), (off_curve, p22, STATE_B))
     )
 
 
-def fit_runs_mle_pair(
-    on_histogram: RunHistogram, off_histogram: RunHistogram, config: RunFitConfig = RunFitConfig()
-) -> RunFit:
-    """Per-state geometric MLE packaged like the grid fit, with the same
-    log-frequency objective evaluated at the estimates for comparability."""
-    from .runs import average_and_normalize
+def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Bracket [a, b] narrower than `tol` around the maximum of a function unimodal
+    on [lo, hi]; a maximum at an end leaves that end of the bracket exactly in place."""
+    a, b = lo, hi
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return a, b
 
+
+def fit_runs_simulated(on_curve: dict, off_curve: dict, length: int = 10_000) -> RunFit:
+    """Maximum-likelihood (p11, p22) for normalized run-length curves.
+
+    Each state's log-likelihood, sum of f_m log g_m over the curve with g_m
+    the model frequency for sequences of `length` steps, depends only on that
+    state's self-transition probability s.  In theta = log s the model is an
+    exponential family (statistic m-1, base weight n-m-1), so the
+    log-likelihood is concave in theta and one golden-section search per
+    state finds its maximum.  A curve whose maximum lies on the search bound
+    (all mass at m = 1 points to s = 0), or that has no mass and so no
+    maximum, is infeasible.
+    """
+    lo, hi = math.log(STAY_BOUND), math.log1p(-STAY_BOUND)
+    estimates = []
+    for name, curve, state in (("on", on_curve, STATE_A), ("off", off_curve, STATE_B)):
+        ms, freqs = _curve_arrays(curve)
+        a, b = _golden_section_max(
+            lambda theta: _state_log_likelihood(ms, freqs, math.exp(theta), length, state),
+            lo, hi, LOG_STAY_TOLERANCE,
+        )
+        if a == lo or b == hi:
+            raise InfeasibleParametersError(
+                f"degenerate {name} curve: its likelihood has no maximum inside the search range "
+                f"[{STAY_BOUND:g}, 1 - {STAY_BOUND:g}] of self-transition probabilities"
+            )
+        estimates.append(math.exp((a + b) / 2.0))
+    p11, p22 = estimates
+    return RunFit(
+        p11_hat=p11,
+        p22_hat=p22,
+        objective=run_curve_objective(on_curve, off_curve, p11, p22, length),
+        method=RunFitMethod.CURVE_MLE,
+    )
+
+
+def fit_runs_mle_pair(on_histogram: RunHistogram, off_histogram: RunHistogram, length: int = 10_000) -> RunFit:
+    """Per-state geometric MLE packaged like the curve fit, with the same
+    negative log-likelihood objective evaluated at the estimates."""
     p11 = fit_runs_mle(on_histogram)
     p22 = fit_runs_mle(off_histogram)
     if not (0.0 < p11 < 1.0 and 0.0 < p22 < 1.0):
@@ -258,6 +249,6 @@ def fit_runs_mle_pair(
         average_and_normalize([off_histogram]),
         p11,
         p22,
-        config,
+        length,
     )
     return RunFit(p11_hat=p11, p22_hat=p22, objective=objective, method=RunFitMethod.MLE)

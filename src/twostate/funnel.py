@@ -18,6 +18,8 @@ import numpy as np
 from .chain import ParameterError
 from .simulate import ScatterDataset
 
+BOUNDARY_RTOL = 1e-12  # relative slack at the bound in `coverage`
+
 
 class FunnelSingularityError(ValueError):
     """The inverse curve diverges: the proportion equals the center."""
@@ -73,9 +75,13 @@ def required_n(spec: FunnelSpec, p_bar: float) -> float:
 
 
 def coverage(dataset: ScatterDataset, spec: FunnelSpec) -> float:
-    """Fraction of study points inside the funnel (bounds inclusive)."""
+    """Fraction of study points inside the funnel (bounds inclusive).
+
+    A point at most BOUNDARY_RTOL (relative) past the bound counts as on it:
+    `estimate_nu` puts one point exactly there, and rounding must not decide.
+    """
     half = spec.half_width(dataset.sizes)
-    inside = np.abs(dataset.p_bars - spec.pinf) <= half
+    inside = np.abs(dataset.p_bars - spec.pinf) <= half * (1.0 + BOUNDARY_RTOL)
     return float(inside.mean())
 
 

@@ -144,11 +144,20 @@ def average_and_normalize(histograms) -> dict:
     return {m: float(f) for m, f in zip(range(1, max_m + 1), freq)}
 
 
+def log_run_frequencies(params: MarkovParams, n: int, ms, state: int) -> np.ndarray:
+    """Natural log of `expected_run_frequencies`; it forms no power of the stay
+    probability, so it stays finite where the frequency underflows to 0."""
+    ms = np.asarray(ms, dtype=np.int64)
+    _check_run_domain(n, ms)
+    enter, stay, other = _state_factors(params, state)
+    scale = other * enter * (1.0 - stay) / _expected_runs_total(params, n, state)
+    return np.log((n - ms - 1) * scale) + (ms - 1) * math.log(stay)
+
+
 def expected_run_frequencies(params: MarkovParams, n: int, ms, state: int) -> np.ndarray:
     """Model run-length frequencies at the requested lengths, normalized
     over the full domain 1..n-2 (not just the requested bins)."""
-    ms = np.asarray(ms, dtype=np.int64)
-    return expected_runs_markov(params, n, ms, state) / _expected_runs_total(params, n, state)
+    return np.exp(log_run_frequencies(params, n, ms, state))
 
 
 def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:

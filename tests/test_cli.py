@@ -186,9 +186,19 @@ class TestFitRuns:
 
     def test_flat_curve_is_infeasible(self, tmp_path):
         flat = tmp_path / "flat.csv"
-        flat.write_text("m,frequency\n1,1.0\n")
         on, off = write_model_curves(tmp_path, 0.5, 0.5)
-        assert main(["fit-runs", "--on", str(flat), "--off", off]) == 3
+        for rows in ("1,1.0\n", "1,0.0\n2,0.0\n"):
+            flat.write_text("m,frequency\n" + rows)
+            assert main(["fit-runs", "--on", str(flat), "--off", off]) == 3
+
+    def test_curve_longer_than_length_is_data_error(self, tmp_path, capsys):
+        on, off = write_model_curves(tmp_path, 0.5, 0.5, max_m=10)
+        long_on = tmp_path / "long.csv"
+        long_on.write_text("m,frequency\n1,0.5\n70,0.5\n")
+        assert main(["fit-runs", "--on", str(long_on), "--off", off, "--length", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--length 20" in captured.err and "longest run 70" in captured.err
 
     def test_malformed_curve_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -166,12 +166,12 @@ class TestAnalysisReport:
             version="0.1.0",
             seed=7,
             inputs={},
-            run_fit=RunFit(0.25, 0.65, 0.00123456789, RunFitMethod.SIMULATED_LEAST_SQUARES),
+            run_fit=RunFit(0.25, 0.65, 0.00123456789, RunFitMethod.CURVE_MLE),
             run_curves={"on": {1: 0.75, 2: 0.25}, "off": {1: 0.5, 2: 0.5}},
         )
         back = AnalysisReport.from_json(report.to_json())
         assert back == report
-        assert back.run_fit.method is RunFitMethod.SIMULATED_LEAST_SQUARES
+        assert back.run_fit.method is RunFitMethod.CURVE_MLE
         assert back.run_curves["on"][1] == 0.75  # integer keys restored
 
     def test_serialization_is_deterministic(self):

@@ -1,15 +1,16 @@
 """Estimators: scatter pipeline, algebraic inversion, run-curve fits."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from twostate import MarkovParams, ParameterError, ScatterDataset, derive, ensemble, generate
+from twostate.dataio import parse_studies
 from twostate.estimate import (
     InfeasibleParametersError,
-    RunFitConfig,
     RunFitMethod,
-    _best_cell,
     estimate_center,
     estimate_nu,
     fit_runs_mle,
@@ -29,6 +30,7 @@ from twostate.runs import (
 )
 
 probs = st.floats(min_value=0.02, max_value=0.98)
+FIXTURE = pathlib.Path(__file__).parent / "data" / "handedness_synthetic.csv"
 
 
 def model_curves(p11, p22, n=10_000, max_m=200):
@@ -142,6 +144,12 @@ class TestFitScatter:
         d = derive(MarkovParams(fit.p_hat, fit.q_hat))
         assert d.nu == pytest.approx(fit.nu_hat, abs=1e-9)
 
+    def test_fixture_coverage_reaches_level(self):
+        # the quantile point sits on the boundary by construction and counts inside
+        ds = parse_studies(FIXTURE)
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99):
+            assert fit_scatter(ds, level=level).coverage_achieved >= level
+
     def test_degenerate_dataset_infeasible(self):
         ds = ScatterDataset(np.full(25, 100), np.full(25, 0.5))
         with pytest.raises(InfeasibleParametersError):
@@ -182,40 +190,37 @@ class TestFitRunsSimulated:
         fit = fit_runs_simulated(on, off)
         assert fit.p11_hat == pytest.approx(p11, abs=0.02)
         assert fit.p22_hat == pytest.approx(p22, abs=0.02)
-        assert fit.method is RunFitMethod.SIMULATED_LEAST_SQUARES
+        assert fit.method is RunFitMethod.CURVE_MLE
 
     def test_flat_curve_infeasible(self):
         on, off = model_curves(0.6, 0.6)
-        with pytest.raises(InfeasibleParametersError):
-            fit_runs_simulated({1: 1.0}, off)
+        for curve in ({1: 1.0}, {1: 0.0, 2: 0.0}):
+            with pytest.raises(InfeasibleParametersError):
+                fit_runs_simulated(curve, off)
+
+    def test_recovers_pairs_across_the_square(self):
+        # tolerance fixed beforehand: 0.02 on each estimate
+        values = (0.05, 0.20, 0.50, 0.80, 0.93, 0.95)
+        misses = []
+        for p11 in values:
+            for p22 in values:
+                on, off = simulate_run_curves(MarkovParams(p11, p22), 10**4, 10, 314)
+                fit = fit_runs_simulated(on, off)
+                if abs(fit.p11_hat - p11) > 0.02 or abs(fit.p22_hat - p22) > 0.02:
+                    misses.append((p11, p22, round(fit.p11_hat, 3), round(fit.p22_hat, 3)))
+        assert misses == []
 
     def test_agrees_with_mle_on_simulated_data(self):
         params = MarkovParams(0.80, 0.55)
         on_curve, off_curve = simulate_run_curves(params, 10**4, 10, 555)
-        grid_fit = fit_runs_simulated(on_curve, off_curve)
+        curve_fit = fit_runs_simulated(on_curve, off_curve)
         ha, hb = extract_runs(generate(params, 10**5, 8))
         mle_fit = fit_runs_mle_pair(ha, hb)
-        assert grid_fit.p11_hat == pytest.approx(mle_fit.p11_hat, abs=0.02)
-        assert grid_fit.p22_hat == pytest.approx(mle_fit.p22_hat, abs=0.02)
+        assert curve_fit.p11_hat == pytest.approx(mle_fit.p11_hat, abs=0.02)
+        assert curve_fit.p22_hat == pytest.approx(mle_fit.p22_hat, abs=0.02)
 
-    def test_tie_break_prefers_weak_memory(self):
-        cells = [(1.0, 0.1, 0.1), (1.0, 0.45, 0.55), (1.0, 0.9, 0.9), (2.0, 0.5, 0.5)]
-        assert _best_cell(cells) == (1.0, 0.45, 0.55)
-
-    def test_tie_break_is_order_independent(self):
-        # equal objective and exactly equal distance to center (0.25 and
-        # 0.75 are exact in binary): lexicographic (p, q) decides
-        cells = [(0.5, 0.25, 0.25), (0.5, 0.75, 0.75), (0.5, 0.25, 0.75)]
-        assert _best_cell(cells) == _best_cell(list(reversed(cells)))
-        assert _best_cell(cells) == (0.5, 0.25, 0.25)
-
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            RunFitConfig(grid_step=0.01, refine_step=0.05)
-        with pytest.raises(ParameterError):
-            RunFitConfig(floor=0.0)
-
-    def test_objective_zero_at_truth(self):
+    def test_objective_smallest_at_truth(self):
         on, off = model_curves(0.42, 0.77)
-        assert run_curve_objective(on, off, 0.42, 0.77) == pytest.approx(0.0, abs=1e-18)
-        assert run_curve_objective(on, off, 0.5, 0.5) > 0.01
+        at_truth = run_curve_objective(on, off, 0.42, 0.77)
+        for p11, p22 in ((0.41, 0.77), (0.43, 0.77), (0.42, 0.76), (0.42, 0.78), (0.5, 0.5)):
+            assert run_curve_objective(on, off, p11, p22) > at_truth

@@ -14,6 +14,7 @@ from twostate.runs import (
     expected_runs_markov,
     _expected_runs_total,
     extract_runs,
+    log_run_frequencies,
     memoryfree_curve,
     simulate_run_curves,
 )
@@ -202,6 +203,17 @@ class TestModelCurves:
                 if f > 1e-3:
                     # 5 sigma of the Poisson-scale bin noise
                     assert abs(curve[m] - f) <= 5 * np.sqrt(f / total_runs), (state, m)
+
+    def test_log_frequencies_stay_finite_past_underflow(self):
+        stay, n, ms = 1e-6, 10**4, np.arange(1, 301)
+        params = MarkovParams(stay, 0.5)
+        logs = log_run_frequencies(params, n, ms, STATE_A)
+        freqs = expected_run_frequencies(params, n, ms, STATE_A)
+        assert np.all(np.isfinite(logs)) and freqs[-1] == 0.0
+        shown = freqs >= np.finfo(float).tiny  # where the frequency is a normal float, the log matches it
+        np.testing.assert_allclose(logs[shown], np.log(freqs[shown]), rtol=1e-12)
+        # past it, successive bins keep the ratio stay * (n-m-2)/(n-m-1)
+        np.testing.assert_allclose(np.diff(logs), np.log(stay * (n - ms[1:] - 1) / (n - ms[:-1] - 1)), rtol=1e-12)
 
     def test_memoryfree_curve_normalized(self):
         curve = memoryfree_curve(10**4, 0.5, 30)
