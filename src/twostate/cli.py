@@ -8,6 +8,7 @@ The TWOSTATE_SEED environment variable supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -224,7 +225,10 @@ def _add_scatter_fit_flags(sub):
     sub.add_argument("--out", default=None, help="report path (stdout when omitted)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument tree, built once per process: parsing leaves it
+    unchanged, and TWOSTATE_SEED is read per call in `main`."""
     parser = _Parser(prog="twostate", description=__doc__)
     parser.add_argument("--version", action="version", version=f"twostate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -38,6 +38,10 @@ class CurveFileError(DataFormatError):
     pass
 
 
+# the ASCII characters str.isspace() accepts, which the sequence format skips
+_ASCII_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
+
+
 @dataclass(frozen=True)
 class StudyRecord:
     """One study row: identifier, size, proportion (or the successes it
@@ -60,11 +64,16 @@ def round9(x: float) -> float:
     return float(fmt(x))
 
 
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read_text(source, error: type[DataFormatError]) -> str:
+    """The whole text of a path or text stream; bytes that are not UTF-8
+    raise `error`, the calling parser's format error."""
+    try:
+        if hasattr(source, "read"):
+            return source.read()
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"input is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -104,7 +113,7 @@ def parse_study_records(source) -> list[StudyRecord]:
     successes / p_bar; a group column is optional.  All malformed rows are
     collected and reported together with their line numbers.
     """
-    text = _read_text(source)
+    text = _read_text(source, StudyFileError)
     lines = text.splitlines()
     if not lines:
         raise StudyFileError("empty study file")
@@ -189,8 +198,23 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
     ignored.  With `alphabet` = (symbol_a, symbol_b), the file is read as
     whitespace-separated tokens instead.  Any third symbol is an error
     naming its position (1-based, counted over non-whitespace input).
+
+    ASCII text in the default format is read as bytes, with no loop per
+    symbol: the whitespace bytes are deleted and the rest viewed as an
+    array.  Other text takes a loop per character, so that any unicode
+    whitespace is skipped too.
     """
-    text = _read_text(source)
+    text = _read_text(source, SequenceFormatError)
+    if alphabet is None and text.isascii():
+        symbols = text.encode("ascii").translate(None, _ASCII_WHITESPACE)
+        states = np.frombuffer(symbols, dtype=np.uint8) - ord("0")
+        bad = np.flatnonzero(states > 1)
+        if bad.size:
+            pos = int(bad[0])
+            raise SequenceFormatError(f"unexpected symbol {chr(symbols[pos])!r} at position {pos + 1}")
+        if not states.size:
+            raise SequenceFormatError("sequence file contains no symbols")
+        return BinarySequence(states)
     bits = []
     if alphabet is None:
         for ch in text:
@@ -219,7 +243,7 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
 
 
 def sequence_text(seq: BinarySequence) -> str:
-    return "".join("1" if s else "0" for s in seq.states.tolist()) + "\n"
+    return (seq.states + ord("0")).tobytes().decode("ascii") + "\n"
 
 
 def write_sequence(path, seq: BinarySequence) -> None:
@@ -239,7 +263,7 @@ def write_curve(path, curve: dict) -> None:
 
 def parse_curve(source) -> dict:
     """Read a two-column (m, frequency) table; header row optional."""
-    text = _read_text(source)
+    text = _read_text(source, CurveFileError)
     curve = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -3,6 +3,12 @@
 Generation is driven by numpy's PCG64 generator.  Each ensemble member gets
 its own sub-stream keyed by (master seed, member index), so members are
 independent and each member's result does not depend on the others.
+
+A long chain is generated slice by slice: uniforms are drawn from the one
+stream `_SLICE` at a time and each slice's scan starts from the state the
+previous slice ended in.  Consecutive draws equal one large draw, so the
+sequence is the same as from a single scan, while working memory is the
+n-byte state array plus O(_SLICE).
 """
 
 from __future__ import annotations
@@ -14,6 +20,10 @@ import numpy as np
 from .chain import MarkovParams, ParameterError
 
 _SEED_MASK = (1 << 64) - 1
+
+# uniforms drawn and scanned per slice by `generate`; the scan's temporaries
+# take about 40 bytes per uniform, so a slice costs about 10 MB
+_SLICE = 1 << 18
 
 
 def _entropy(seed: int) -> int:
@@ -110,13 +120,15 @@ class ScatterDataset:
         return cls(np.array(sizes), np.array(p_bars), labels)
 
 
-def _markov_states(params: MarkovParams, u: np.ndarray) -> np.ndarray:
+def _markov_states(params: MarkovParams, u: np.ndarray, prev: int | None = None) -> np.ndarray:
     """Turn n uniforms into n chain states (vectorized scan).
 
     Equivalent to the sequential rule
         x[0] = u[0] < p1
         x[i] = u[i] < p      if x[i-1] == 1
         x[i] = u[i] < 1 - q  otherwise
+    With `prev`, the state carried from the step before u[0], the first
+    step follows the same rule as the others (x[-1] = prev) instead of p1.
     Each step is one of {set 1, set 0, copy, flip} depending only on u[i]:
     below min(p, 1-q) both branches yield 1, at or above max(p, 1-q) both
     yield 0, and in between the outcome copies the previous state when
@@ -124,7 +136,10 @@ def _markov_states(params: MarkovParams, u: np.ndarray) -> np.ndarray:
     forced steps collapse into a carried value plus a flip parity.
     """
     p, q = params.p, params.q
-    first = bool(u[0] < params.p1)
+    if prev is None:
+        first = bool(u[0] < params.p1)
+    else:
+        first = bool(u[0] < (p if prev else 1.0 - q))
     steps = u[1:]
     n = u.size
     states = np.empty(n, dtype=np.uint8)
@@ -147,11 +162,25 @@ def _markov_states(params: MarkovParams, u: np.ndarray) -> np.ndarray:
 
 
 def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
-    """Simulate a chain of n measurements; same inputs, same sequence."""
+    """Simulate a chain of n measurements; same inputs, same sequence.
+
+    Memory is the n-byte state array plus O(_SLICE): uniforms are drawn
+    and scanned one slice at a time, each slice carrying on from the last
+    state of the one before.  A chain of at most `_SLICE` steps is one scan.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"sequence length must be a positive integer, got {n!r}")
+    n = int(n)
     rng = np.random.default_rng(_entropy(seed))
-    states = _markov_states(params, rng.random(int(n)))
+    if n <= _SLICE:
+        states = _markov_states(params, rng.random(n))
+    else:
+        states = np.empty(n, dtype=np.uint8)
+        prev = None
+        for start in range(0, n, _SLICE):
+            part = states[start : start + _SLICE]
+            part[:] = _markov_states(params, rng.random(part.size), prev)
+            prev = part[-1]
     return BinarySequence(states, params=params, seed=int(seed))
 
 

@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 
 from twostate import MarkovParams, expected_run_frequencies, generate
-from twostate.cli import main
+from twostate.cli import build_parser, main
 from twostate.dataio import AnalysisReport, parse_curve
 
 FIXTURE = str(pathlib.Path(__file__).parent / "data" / "handedness_synthetic.csv")
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def write_model_curves(tmp_path, p11, p22, n=10_000, max_m=150):
@@ -112,6 +118,14 @@ class TestRuns:
         assert captured.err.count("error:") == 2
         assert not any(path.exists() for path in (on, off, ref))
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.txt"
+        seq_file.write_bytes(b"01\xff0\n")
+        on, off = tmp_path / "on.csv", tmp_path / "off.csv"
+        assert main(["runs", "--input", str(seq_file), "--out-on", str(on), "--out-off", str(off)]) == 2
+        assert_one_error_line(capsys)
+        assert not on.exists() and not off.exists()
+
 
 class TestFunnel:
     def test_captivity_curve_satisfies_inverse_law(self, capsys):
@@ -158,6 +172,15 @@ class TestFitScatter:
         small = tmp_path / "small.csv"
         small.write_text("study_id,n,p_bar\ns1,100,0.5\n")
         assert main(["fit-scatter", "--studies", str(small)]) == 2
+
+    @pytest.mark.parametrize("command", ["fit-scatter", "analyze"])
+    def test_non_utf8_studies_is_data_error(self, tmp_path, capsys, command):
+        studies = tmp_path / "studies.csv"
+        studies.write_bytes(pathlib.Path(FIXTURE).read_bytes() + b"s\xe9,100,0.5\n")
+        out = tmp_path / "report.json"
+        assert main([command, "--studies", str(studies), "--out", str(out)]) == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_degenerate_dataset_is_infeasible(self, tmp_path):
         rows = ["study_id,n,p_bar"] + [f"s{i},100,0.5" for i in range(25)]
@@ -206,6 +229,17 @@ class TestFitRuns:
         on, off = write_model_curves(tmp_path, 0.5, 0.5)
         assert main(["fit-runs", "--on", str(bad), "--off", off]) == 2
 
+    @pytest.mark.parametrize("flag", ["--on", "--off"])
+    def test_non_utf8_curve_is_data_error(self, tmp_path, capsys, flag):
+        curves = dict(zip(("--on", "--off"), write_model_curves(tmp_path, 0.5, 0.5)))
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"m,frequency\n1,0.5\n2,0.5\xff\n")
+        curves[flag] = str(bad)
+        out = tmp_path / "report.json"
+        assert main(["fit-runs", "--on", curves["--on"], "--off", curves["--off"], "--out", str(out)]) == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_combined_report(self, capsys):
@@ -244,6 +278,48 @@ class TestUsageErrors:
         # an explicit --seed needs no default, and --version no seed at all
         assert main(["simulate", "--p", "0.5", "--q", "0.5", "--n", "10", "--seed", "1"]) == 0
         assert main(["--version"]) == 0
+
+
+class TestRepeatedCalls:
+    CALLS = [
+        ({"TWOSTATE_SEED": "5"}, ["simulate", "--p", "0.6", "--q", "0.3", "--n", "60"]),
+        ({"TWOSTATE_SEED": "6"}, ["simulate", "--p", "0.6", "--q", "0.3", "--n", "60"]),
+        ({}, ["simulate", "--p", "0.6", "--q", "0.3", "--n", "60"]),
+        ({"TWOSTATE_SEED": "6"}, ["runs", "--p", "0.6", "--q", "0.3", "--n", "300", "--seeds", "2"]),
+        ({"TWOSTATE_SEED": "abc"}, ["runs", "--p", "0.6", "--q", "0.3", "--n", "300", "--seeds", "2"]),
+        ({}, ["runs", "--p", "0.6", "--q", "0.3", "--n", "300", "--seeds", "2"]),
+        ({}, ["simulate", "--p", "0.6", "--q", "0.3", "--n", "60", "--seed", "6"]),
+        ({"TWOSTATE_SEED": "abc"}, ["funnel", "--pinf", "0.5", "--nu", "2", "--points", "5"]),
+        ({}, ["funnel", "--pinf", "0.5", "--nu", "2"]),
+        ({}, ["fit-scatter", "--studies", FIXTURE, "--level", "0.9"]),
+        ({}, ["analyze", "--studies", FIXTURE, "--points", "5"]),
+        ({}, ["fit-scatter", "--studies", FIXTURE]),
+        ({}, ["simulate", "--p", "0.6"]),
+        ({}, ["--version"]),
+    ]
+
+    def run_calls(self, capsys, monkeypatch, fresh):
+        results = []
+        for env, argv in self.CALLS:
+            monkeypatch.delenv("TWOSTATE_SEED", raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    def test_back_to_back_calls_match_fresh_calls(self, capsys, monkeypatch):
+        assert build_parser() is build_parser()
+        repeated = self.run_calls(capsys, monkeypatch, fresh=False)
+        assert repeated == self.run_calls(capsys, monkeypatch, fresh=True)
+        codes = [code for code, _, _ in repeated]
+        assert codes == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0]
+        simulated = [out for _, out, _ in repeated[:3]]
+        assert simulated[0] != simulated[1] and simulated[1] != simulated[2]
+        assert repeated[6][1] == simulated[1]  # --seed 6 is what TWOSTATE_SEED=6 gave
+        assert repeated[11][1] != repeated[9][1]  # --level 0.9 did not stay as a default
 
 
 class TestSubprocessEntry:

@@ -5,8 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twostate import MarkovParams, generate
+from twostate import BinarySequence, MarkovParams, generate
 from twostate.dataio import (
     AnalysisReport,
     CurveFileError,
@@ -78,7 +79,53 @@ class TestParseStudies:
         assert ds.sizes.min() >= 50
 
 
+def parse_sequence_loop(source):
+    """Reference reader: the per-character loop over the whole text."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
+    bits = []
+    for ch in text:
+        if ch.isspace():
+            continue
+        if ch == "1":
+            bits.append(1)
+        elif ch == "0":
+            bits.append(0)
+        else:
+            raise SequenceFormatError(f"unexpected symbol {ch!r} at position {len(bits) + 1}")
+    if not bits:
+        raise SequenceFormatError("sequence file contains no symbols")
+    return BinarySequence(np.array(bits, dtype=np.uint8))
+
+
+def outcome(read, source):
+    try:
+        return read(source).states.tolist()
+    except SequenceFormatError as exc:
+        return str(exc)
+
+
+ASCII_SPACE = list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
+UNICODE_SPACE = ["\xa0", "\u2003", "\u3000"]
+STRAY = ["2", "x", "\xe9"]
+sequence_texts = st.one_of(
+    st.text(st.sampled_from(["0", "1"] + ASCII_SPACE), max_size=60),
+    st.text(st.sampled_from(["0", "1"] * 4 + ASCII_SPACE + UNICODE_SPACE + STRAY), max_size=60),
+)
+
+
 class TestParseSequence:
+    @given(text=sequence_texts)
+    @settings(max_examples=300)
+    def test_matches_character_loop(self, text, tmp_path_factory):
+        assert outcome(parse_sequence, io.StringIO(text)) == outcome(parse_sequence_loop, io.StringIO(text))
+        path = tmp_path_factory.getbasetemp() / "drawn_sequence.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert outcome(parse_sequence, path) == outcome(parse_sequence_loop, path)
+
     def test_binary_characters(self):
         seq = parse_sequence(io.StringIO("0110"))
         assert seq.states.tolist() == [0, 1, 1, 0]
@@ -108,6 +155,11 @@ class TestParseSequence:
         path = tmp_path / "seq.txt"
         write_sequence(path, seq)
         assert np.array_equal(parse_sequence(path).states, seq.states)
+
+    def test_text_matches_character_join(self):
+        seq = generate(MarkovParams(0.65, 0.25), 10**5, 8)
+        joined = "".join("1" if s else "0" for s in seq.states.tolist()) + "\n"
+        assert sequence_text(seq).encode() == joined.encode()
 
 
 class TestCurveIO:

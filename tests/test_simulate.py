@@ -16,7 +16,7 @@ from twostate import (
     generate,
     std_of_proportion,
 )
-from twostate.simulate import _markov_states
+from twostate.simulate import _SLICE, _markov_states
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -92,12 +92,22 @@ class TestGenerate:
         p1=st.floats(min_value=0.0, max_value=1.0),
         n=st.integers(1, 150),
         seed=st.integers(0, 2**32),
+        prev=st.sampled_from([None, 0, 1]),
     )
     @settings(max_examples=150)
-    def test_matches_sequential_rule(self, p, q, p1, n, seed):
+    def test_matches_sequential_rule(self, p, q, p1, n, seed, prev):
         params = MarkovParams(p, q, p1=p1)
         u = np.random.default_rng(seed).random(n)
-        assert np.array_equal(_markov_states(params, u), naive_states(params, u))
+        # a carried state makes the first step an ordinary one: p1 = p or 1 - q
+        first_step = params if prev is None else MarkovParams(p, q, p1=p if prev else 1.0 - q)
+        assert np.array_equal(_markov_states(params, u, prev), naive_states(first_step, u))
+
+    @pytest.mark.parametrize("p, q", [(0.8, 0.7), (0.2, 0.3), (0.5, 0.5)], ids=["copy", "flip", "balanced"])
+    def test_slices_match_one_scan(self, p, q):
+        params = MarkovParams(p, q)
+        for n in (1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 5):
+            one_scan = _markov_states(params, np.random.default_rng(21).random(n))
+            assert np.array_equal(generate(params, n, 21).states, one_scan), n
 
     def test_memoryless_frequency(self):
         seq = generate(MarkovParams(0.5, 0.5), 10**6, 2024)
