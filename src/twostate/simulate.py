@@ -4,7 +4,7 @@ Generation is driven by numpy's PCG64 generator.  Each ensemble member gets
 its own sub-stream keyed by (master seed, member index), so members are
 independent and each member's result does not depend on the others.
 
-A long chain is generated slice by slice: uniforms are drawn from the one
+A chain is generated slice by slice: uniforms are drawn from the one
 stream `_SLICE` at a time and each slice's scan starts from the state the
 previous slice ended in.  Consecutive draws equal one large draw, so the
 sequence is the same as from a single scan, while working memory is the
@@ -166,21 +166,18 @@ def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
 
     Memory is the n-byte state array plus O(_SLICE): uniforms are drawn
     and scanned one slice at a time, each slice carrying on from the last
-    state of the one before.  A chain of at most `_SLICE` steps is one scan.
+    state of the one before.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"sequence length must be a positive integer, got {n!r}")
     n = int(n)
     rng = np.random.default_rng(_entropy(seed))
-    if n <= _SLICE:
-        states = _markov_states(params, rng.random(n))
-    else:
-        states = np.empty(n, dtype=np.uint8)
-        prev = None
-        for start in range(0, n, _SLICE):
-            part = states[start : start + _SLICE]
-            part[:] = _markov_states(params, rng.random(part.size), prev)
-            prev = part[-1]
+    states = np.empty(n, dtype=np.uint8)
+    prev = None
+    for start in range(0, n, _SLICE):
+        part = states[start : start + _SLICE]
+        part[:] = _markov_states(params, rng.random(part.size), prev)
+        prev = part[-1]
     return BinarySequence(states, params=params, seed=int(seed))
 
 

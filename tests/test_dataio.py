@@ -109,8 +109,11 @@ def outcome(read, source):
 
 
 ASCII_SPACE = list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
-UNICODE_SPACE = ["\xa0", "\u2003", "\u3000"]
-STRAY = ["2", "x", "\xe9"]
+# NEL and LINE SEPARATOR are whitespace to str.isspace; the stray "?" is the
+# byte a non-ASCII character is encoded as, and U+1F600 is one code point
+# outside the BMP
+UNICODE_SPACE = ["\xa0", "\x85", "\u2003", "\u2028", "\u3000"]
+STRAY = ["2", "x", "?", "\xe9", "\U0001f600"]
 sequence_texts = st.one_of(
     st.text(st.sampled_from(["0", "1"] + ASCII_SPACE), max_size=60),
     st.text(st.sampled_from(["0", "1"] * 4 + ASCII_SPACE + UNICODE_SPACE + STRAY), max_size=60),
