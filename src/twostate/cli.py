@@ -85,12 +85,14 @@ def cmd_runs(args) -> int:
         raise _UsageError("give either --input or the --p/--q/--n simulation flags, not both")
     if args.input:
         alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
-        if alphabet and len(alphabet) != 2:
-            raise _UsageError("--alphabet needs exactly two comma-separated symbols")
+        if alphabet and (len(alphabet) != 2 or alphabet[0] == alphabet[1]):
+            raise _UsageError("--alphabet needs exactly two different comma-separated symbols")
         sequences = [parse_sequence(args.input, alphabet=alphabet)]
     elif simulated:
         if args.p is None or args.q is None or args.n is None:
             raise _UsageError("simulation needs all of --p, --q and --n")
+        if args.seeds < 1:
+            raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
         params = MarkovParams(args.p, args.q)
         sequences = [generate(params, args.n, child_seed(args.seed, i)) for i in range(args.seeds)]
     else:
@@ -132,6 +134,9 @@ def cmd_funnel(args) -> int:
 def _fit_scatter_checked(dataset, args):
     if not 0.0 < args.level < 1.0:
         raise _UsageError(f"--level must lie strictly inside (0, 1), got {args.level}")
+    for flag, bound in (("--min-p", args.min_p), ("--min-q", args.min_q)):
+        if bound is not None and not 0.0 <= bound < 1.0:  # nan fails too
+            raise _UsageError(f"{flag} must lie in [0, 1), got {bound}")
     # the dataset is already well-formed here, so any parameter complaint
     # (e.g. too few points for the quantile) is a shortcoming of the data
     try:
@@ -160,6 +165,8 @@ def cmd_fit_runs(args) -> int:
     off_curve = parse_curve(args.off)
     if args.length < 4:
         raise _UsageError(f"--length must be >= 4, got {args.length}")
+    if args.confirm_seeds < 0:
+        raise _UsageError(f"--confirm-seeds must be >= 0, got {args.confirm_seeds}")
     longest = max(max(on_curve), max(off_curve))
     if longest > args.length - 2:
         raise DataFormatError(

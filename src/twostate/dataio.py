@@ -14,11 +14,13 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from enum import Enum, EnumMeta
+from typing import get_type_hints
 
 import numpy as np
 
-from .estimate import RunFit, RunFitMethod, ScatterFit
+from .estimate import RunFit, ScatterFit
 from .simulate import BinarySequence, ScatterDataset
 
 
@@ -239,19 +241,11 @@ def sequence_text(seq: BinarySequence) -> str:
     return (seq.states + ord("0")).tobytes().decode("ascii") + "\n"
 
 
-def write_sequence(path, seq: BinarySequence) -> None:
-    write_text_atomic(path, sequence_text(seq))
-
-
 def curve_text(curve: dict) -> str:
     lines = ["m,frequency"]
     for m in sorted(curve):
         lines.append(f"{m},{fmt(curve[m])}")
     return "\n".join(lines) + "\n"
-
-
-def write_curve(path, curve: dict) -> None:
-    write_text_atomic(path, curve_text(curve))
 
 
 def parse_curve(source) -> dict:
@@ -300,6 +294,27 @@ def _round_nested(value):
     return value
 
 
+def _round_fit(fit):
+    """A copy of a fit dataclass with every float field canonically rounded."""
+    hints = get_type_hints(type(fit))
+    return replace(fit, **{name: round9(getattr(fit, name)) for name, hint in hints.items() if hint is float})
+
+
+def _fit_to_dict(fit) -> dict | None:
+    """A fit dataclass as a JSON object, each enum field written as its value."""
+    if fit is None:
+        return None
+    return {name: v.value if isinstance(v, Enum) else v for name, v in asdict(fit).items()}
+
+
+def _fit_from_dict(cls, data: dict | None):
+    """Rebuild a fit dataclass from its JSON object, each enum field read from its value."""
+    if data is None:
+        return None
+    hints = get_type_hints(cls)
+    return cls(**{name: hints[name](v) if isinstance(hints[name], EnumMeta) else v for name, v in data.items()})
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Self-describing result record for one CLI invocation.
@@ -321,23 +336,18 @@ class AnalysisReport:
     details: dict | None = None
 
     def to_dict(self) -> dict:
-        body = {
+        return {
             "tool": "twostate",
             "command": self.command,
             "version": self.version,
             "seed": self.seed,
             "inputs": self.inputs,
-            "scatter_fit": asdict(self.scatter_fit) if self.scatter_fit else None,
-            "run_fit": None,
+            "scatter_fit": _fit_to_dict(self.scatter_fit),
+            "run_fit": _fit_to_dict(self.run_fit),
             "funnel_curve": self.funnel_curve,
             "run_curves": self.run_curves,
             "details": self.details,
         }
-        if self.run_fit:
-            rf = asdict(self.run_fit)
-            rf["method"] = self.run_fit.method.value
-            body["run_fit"] = rf
-        return body
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -348,31 +358,14 @@ class AnalysisReport:
         for key in ("inputs", "funnel_curve", "run_curves", "details"):
             if kwargs.get(key) is not None:
                 kwargs[key] = _round_nested(kwargs[key])
-        fit = kwargs.get("scatter_fit")
-        if fit is not None:
-            kwargs["scatter_fit"] = ScatterFit(
-                pinf_hat=round9(fit.pinf_hat),
-                nu_hat=round9(fit.nu_hat),
-                p_hat=round9(fit.p_hat),
-                q_hat=round9(fit.q_hat),
-                coverage_achieved=round9(fit.coverage_achieved),
-                n_points=fit.n_points,
-            )
-        rfit = kwargs.get("run_fit")
-        if rfit is not None:
-            kwargs["run_fit"] = RunFit(
-                p11_hat=round9(rfit.p11_hat),
-                p22_hat=round9(rfit.p22_hat),
-                objective=round9(rfit.objective),
-                method=rfit.method,
-            )
+        for key in ("scatter_fit", "run_fit"):
+            if kwargs.get(key) is not None:
+                kwargs[key] = _round_fit(kwargs[key])
         return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         data = json.loads(text)
-        scatter = data.get("scatter_fit")
-        run = data.get("run_fit")
         curves = data.get("run_curves")
         if curves is not None:
             curves = {
@@ -383,15 +376,8 @@ class AnalysisReport:
             version=data["version"],
             seed=data["seed"],
             inputs=data["inputs"],
-            scatter_fit=ScatterFit(**scatter) if scatter else None,
-            run_fit=RunFit(
-                p11_hat=run["p11_hat"],
-                p22_hat=run["p22_hat"],
-                objective=run["objective"],
-                method=RunFitMethod(run["method"]),
-            )
-            if run
-            else None,
+            scatter_fit=_fit_from_dict(ScatterFit, data.get("scatter_fit")),
+            run_fit=_fit_from_dict(RunFit, data.get("run_fit")),
             funnel_curve=data.get("funnel_curve"),
             run_curves=curves,
             details=data.get("details"),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chain import MarkovParams, ParameterError, derive
 from .funnel import FunnelSpec, coverage, z_from_level
-from .runs import STATE_A, STATE_B, RunHistogram, average_and_normalize, log_run_frequencies
+from .runs import STATE_A, STATE_B, RunHistogram, log_run_frequencies
 from .simulate import ScatterDataset
 
 # the run-curve fit searches log(stay) over [log(STAY_BOUND), log(1 - STAY_BOUND)] to LOG_STAY_TOLERANCE
@@ -44,7 +44,6 @@ class ScatterFit:
 
 
 class RunFitMethod(Enum):
-    MLE = "mle"
     CURVE_MLE = "curve-mle"
 
 
@@ -233,22 +232,3 @@ def fit_runs_simulated(on_curve: dict, off_curve: dict, length: int = 10_000) ->
         objective=run_curve_objective(on_curve, off_curve, p11, p22, length),
         method=RunFitMethod.CURVE_MLE,
     )
-
-
-def fit_runs_mle_pair(on_histogram: RunHistogram, off_histogram: RunHistogram, length: int = 10_000) -> RunFit:
-    """Per-state geometric MLE packaged like the curve fit, with the same
-    negative log-likelihood objective evaluated at the estimates."""
-    p11 = fit_runs_mle(on_histogram)
-    p22 = fit_runs_mle(off_histogram)
-    if not (0.0 < p11 < 1.0 and 0.0 < p22 < 1.0):
-        raise InfeasibleParametersError(
-            f"boundary-degenerate MLE (p11={p11}, p22={p22}); run lengths carry no continuation signal"
-        )
-    objective = run_curve_objective(
-        average_and_normalize([on_histogram]),
-        average_and_normalize([off_histogram]),
-        p11,
-        p22,
-        length,
-    )
-    return RunFit(p11_hat=p11, p22_hat=p22, objective=objective, method=RunFitMethod.MLE)

@@ -10,6 +10,7 @@ bands may over- or under-cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -43,10 +44,11 @@ class FunnelSpec:
     def __post_init__(self):
         if not 0.0 < self.pinf < 1.0:
             raise ParameterError(f"pinf must lie strictly inside (0, 1), got {self.pinf!r}")
-        if self.nu <= 0.0:
-            raise ParameterError(f"nu must be positive, got {self.nu!r}")
-        if self.z <= 0.0:
-            raise ParameterError(f"z must be positive, got {self.z!r}")
+        # written so that nan fails too
+        if not 0.0 < self.nu < math.inf:
+            raise ParameterError(f"nu must be finite and positive, got {self.nu!r}")
+        if not 0.0 < self.z < math.inf:
+            raise ParameterError(f"z must be finite and positive, got {self.z!r}")
 
     def half_width(self, n) -> float:
         return self.z * np.sqrt(self.pinf * (1.0 - self.pinf) / np.asarray(n, dtype=float)) * self.nu
@@ -87,8 +89,8 @@ def coverage(dataset: ScatterDataset, spec: FunnelSpec) -> float:
 
 def sample_curve(spec: FunnelSpec, n_min: float = 10.0, n_max: float = 1e5, points: int = 200):
     """(n, lower, upper) samples over a log-spaced grid of study sizes."""
-    if not (0 < n_min < n_max) or points < 2:
-        raise ParameterError("need 0 < n_min < n_max and at least two points")
+    if not (0 < n_min < n_max < math.inf) or points < 2:
+        raise ParameterError("need finite 0 < n_min < n_max and at least two points")
     ns = np.logspace(np.log10(n_min), np.log10(n_max), points)
     half = spec.half_width(ns)
     return ns, spec.pinf - half, spec.pinf + half

@@ -4,6 +4,10 @@ A run is a maximal stretch of one state.  Persistence (p, q > 0.5) lengthens
 runs, anti-persistence shortens them; the run-length histogram is where the
 chain's memory is most directly visible.
 
+A histogram is an int64 array of counts indexed by run length, built by one
+`np.bincount` per state; normalized curves, which files and reports carry,
+are dicts from m to frequency.
+
 The memory-free reference is `expected_runs_markov` at (p, q) = (p_bar,
 1-p_bar), and run frequencies divide its counts by their closed-form total
 over m = 1..n-2, so no curve builds an array of length n.
@@ -25,14 +29,15 @@ STATE_B = 0
 
 @dataclass(frozen=True)
 class RunHistogram:
-    """Counts of runs of one state, keyed by run length.
+    """Counts of runs of one state: `counts[m-1]` is the number of runs of
+    length m, held as a read-only 1-D int64 array.
 
     Boundary runs (first and last) are counted at their observed length;
     no censoring correction is applied.
     """
 
     state: int
-    counts: dict
+    counts: np.ndarray
     total_length: int
 
     def __post_init__(self):
@@ -40,23 +45,32 @@ class RunHistogram:
             raise ParameterError(f"state must be 0 or 1, got {self.state!r}")
         if self.total_length < 1:
             raise ParameterError("total_length must be positive")
-        for m, c in self.counts.items():
-            if m < 1 or c < 0:
-                raise ParameterError(f"invalid histogram bin {m!r}: {c!r}")
+        counts = np.asarray(self.counts)
+        # checked value by value before the cast, which would make 1.5 a count of 1
+        if counts.ndim != 1 or not np.all(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))):
+            raise ParameterError("histogram counts must be a 1-d array of non-negative integers")
+        counts = np.array(counts, dtype=np.int64)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other):
+        # the generated field-tuple comparison would ask an elementwise array for one truth value
+        if not isinstance(other, RunHistogram):
+            return NotImplemented
+        return (
+            self.state == other.state
+            and self.total_length == other.total_length
+            and np.array_equal(self.counts, other.counts)
+        )
 
     @property
     def n_runs(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     @property
     def occupied_length(self) -> int:
         """Total number of positions covered by this state's runs."""
-        return sum(m * c for m, c in self.counts.items())
-
-    @property
-    def mean_length(self) -> float:
-        n = self.n_runs
-        return self.occupied_length / n if n else float("nan")
+        return int(self.counts @ np.arange(1, self.counts.size + 1))
 
 
 def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
@@ -69,8 +83,7 @@ def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
     values = x[starts]
 
     def hist(state):
-        ls, cs = np.unique(lengths[values == state], return_counts=True)
-        return RunHistogram(state, dict(zip(ls.tolist(), cs.tolist())), x.size)
+        return RunHistogram(state, np.bincount(lengths[values == state])[1:], x.size)
 
     return hist(STATE_A), hist(STATE_B)
 
@@ -134,14 +147,14 @@ def average_and_normalize(histograms) -> dict:
     state = histograms[0].state
     if any(h.state != state for h in histograms):
         raise ParameterError("histograms must all describe the same state")
-    max_m = max((max(h.counts) for h in histograms if h.counts), default=0)
-    if max_m == 0:
+    total = np.zeros(max(h.counts.size for h in histograms), dtype=np.int64)
+    for h in histograms:
+        total[: h.counts.size] += h.counts
+    total = np.trim_zeros(total, "b")
+    if not total.size:
         raise ParameterError("histograms contain no runs to normalize")
-    avg = np.array(
-        [sum(h.counts.get(m, 0) for h in histograms) / len(histograms) for m in range(1, max_m + 1)]
-    )
-    freq = avg / avg.sum()
-    return {m: float(f) for m, f in zip(range(1, max_m + 1), freq)}
+    avg = total / len(histograms)
+    return dict(zip(range(1, total.size + 1), (avg / avg.sum()).tolist()))
 
 
 def log_run_frequencies(params: MarkovParams, n: int, ms, state: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import twostate
 from twostate import MarkovParams, expected_run_frequencies, generate
 from twostate.cli import build_parser, main
 from twostate.dataio import AnalysisReport, parse_curve
@@ -280,6 +281,38 @@ class TestUsageErrors:
         assert main(["--version"]) == 0
 
 
+class TestBadNumericFlags:
+    """Each value is rejected before any output: exit 1, one error line, no file."""
+
+    CASES = {
+        "funnel-nu-nan": ["funnel", "--pinf", "0.5", "--nu", "nan", "--out", "{out}"],
+        "funnel-nu-inf": ["funnel", "--pinf", "0.5", "--nu", "inf", "--out", "{out}"],
+        "funnel-z-nan": ["funnel", "--pinf", "0.5", "--nu", "1", "--z", "nan", "--out", "{out}"],
+        "funnel-n-max-inf": ["funnel", "--pinf", "0.5", "--nu", "1", "--n-max", "inf", "--out", "{out}"],
+        "fit-scatter-min-p-nan": ["fit-scatter", "--studies", FIXTURE, "--min-p", "nan", "--out", "{out}"],
+        "fit-scatter-min-q-one": ["fit-scatter", "--studies", FIXTURE, "--min-q", "1", "--out", "{out}"],
+        "analyze-min-p-negative": ["analyze", "--studies", FIXTURE, "--min-p", "-0.1", "--out", "{out}"],
+        "analyze-min-q-inf": ["analyze", "--studies", FIXTURE, "--min-q", "inf", "--out", "{out}"],
+        "analyze-n-max-inf": ["analyze", "--studies", FIXTURE, "--n-max", "inf", "--out", "{out}"],
+        "runs-seeds-zero": ["runs", "--p", "0.5", "--q", "0.5", "--n", "100", "--seeds", "0", "--out-on", "{out}"],
+        "runs-alphabet-repeated": ["runs", "--input", "{seq}", "--alphabet", "B,B", "--out-on", "{out}"],
+        "fit-runs-confirm-seeds-negative": [
+            "fit-runs", "--on", "{on}", "--off", "{off}", "--confirm-seeds", "-3", "--out", "{out}",
+        ],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, case):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("A B B A\n")
+        on, off = write_model_curves(tmp_path, 0.5, 0.5)
+        out = tmp_path / "out.txt"
+        argv = [arg.format(out=out, seq=seq, on=on, off=off) for arg in self.CASES[case]]
+        assert main(argv) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+
 class TestRepeatedCalls:
     CALLS = [
         ({"TWOSTATE_SEED": "5"}, ["simulate", "--p", "0.6", "--q", "0.3", "--n", "60"]),
@@ -356,3 +389,24 @@ class TestSubprocessEntry:
             text=True,
         )
         assert result.returncode == 1
+
+
+def test_public_surface():
+    # a name added to or dropped from the package's surface must change this list
+    assert sorted(twostate.__all__) == [
+        "AnalysisReport", "BinarySequence", "CurveFileError", "DataFormatError", "DerivedParams",
+        "FunnelSingularityError", "FunnelSpec", "InfeasibleParametersError", "MarkovParams",
+        "ParameterError", "RunFit", "RunFitMethod", "RunHistogram", "STATE_A", "STATE_B",
+        "ScatterDataset", "ScatterFit", "SequenceFormatError", "StudyFileError", "StudyRecord",
+        "average_and_normalize", "child_seed", "confidence_bounds", "coverage", "derive",
+        "empirical_autocorrelation", "ensemble", "estimate_center", "estimate_nu",
+        "expected_run_frequencies", "expected_runs_markov", "extract_runs", "fit_runs_mle",
+        "fit_runs_simulated", "fit_scatter", "generate", "invert_to_pq", "lag1_correlation_symmetric",
+        "mean_frequency", "memoryfree_curve", "n_step_self_transitions", "parse_curve", "parse_sequence",
+        "parse_studies", "parse_study_records", "required_n", "run_curve_objective", "sample_curve",
+        "simulate_run_curves", "state_probability", "stationary_frequency", "std_of_proportion",
+        "transition_matrix", "z_from_level",
+    ]
+    assert len(set(twostate.__all__)) == len(twostate.__all__)
+    for name in twostate.__all__:
+        assert getattr(twostate, name) is not None, name

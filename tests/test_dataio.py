@@ -22,8 +22,6 @@ from twostate.dataio import (
     parse_study_records,
     round9,
     sequence_text,
-    write_curve,
-    write_sequence,
     write_text_atomic,
 )
 from twostate.estimate import RunFit, RunFitMethod, ScatterFit
@@ -156,7 +154,7 @@ class TestParseSequence:
     def test_write_read_round_trip(self, tmp_path):
         seq = generate(MarkovParams(0.65, 0.25), 500, 3)
         path = tmp_path / "seq.txt"
-        write_sequence(path, seq)
+        write_text_atomic(path, sequence_text(seq))
         assert np.array_equal(parse_sequence(path).states, seq.states)
 
     def test_text_matches_character_join(self):
@@ -169,7 +167,7 @@ class TestCurveIO:
     def test_round_trip(self, tmp_path):
         curve = {1: 0.5, 2: 0.25, 3: 0.25}
         path = tmp_path / "curve.csv"
-        write_curve(path, curve)
+        write_text_atomic(path, curve_text(curve))
         assert parse_curve(path) == curve
 
     def test_headerless_and_whitespace(self):

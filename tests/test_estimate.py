@@ -14,7 +14,6 @@ from twostate.estimate import (
     estimate_center,
     estimate_nu,
     fit_runs_mle,
-    fit_runs_mle_pair,
     fit_runs_simulated,
     fit_scatter,
     invert_to_pq,
@@ -158,22 +157,22 @@ class TestFitScatter:
 
 class TestFitRunsMle:
     def test_no_continuations(self):
-        assert fit_runs_mle(RunHistogram(STATE_A, {1: 100}, 200)) == 0.0
+        assert fit_runs_mle(RunHistogram(STATE_A, [100], 200)) == 0.0
 
     def test_all_pairs(self):
-        assert fit_runs_mle(RunHistogram(STATE_A, {2: 50}, 200)) == pytest.approx(0.5, abs=1e-12)
+        assert fit_runs_mle(RunHistogram(STATE_A, [0, 50], 200)) == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_histogram(self):
         with pytest.raises(ParameterError):
-            fit_runs_mle(RunHistogram(STATE_A, {}, 10))
+            fit_runs_mle(RunHistogram(STATE_A, [], 10))
 
     def test_pools_histograms(self):
         # (3 + 2) continuations over (4 + 4) occupied positions
-        h1 = RunHistogram(STATE_A, {4: 1}, 10)
-        h2 = RunHistogram(STATE_A, {1: 1, 3: 1}, 10)
+        h1 = RunHistogram(STATE_A, [0, 0, 0, 1], 10)
+        h2 = RunHistogram(STATE_A, [1, 0, 1], 10)
         assert fit_runs_mle(h1, h2) == pytest.approx(5 / 8, abs=1e-12)
         with pytest.raises(ParameterError):
-            fit_runs_mle(h1, RunHistogram(STATE_B, {2: 1}, 10))
+            fit_runs_mle(h1, RunHistogram(STATE_B, [0, 1], 10))
         with pytest.raises(ParameterError):
             fit_runs_mle()
 
@@ -215,9 +214,8 @@ class TestFitRunsSimulated:
         on_curve, off_curve = simulate_run_curves(params, 10**4, 10, 555)
         curve_fit = fit_runs_simulated(on_curve, off_curve)
         ha, hb = extract_runs(generate(params, 10**5, 8))
-        mle_fit = fit_runs_mle_pair(ha, hb)
-        assert curve_fit.p11_hat == pytest.approx(mle_fit.p11_hat, abs=0.02)
-        assert curve_fit.p22_hat == pytest.approx(mle_fit.p22_hat, abs=0.02)
+        assert curve_fit.p11_hat == pytest.approx(fit_runs_mle(ha), abs=0.02)
+        assert curve_fit.p22_hat == pytest.approx(fit_runs_mle(hb), abs=0.02)
 
     def test_objective_smallest_at_truth(self):
         on, off = model_curves(0.42, 0.77)

@@ -1,8 +1,11 @@
 """Run extraction and expected run counts against simulation oracles."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twostate import BinarySequence, MarkovParams, ParameterError, generate
 from twostate.runs import (
@@ -30,17 +33,63 @@ def seq_of(bits):
     return BinarySequence(np.array(bits, dtype=np.uint8))
 
 
+def count(h, m):
+    """Number of runs of length m in a histogram; 0 past its last bin."""
+    return int(h.counts[m - 1]) if m <= h.counts.size else 0
+
+
+def runs_by_groupby(bits):
+    """Oracle: {state: Counter of run lengths}, one itertools.groupby pass."""
+    runs = {STATE_A: Counter(), STATE_B: Counter()}
+    for state, group in itertools.groupby(bits):
+        runs[state][len(list(group))] += 1
+    return runs
+
+
+def average_and_normalize_loop(histograms):
+    """Oracle: the dict loop `average_and_normalize` replaced, with each
+    histogram's nonzero bins as a {m: count} dict."""
+    dicts = [{m: c for m, c in enumerate(h.counts.tolist(), start=1) if c} for h in histograms]
+    max_m = max((max(d) for d in dicts if d), default=0)
+    if max_m == 0:
+        raise ParameterError("histograms contain no runs to normalize")
+    avg = np.array([sum(d.get(m, 0) for d in dicts) / len(dicts) for m in range(1, max_m + 1)])
+    freq = avg / avg.sum()
+    return {m: float(f) for m, f in zip(range(1, max_m + 1), freq)}
+
+
+# stretches of (state, length); adjacent stretches of one state merge into one run
+stretches = st.lists(st.tuples(st.integers(0, 1), st.integers(1, 40)), min_size=1, max_size=30)
+
+
 class TestExtractRuns:
     def test_hand_checked(self):
         # A A B B B A
         ha, hb = extract_runs(seq_of([1, 1, 0, 0, 0, 1]))
-        assert ha.counts == {2: 1, 1: 1}
-        assert hb.counts == {3: 1}
+        assert ha.counts.tolist() == [1, 1]
+        assert hb.counts.tolist() == [0, 0, 1]
 
     def test_single_state(self):
         ha, hb = extract_runs(seq_of([1] * 5))
-        assert ha.counts == {5: 1}
-        assert hb.counts == {}
+        assert ha.counts.tolist() == [0, 0, 0, 0, 1]
+        assert hb.counts.tolist() == []
+
+    @given(stretches)
+    @example([(1, 1)])
+    @example([(0, 7)])
+    @example([(1, 3), (1, 2)])
+    def test_matches_groupby(self, pairs):
+        # an empty sequence cannot be built, so the empty case is the absent
+        # state of a single-state sequence: an empty count array
+        bits = [state for state, length in pairs for _ in range(length)]
+        oracle = runs_by_groupby(bits)
+        for h, state in zip(extract_runs(seq_of(bits)), (STATE_A, STATE_B)):
+            assert h.state == state and h.total_length == len(bits)
+            assert h.counts.dtype == np.int64 and not h.counts.flags.writeable
+            assert h.counts.size == max(oracle[state], default=0)  # no trailing zero bin
+            assert {m: count(h, m) for m in oracle[state]} == oracle[state]
+            assert h.n_runs == sum(oracle[state].values())
+            assert h.occupied_length == sum(m * c for m, c in oracle[state].items())
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_length_conserved_and_interleaved(self, bits):
@@ -62,7 +111,7 @@ class TestExtractRuns:
             a_m = np.mean([expected_runs_memoryfree(n, pb, m) for pb in pbars])
             if a_m < 5:
                 break
-            observed = np.mean([ha.counts.get(m, 0) + hb.counts.get(m, 0) for ha, hb in hists])
+            observed = np.mean([count(ha, m) + count(hb, m) for ha, hb in hists])
             assert abs(observed - a_m) <= 3 * np.sqrt(a_m), f"bin {m}"
             m += 1
         assert m > 5  # the check actually covered several bins
@@ -81,8 +130,8 @@ class TestExpectedRunsMemoryfree:
         c1, c10 = [], []
         for i in range(1000):
             ha, hb = extract_runs(generate(MarkovParams(0.5, 0.5), n, 50_000 + i))
-            c1.append(ha.counts.get(1, 0) + hb.counts.get(1, 0))
-            c10.append(ha.counts.get(10, 0) + hb.counts.get(10, 0))
+            c1.append(count(ha, 1) + count(hb, 1))
+            c10.append(count(ha, 10) + count(hb, 10))
         assert np.mean(c1) == pytest.approx(expected_runs_memoryfree(n, 0.5, 1), rel=0.03)
         # Poisson-scale tolerance: se of the mean is sqrt(a_m / 1000)
         a10 = expected_runs_memoryfree(n, 0.5, 10)
@@ -116,7 +165,7 @@ class TestExpectedRunsMarkov:
         counts = []
         for i in range(1000):
             ha, _ = extract_runs(generate(params, 10**4, 90_000 + i))
-            counts.append(ha.counts.get(5, 0))
+            counts.append(count(ha, 5))
         assert np.mean(counts) == pytest.approx(expected_runs_markov(params, 10**4, 5, STATE_A), rel=0.05)
 
     def test_matches_simulation_per_bin(self):
@@ -129,7 +178,7 @@ class TestExpectedRunsMarkov:
             expected = expected_runs_markov(params, n, m, STATE_A)
             if expected < 5:
                 break
-            observed = np.mean([h.counts.get(m, 0) for h in hists])
+            observed = np.mean([count(h, m) for h in hists])
             assert abs(observed - expected) <= 3 * np.sqrt(expected), f"bin {m}"
             m += 1
         assert m > 10
@@ -144,9 +193,53 @@ class TestExpectedRunsMarkov:
         assert ratio == pytest.approx(1 / params.p, abs=1e-9)
 
 
+class TestRunHistogram:
+    @pytest.mark.parametrize(
+        "counts",
+        [[[1, 2], [3, 4]], 5, {1: 3}, [1, -1], [1.5], [2.0, 0.5], [np.nan], [np.inf], [3, -np.inf]],
+        ids=["2-d", "0-d", "dict", "negative", "fraction", "fraction-after-integral", "nan", "inf", "-inf"],
+    )
+    def test_rejects_bad_counts(self, counts):
+        with pytest.raises(ParameterError):
+            RunHistogram(STATE_A, counts, 10)
+
+    def test_stores_a_read_only_int64_copy(self):
+        given_counts = np.array([2.0, 0.0, 1.0])
+        h = RunHistogram(STATE_B, given_counts, 10)
+        assert h.counts.dtype == np.int64 and h.counts.tolist() == [2, 0, 1]
+        assert not h.counts.flags.writeable and given_counts.flags.writeable
+        assert RunHistogram(STATE_A, np.array([True, False]), 10).counts.tolist() == [1, 0]
+        assert (h.n_runs, h.occupied_length) == (3, 5)
+
+    def test_equality_compares_counts(self):
+        ha, hb = extract_runs(seq_of([1, 1, 0, 1, 0, 0, 1]))
+        assert ha == RunHistogram(STATE_A, [2, 1], 7)
+        assert hb == RunHistogram(STATE_B, np.array([1.0, 1.0]), 7)
+        assert ha != RunHistogram(STATE_A, [2, 1, 0], 7) and ha != RunHistogram(STATE_A, [2, 1], 8)
+        assert ha != hb and ha != {1: 2, 2: 1}
+
+
 class TestAverageAndNormalize:
+    @given(st.lists(st.lists(st.integers(0, 60), max_size=25), min_size=1, max_size=6))
+    @example([[0, 0]])
+    @example([[3, 0, 0], [1]])
+    @example([[], [0, 2, 0, 0], [5]])
+    def test_matches_dict_loop(self, count_lists):
+        # different lengths and trailing zero bins; the arithmetic is the same, so equal exactly
+        histograms = [RunHistogram(STATE_A, counts, 100) for counts in count_lists]
+        if not any(any(counts) for counts in count_lists):
+            for normalize in (average_and_normalize, average_and_normalize_loop):
+                with pytest.raises(ParameterError):
+                    normalize(histograms)
+        else:
+            assert average_and_normalize(histograms) == average_and_normalize_loop(histograms)
+
+    def test_no_histograms_rejected(self):
+        with pytest.raises(ParameterError):
+            average_and_normalize([])
+
     def test_single_histogram(self):
-        hist = RunHistogram(STATE_A, {1: 3, 2: 1}, total_length=9)
+        hist = RunHistogram(STATE_A, [3, 1], total_length=9)
         assert average_and_normalize([hist]) == {1: 0.75, 2: 0.25}
 
     def test_averaging_idempotent(self):
