@@ -84,9 +84,12 @@ def cmd_runs(args) -> int:
     if args.input and simulated:
         raise _UsageError("give either --input or the --p/--q/--n simulation flags, not both")
     if args.input:
-        alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
-        if alphabet and (len(alphabet) != 2 or alphabet[0] == alphabet[1]):
-            raise _UsageError("--alphabet needs exactly two different comma-separated symbols")
+        alphabet = None if args.alphabet is None else tuple(args.alphabet.split(","))
+        # each symbol is matched against one whitespace-separated token, so it must be one
+        if alphabet is not None and (
+            len(alphabet) != 2 or alphabet[0] == alphabet[1] or any(sym.split() != [sym] for sym in alphabet)
+        ):
+            raise _UsageError("--alphabet needs exactly two different comma-separated symbols without whitespace")
         sequences = [parse_sequence(args.input, alphabet=alphabet)]
     elif simulated:
         if args.p is None or args.q is None or args.n is None:
@@ -163,8 +166,8 @@ def cmd_fit_scatter(args) -> int:
 def cmd_fit_runs(args) -> int:
     on_curve = parse_curve(args.on)
     off_curve = parse_curve(args.off)
-    if args.length < 4:
-        raise _UsageError(f"--length must be >= 4, got {args.length}")
+    if not 4 <= args.length <= 2**63 - 1:  # the model counts n-m-1 in int64
+        raise _UsageError(f"--length must be an integer in [4, 2^63 - 1], got {args.length}")
     if args.confirm_seeds < 0:
         raise _UsageError(f"--confirm-seeds must be >= 0, got {args.confirm_seeds}")
     longest = max(max(on_curve), max(off_curve))

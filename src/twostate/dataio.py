@@ -15,7 +15,6 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, replace
-from enum import Enum, EnumMeta
 from typing import get_type_hints
 
 import numpy as np
@@ -39,6 +38,8 @@ class SequenceFormatError(DataFormatError):
 class CurveFileError(DataFormatError):
     pass
 
+
+_MAX_STUDY_SIZE = 2**63 - 1  # study sizes are held as int64
 
 # the ASCII characters str.isspace() accepts, which the sequence format skips
 _ASCII_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
@@ -120,7 +121,11 @@ def parse_study_records(source) -> list[StudyRecord]:
     if not lines:
         raise StudyFileError("empty study file")
     delim = _detect_delimiter(lines[0])
-    rows = list(csv.reader(io.StringIO(text), delimiter=delim))
+    reader = csv.reader(io.StringIO(text), delimiter=delim)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a cell longer than csv's field size limit
+        raise StudyFileError(f"line {reader.line_num}: {exc}") from None
     header = [h.strip().lower() for h in rows[0]]
     required = {"study_id", "n"}
     missing = required - set(header)
@@ -147,10 +152,10 @@ def parse_study_records(source) -> list[StudyRecord]:
         raw_pbar = cell(row, "p_bar")
         try:
             n = int(raw_n)
-            if n <= 0:
+            if not 0 < n <= _MAX_STUDY_SIZE:
                 raise ValueError
         except ValueError:
-            problems.append(f"line {lineno}: n must be a positive integer, got {raw_n!r}")
+            problems.append(f"line {lineno}: n must be an integer in [1, 2^63 - 1], got {raw_n!r}")
             continue
         if bool(raw_succ) == bool(raw_pbar):
             problems.append(
@@ -300,21 +305,6 @@ def _round_fit(fit):
     return replace(fit, **{name: round9(getattr(fit, name)) for name, hint in hints.items() if hint is float})
 
 
-def _fit_to_dict(fit) -> dict | None:
-    """A fit dataclass as a JSON object, each enum field written as its value."""
-    if fit is None:
-        return None
-    return {name: v.value if isinstance(v, Enum) else v for name, v in asdict(fit).items()}
-
-
-def _fit_from_dict(cls, data: dict | None):
-    """Rebuild a fit dataclass from its JSON object, each enum field read from its value."""
-    if data is None:
-        return None
-    hints = get_type_hints(cls)
-    return cls(**{name: hints[name](v) if isinstance(hints[name], EnumMeta) else v for name, v in data.items()})
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     """Self-describing result record for one CLI invocation.
@@ -342,8 +332,8 @@ class AnalysisReport:
             "version": self.version,
             "seed": self.seed,
             "inputs": self.inputs,
-            "scatter_fit": _fit_to_dict(self.scatter_fit),
-            "run_fit": _fit_to_dict(self.run_fit),
+            "scatter_fit": None if self.scatter_fit is None else asdict(self.scatter_fit),
+            "run_fit": None if self.run_fit is None else asdict(self.run_fit),
             "funnel_curve": self.funnel_curve,
             "run_curves": self.run_curves,
             "details": self.details,
@@ -366,6 +356,7 @@ class AnalysisReport:
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         data = json.loads(text)
+        scatter_fit, run_fit = data.get("scatter_fit"), data.get("run_fit")
         curves = data.get("run_curves")
         if curves is not None:
             curves = {
@@ -376,8 +367,8 @@ class AnalysisReport:
             version=data["version"],
             seed=data["seed"],
             inputs=data["inputs"],
-            scatter_fit=_fit_from_dict(ScatterFit, data.get("scatter_fit")),
-            run_fit=_fit_from_dict(RunFit, data.get("run_fit")),
+            scatter_fit=None if scatter_fit is None else ScatterFit(**scatter_fit),
+            run_fit=None if run_fit is None else RunFit(**run_fit),
             funnel_curve=data.get("funnel_curve"),
             run_curves=curves,
             details=data.get("details"),

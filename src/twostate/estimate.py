@@ -4,27 +4,27 @@ The scatter route estimates the funnel center as a size-weighted mean and
 the width factor as an empirical quantile of standardized deviations, then
 inverts the (pinf, nu) pair algebraically to (p, q).  The run route fits
 the two self-transition probabilities to normalized run-length curves by
-maximum likelihood, one 1-D search per state, with a closed-form geometric
-maximum-likelihood shortcut per state, pooled over that state's histograms.
+maximum likelihood: per state, the self-transition probability whose model
+mean run length equals the curve's, found by bisection.  `fit_runs_mle` is
+the closed-form geometric maximum likelihood per state, pooled over that
+state's histograms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .chain import MarkovParams, ParameterError, derive
 from .funnel import FunnelSpec, coverage, z_from_level
-from .runs import STATE_A, STATE_B, RunHistogram, log_run_frequencies
+from .runs import STATE_A, STATE_B, RunHistogram, _check_run_domain, _mean_stays_per_run, log_run_frequencies
 from .simulate import ScatterDataset
 
-# the run-curve fit searches log(stay) over [log(STAY_BOUND), log(1 - STAY_BOUND)] to LOG_STAY_TOLERANCE
+# the run-curve fit bisects log(stay) over [log(STAY_BOUND), log(1 - STAY_BOUND)] to LOG_STAY_TOLERANCE
 STAY_BOUND = 1e-6
 LOG_STAY_TOLERANCE = 1e-9
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class InfeasibleParametersError(ValueError):
@@ -43,10 +43,6 @@ class ScatterFit:
     n_points: int
 
 
-class RunFitMethod(Enum):
-    CURVE_MLE = "curve-mle"
-
-
 @dataclass(frozen=True)
 class RunFit:
     """Estimated self-transition probabilities from run-length curves.
@@ -56,7 +52,6 @@ class RunFit:
     p11_hat: float
     p22_hat: float
     objective: float
-    method: RunFitMethod
 
 
 def estimate_center(dataset: ScatterDataset) -> float:
@@ -146,6 +141,9 @@ def fit_runs_mle(*histograms: RunHistogram) -> float:
 
     Returns 0.0 when no run exceeds length one (boundary-degenerate: a
     valid chain needs a strictly positive self-transition probability).
+    This is the n -> infinity limit of the mean-run-length equation that
+    `fit_runs_simulated` solves, E[m] = 1/(1-s); at the bounds it returns
+    0.0 where that fit raises `InfeasibleParametersError`.
     """
     if any(h.state != histograms[0].state for h in histograms):
         raise ParameterError("histograms must all describe the same state")
@@ -163,40 +161,17 @@ def _curve_arrays(curve: dict) -> tuple[np.ndarray, np.ndarray]:
     return ms, freqs
 
 
-def _state_log_likelihood(ms: np.ndarray, freqs: np.ndarray, stay: float, length: int, state: int) -> float:
-    """Sum of f_m log g_m(stay) over one state's curve; log g_m is finite, so
-    empty bins add 0.  MarkovParams(stay, stay) gives either state that stay
-    probability; the other state's parameter cancels from g."""
-    return float(np.dot(freqs, log_run_frequencies(MarkovParams(stay, stay), length, ms, state)))
-
-
 def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float, length: int = 10_000) -> float:
     """Negative multinomial log-likelihood of both curves under the chain at
     (p11, p22): minus the sum over states and bins of f_m log g_m, where g_m
-    is the model run-length frequency for sequences of `length` steps.  The
-    state-A term depends only on p11 and the state-B term only on p22."""
-    return -sum(
-        _state_log_likelihood(*_curve_arrays(curve), stay, length, state)
-        for curve, stay, state in ((on_curve, p11, STATE_A), (off_curve, p22, STATE_B))
-    )
-
-
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Bracket [a, b] narrower than `tol` around the maximum of a function unimodal
-    on [lo, hi]; a maximum at an end leaves that end of the bracket exactly in place."""
-    a, b = lo, hi
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return a, b
+    is the model run-length frequency for sequences of `length` steps; log g_m
+    is finite, so empty bins add 0.  Each state's term depends only on its own
+    stay probability, so MarkovParams(stay, stay) serves for either state."""
+    total = 0.0
+    for curve, stay, state in ((on_curve, p11, STATE_A), (off_curve, p22, STATE_B)):
+        ms, freqs = _curve_arrays(curve)
+        total -= float(np.dot(freqs, log_run_frequencies(MarkovParams(stay, stay), length, ms, state)))
+    return total
 
 
 def fit_runs_simulated(on_curve: dict, off_curve: dict, length: int = 10_000) -> RunFit:
@@ -205,30 +180,38 @@ def fit_runs_simulated(on_curve: dict, off_curve: dict, length: int = 10_000) ->
     Each state's log-likelihood, sum of f_m log g_m over the curve with g_m
     the model frequency for sequences of `length` steps, depends only on that
     state's self-transition probability s.  In theta = log s the model is an
-    exponential family (statistic m-1, base weight n-m-1), so the
-    log-likelihood is concave in theta and one golden-section search per
-    state finds its maximum.  A curve whose maximum lies on the search bound
-    (all mass at m = 1 points to s = 0), or that has no mass and so no
-    maximum, is infeasible.
+    exponential family (statistic m-1, base weight n-m-1), so the curve
+    enters only through sum f and sum f (m-1), and the maximum solves the
+    mean-run-length equation E_s[m-1] = sum f (m-1) / sum f.  The model mean
+    rises with theta, so one bisection per state finds the root.  A curve
+    whose mean lies outside the model means at the search bounds (all mass
+    at m = 1 points to s = 0), or that has no mass, is infeasible.
     """
-    lo, hi = math.log(STAY_BOUND), math.log1p(-STAY_BOUND)
+    def model_mean(theta):
+        return _mean_stays_per_run(length, math.exp(theta))
+
     estimates = []
-    for name, curve, state in (("on", on_curve, STATE_A), ("off", off_curve, STATE_B)):
+    for name, curve in (("on", on_curve), ("off", off_curve)):
         ms, freqs = _curve_arrays(curve)
-        a, b = _golden_section_max(
-            lambda theta: _state_log_likelihood(ms, freqs, math.exp(theta), length, state),
-            lo, hi, LOG_STAY_TOLERANCE,
-        )
-        if a == lo or b == hi:
+        _check_run_domain(length, ms)
+        mass = freqs.sum()
+        target = float(np.dot(freqs, ms - 1) / mass) if mass > 0.0 else math.nan
+        lo, hi = math.log(STAY_BOUND), math.log1p(-STAY_BOUND)
+        if not model_mean(lo) < target < model_mean(hi):  # nan fails too
             raise InfeasibleParametersError(
                 f"degenerate {name} curve: its likelihood has no maximum inside the search range "
                 f"[{STAY_BOUND:g}, 1 - {STAY_BOUND:g}] of self-transition probabilities"
             )
-        estimates.append(math.exp((a + b) / 2.0))
+        while hi - lo > LOG_STAY_TOLERANCE:
+            mid = (lo + hi) / 2.0
+            if model_mean(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        estimates.append(math.exp((lo + hi) / 2.0))
     p11, p22 = estimates
     return RunFit(
         p11_hat=p11,
         p22_hat=p22,
         objective=run_curve_objective(on_curve, off_curve, p11, p22, length),
-        method=RunFitMethod.CURVE_MLE,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import MarkovParams, ParameterError, derive
-from .simulate import BinarySequence, child_seed, generate
+from .simulate import BinarySequence, _value_eq, child_seed, generate
 
 STATE_A = 1
 STATE_B = 0
@@ -53,15 +53,7 @@ class RunHistogram:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
-    def __eq__(self, other):
-        # the generated field-tuple comparison would ask an elementwise array for one truth value
-        if not isinstance(other, RunHistogram):
-            return NotImplemented
-        return (
-            self.state == other.state
-            and self.total_length == other.total_length
-            and np.array_equal(self.counts, other.counts)
-        )
+    __eq__ = _value_eq
 
     @property
     def n_runs(self) -> int:
@@ -132,6 +124,23 @@ def _expected_runs_total(params: MarkovParams, n: int, state: int) -> float:
     k, x = n - 2, 1.0 - stay
     escape = -math.expm1(k * math.log1p(-x))  # 1 - s^K, accurate for s near 1
     return other * enter * x * (k / x - stay * escape / x**2)
+
+
+def _mean_stays_per_run(n: int, stay: float) -> float:
+    """Model mean of m-1 over run lengths m = 1..n-2, in closed form: with
+    the normaliser Z(s) = sum over j < K of (K-j) s^j (K = n-2) written as in
+    `_expected_runs_total`, s Z'(s)/Z(s) = 2s/(1-s) - (K+1) s (1-s^K) /
+    (K(1-s) - s(1-s^K)).  It rises with s from 0 to (K-1)/3.  When K(1-s)
+    < 1 the two terms cancel and about 2 log10(1/(K(1-s))) + 1 digits are
+    lost, so below K(1-s) = 0.005, where fewer than 10 correct digits would
+    remain, the K < 0.005/(1-s) terms are summed one by one instead."""
+    k, x = n - 2, 1.0 - stay
+    if k * x < 0.005:
+        j = np.arange(k)
+        weights = (k - j) * stay**j
+        return float(weights @ j / weights.sum())
+    escape = -math.expm1(k * math.log1p(-x))  # 1 - s^K, accurate for s near 1
+    return 2.0 * stay / x - (k + 1) * stay * escape / (k * x - stay * escape)
 
 
 def average_and_normalize(histograms) -> dict:

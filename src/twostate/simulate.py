@@ -13,7 +13,7 @@ n-byte state array plus O(_SLICE).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,15 @@ def child_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _value_eq(self, other):
+    """`==` for a dataclass holding arrays, comparing them as values: the
+    generated field-tuple comparison would ask an array for one truth value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class BinarySequence:
     """A finite record of binary state measurements (A=1, B=0).
@@ -62,6 +71,8 @@ class BinarySequence:
         states = states.astype(np.uint8, copy=False)
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
+
+    __eq__ = _value_eq
 
     def __len__(self) -> int:
         return self.states.size
@@ -101,6 +112,8 @@ class ScatterDataset:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "p_bars", p_bars)
         object.__setattr__(self, "labels", labels)
+
+    __eq__ = _value_eq
 
     def __len__(self) -> int:
         return self.sizes.size

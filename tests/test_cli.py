@@ -96,6 +96,15 @@ class TestRuns:
         seq_file.write_text("on on off on off off on\n")
         assert main(["runs", "--input", str(seq_file), "--alphabet", "on,off"]) == 0
 
+    @pytest.mark.parametrize("alphabet", ["A,", ",B", "A B,B", "A, B", "A,B\t", ""])
+    def test_alphabet_symbol_must_be_one_token(self, tmp_path, capsys, alphabet):
+        seq_file = tmp_path / "seq.txt"
+        seq_file.write_text("A B A\n")
+        out = tmp_path / "on.csv"
+        assert main(["runs", "--input", str(seq_file), "--alphabet", alphabet, "--out-on", str(out)]) == 1
+        assert "--alphabet" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conflicting_flags(self, tmp_path):
         seq_file = tmp_path / "seq.txt"
         seq_file.write_text("0101\n")
@@ -313,6 +322,81 @@ class TestBadNumericFlags:
         assert not out.exists()
 
 
+class TestExitCodeContract:
+    """Every subcommand on malformed input: the documented exit code (1 usage,
+    2 data, 3 infeasible), one `error:` or `infeasible fit:` line on stderr,
+    nothing on stdout and no output file."""
+
+    LENGTH = 10_000
+    INPUTS = {
+        "seq_bad": "0 1 2 1\n",
+        "seq_one_state": "1111\n",
+        "seq_ab": "A B B A\n",
+        "studies_bad": "study_id,n,p_bar\ns1,abc,0.5\n",
+        "studies_two_bad": "study_id,n,p_bar\ns1,0,0.5\ns2,10,2\n",
+        "studies_huge_n": "study_id,n,p_bar\ns1,99999999999999999999,0.5\n",
+        "studies_long_cell": "study_id,n,p_bar\ns1,10," + "0" * 131_073 + "\n",
+        "studies_flat": "study_id,n,p_bar\n" + "".join(f"s{i},100,0.5\n" for i in range(25)),
+        "curve_bad": "m,frequency\nx,y\n",
+        "curve_single_steps": "m,frequency\n1,1.0\n",
+        "curve_empty": "m,frequency\n1,0.0\n2,0.0\n",
+        "curve_longest": f"m,frequency\n{LENGTH - 2},1.0\n",
+    }
+    CASES = {
+        "simulate-p-out-of-range": (1, ["simulate", "--p", "1.5", "--q", "0.5", "--n", "10", "--out", "{out}"]),
+        "simulate-n-zero": (1, ["simulate", "--p", "0.5", "--q", "0.5", "--n", "0", "--out", "{out}"]),
+        "simulate-count-zero": (1, ["simulate", "--p", "0.5", "--q", "0.5", "--n", "9", "--count", "0",
+                                    "--out", "{out}"]),
+        "runs-bad-symbol": (2, ["runs", "--input", "{seq_bad}", "--out-on", "{out}", "--out-off", "{out2}"]),
+        "runs-one-state": (2, ["runs", "--input", "{seq_one_state}", "--out-on", "{out}", "--out-off", "{out2}"]),
+        "runs-missing-file": (2, ["runs", "--input", "{missing}", "--out-on", "{out}"]),
+        "runs-alphabet-space": (1, ["runs", "--input", "{seq_ab}", "--alphabet", "A B,B", "--out-on", "{out}"]),
+        "runs-input-and-p": (1, ["runs", "--input", "{seq_ab}", "--p", "0.5", "--out-on", "{out}"]),
+        "funnel-pinf-out-of-range": (1, ["funnel", "--pinf", "1.5", "--nu", "1", "--out", "{out}"]),
+        "funnel-missing-nu": (1, ["funnel", "--pinf", "0.5", "--out", "{out}"]),
+        "fit-scatter-bad-row": (2, ["fit-scatter", "--studies", "{studies_bad}", "--out", "{out}"]),
+        "fit-scatter-two-bad-rows": (2, ["fit-scatter", "--studies", "{studies_two_bad}", "--out", "{out}"]),
+        "fit-scatter-huge-n": (2, ["fit-scatter", "--studies", "{studies_huge_n}", "--out", "{out}"]),
+        "fit-scatter-long-cell": (2, ["fit-scatter", "--studies", "{studies_long_cell}", "--out", "{out}"]),
+        "fit-scatter-missing-file": (2, ["fit-scatter", "--studies", "{missing}", "--out", "{out}"]),
+        "fit-scatter-flat": (3, ["fit-scatter", "--studies", "{studies_flat}", "--out", "{out}"]),
+        "analyze-bad-row": (2, ["analyze", "--studies", "{studies_bad}", "--out", "{out}"]),
+        "analyze-huge-n": (2, ["analyze", "--studies", "{studies_huge_n}", "--out", "{out}"]),
+        "analyze-flat": (3, ["analyze", "--studies", "{studies_flat}", "--out", "{out}"]),
+        "analyze-level": (1, ["analyze", "--studies", "{studies_flat}", "--level", "1", "--out", "{out}"]),
+        "fit-runs-bad-curve": (2, ["fit-runs", "--on", "{curve_bad}", "--off", "{off}", "--out", "{out}"]),
+        "fit-runs-missing-file": (2, ["fit-runs", "--on", "{on}", "--off", "{missing}", "--out", "{out}"]),
+        "fit-runs-length-too-small": (1, ["fit-runs", "--on", "{on}", "--off", "{off}", "--length", "3",
+                                          "--out", "{out}"]),
+        "fit-runs-length-past-int64": (1, ["fit-runs", "--on", "{on}", "--off", "{off}", "--length", str(2**63),
+                                           "--out", "{out}"]),
+        "fit-runs-single-steps": (3, ["fit-runs", "--on", "{curve_single_steps}", "--off", "{off}",
+                                      "--out", "{out}"]),
+        "fit-runs-empty-curve": (3, ["fit-runs", "--on", "{on}", "--off", "{curve_empty}", "--out", "{out}"]),
+        "fit-runs-all-mass-at-longest": (3, ["fit-runs", "--on", "{curve_longest}", "--off", "{off}",
+                                             "--length", str(LENGTH), "--out", "{out}"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_one_line_nothing_written(self, tmp_path, capsys, case):
+        paths = {}
+        for name, text in self.INPUTS.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        paths["on"], paths["off"] = write_model_curves(tmp_path, 0.5, 0.5)
+        before = sorted(tmp_path.iterdir())
+        code, template = self.CASES[case]
+        names = {**paths, "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt", "missing": tmp_path / "no.txt"}
+        assert main([arg.format(**names) for arg in template]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "infeasible fit: " if code == 3 else "error: "
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(prefix)
+        assert sum(line.startswith(("error:", "infeasible fit:")) for line in lines) == 1
+        assert sorted(tmp_path.iterdir()) == before
+
+
 class TestRepeatedCalls:
     CALLS = [
         ({"TWOSTATE_SEED": "5"}, ["simulate", "--p", "0.6", "--q", "0.3", "--n", "60"]),
@@ -396,7 +480,7 @@ def test_public_surface():
     assert sorted(twostate.__all__) == [
         "AnalysisReport", "BinarySequence", "CurveFileError", "DataFormatError", "DerivedParams",
         "FunnelSingularityError", "FunnelSpec", "InfeasibleParametersError", "MarkovParams",
-        "ParameterError", "RunFit", "RunFitMethod", "RunHistogram", "STATE_A", "STATE_B",
+        "ParameterError", "RunFit", "RunHistogram", "STATE_A", "STATE_B",
         "ScatterDataset", "ScatterFit", "SequenceFormatError", "StudyFileError", "StudyRecord",
         "average_and_normalize", "child_seed", "confidence_bounds", "coverage", "derive",
         "empirical_autocorrelation", "ensemble", "estimate_center", "estimate_nu",

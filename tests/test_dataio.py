@@ -2,10 +2,11 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twostate import BinarySequence, MarkovParams, generate
 from twostate.dataio import (
@@ -24,7 +25,7 @@ from twostate.dataio import (
     sequence_text,
     write_text_atomic,
 )
-from twostate.estimate import RunFit, RunFitMethod, ScatterFit
+from twostate.estimate import RunFit, ScatterFit
 
 
 class TestParseStudies:
@@ -187,6 +188,51 @@ class TestCurveIO:
         assert text == "m,frequency\n1,0.333333333\n2,0.666666667\n"
 
 
+# table cells that reach every branch of the parsers, next to arbitrary
+# text: the header names, numbers at and past the int64 and float limits,
+# unicode digits, csv quoting and a cell longer than csv's field size limit
+CELLS = [
+    "0", "1", "2", "7", "10", "-1", "0.5", "1e-3", "1e999", "nan", "inf", "-inf", "1_0", "",
+    "9223372036854775807", "9223372036854775808", "99999999999999999999", "\xb2", "\u0663", "x",
+    "m", "frequency", "study_id", "n", "successes", "p_bar", "group", "\"", "\x00", "0" * 131_073,
+]
+cells = st.one_of(st.sampled_from(CELLS), st.text(max_size=8))
+table_texts = st.one_of(
+    st.text(max_size=80),
+    st.tuples(
+        st.sampled_from(["", "study_id,n,p_bar\n", "study_id,n,successes,group\n", "m,frequency\n"]),
+        st.sampled_from([",", ";", "\t", " "]),
+        st.lists(st.lists(cells, min_size=1, max_size=5), max_size=5),
+    ).map(lambda t: t[0] + "\n".join(t[1].join(row) for row in t[2])),
+)
+
+
+class TestParserFuzz:
+    """Any text either parses to valid values or raises the parser's own format error."""
+
+    @given(text=table_texts)
+    @settings(max_examples=400)
+    def test_parse_curve(self, text):
+        try:
+            curve = parse_curve(io.StringIO(text))
+        except CurveFileError:
+            return
+        assert curve and all(type(m) is int and m >= 1 for m in curve)
+        assert all(math.isfinite(f) and f >= 0.0 for f in curve.values())
+
+    @given(text=table_texts)
+    @example(text="study_id,n,p_bar\ns1,9223372036854775808,0.5\n")  # one past int64
+    @example(text="study_id,n,p_bar\ns1,99999999999999999999,0.5\n")  # past uint64 too
+    @settings(max_examples=400)
+    def test_parse_studies(self, text):
+        try:
+            dataset = parse_studies(io.StringIO(text))
+        except StudyFileError:
+            return
+        assert len(dataset) >= 1 and dataset.sizes.min() >= 1
+        assert np.all((dataset.p_bars >= 0.0) & (dataset.p_bars <= 1.0))
+
+
 class TestFormatting:
     def test_nine_significant_digits(self):
         assert fmt(0.123456789123) == "0.123456789"
@@ -219,12 +265,11 @@ class TestAnalysisReport:
             version="0.1.0",
             seed=7,
             inputs={},
-            run_fit=RunFit(0.25, 0.65, 0.00123456789, RunFitMethod.CURVE_MLE),
+            run_fit=RunFit(0.25, 0.65, 0.00123456789),
             run_curves={"on": {1: 0.75, 2: 0.25}, "off": {1: 0.5, 2: 0.5}},
         )
         back = AnalysisReport.from_json(report.to_json())
         assert back == report
-        assert back.run_fit.method is RunFitMethod.CURVE_MLE
         assert back.run_curves["on"][1] == 0.75  # integer keys restored
 
     def test_serialization_is_deterministic(self):

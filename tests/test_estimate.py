@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twostate import MarkovParams, ParameterError, ScatterDataset, derive, ensemble, generate
+from twostate import MarkovParams, ParameterError, ScatterDataset, derive, ensemble, estimate, generate
 from twostate.dataio import parse_studies
 from twostate.estimate import (
     InfeasibleParametersError,
-    RunFitMethod,
     estimate_center,
     estimate_nu,
     fit_runs_mle,
@@ -23,6 +22,7 @@ from twostate.runs import (
     STATE_A,
     STATE_B,
     RunHistogram,
+    _mean_stays_per_run,
     expected_run_frequencies,
     extract_runs,
     simulate_run_curves,
@@ -189,13 +189,61 @@ class TestFitRunsSimulated:
         fit = fit_runs_simulated(on, off)
         assert fit.p11_hat == pytest.approx(p11, abs=0.02)
         assert fit.p22_hat == pytest.approx(p22, abs=0.02)
-        assert fit.method is RunFitMethod.CURVE_MLE
 
     def test_flat_curve_infeasible(self):
         on, off = model_curves(0.6, 0.6)
         for curve in ({1: 1.0}, {1: 0.0, 2: 0.0}):
             with pytest.raises(InfeasibleParametersError):
                 fit_runs_simulated(curve, off)
+
+    def test_all_mass_at_the_longest_length_infeasible(self):
+        # the model mean of m-1 is at most (K-1)/3 for K = length-2, so a curve at m = K is out of reach
+        _, off = model_curves(0.6, 0.6, max_m=10)
+        for length in (20, 10_000):
+            with pytest.raises(InfeasibleParametersError):
+                fit_runs_simulated({length - 2: 1.0}, off, length)
+
+    @pytest.mark.parametrize("length", [4, 5, 10, 50])
+    def test_recovers_persistent_states_of_short_sequences(self, length):
+        # full-domain model curves: where the closed-form mean cancels, the fit must still find s
+        ms = np.arange(1, length - 1)
+        for stay in (0.3, 0.99, 0.9999):
+            params = MarkovParams(stay, stay)
+            on, off = (
+                dict(zip(ms.tolist(), expected_run_frequencies(params, length, ms, state).tolist()))
+                for state in (STATE_A, STATE_B)
+            )
+            fit = fit_runs_simulated(on, off, length)
+            assert fit.p11_hat == pytest.approx(stay, abs=1e-8) and fit.p22_hat == pytest.approx(stay, abs=1e-8)
+
+    def test_curve_outside_the_formula_domain_rejected(self):
+        on, off = model_curves(0.6, 0.6, max_m=10)
+        with pytest.raises(ParameterError):
+            fit_runs_simulated({1: 0.5, 19: 0.5}, off, length=20)
+
+    def test_solves_the_mean_run_length_equation(self):
+        on, off = simulate_run_curves(MarkovParams(0.80, 0.55), 10**4, 10, 555)
+        fit = fit_runs_simulated(on, off)
+        for curve, stay in ((on, fit.p11_hat), (off, fit.p22_hat)):
+            ms, freqs = np.array(list(curve)), np.array(list(curve.values()))
+            assert _mean_stays_per_run(10**4, stay) == pytest.approx(freqs @ (ms - 1) / freqs.sum(), rel=1e-7)
+        # and so maximizes the likelihood: a step in either estimate raises the objective
+        for step in (-1e-4, 1e-4):
+            assert run_curve_objective(on, off, fit.p11_hat + step, fit.p22_hat) > fit.objective
+            assert run_curve_objective(on, off, fit.p11_hat, fit.p22_hat + step) > fit.objective
+
+    def test_objective_evaluated_once_per_fit(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_curve_objective(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "run_curve_objective", counted)
+        on, off = model_curves(0.42, 0.77)
+        fit = fit_runs_simulated(on, off)
+        assert len(calls) == 1
+        assert fit.objective == run_curve_objective(on, off, fit.p11_hat, fit.p22_hat)
 
     def test_recovers_pairs_across_the_square(self):
         # tolerance fixed beforehand: 0.02 on each estimate

@@ -1,13 +1,16 @@
 """Run extraction and expected run counts against simulation oracles."""
 
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twostate import BinarySequence, MarkovParams, ParameterError, generate
+from twostate.estimate import STAY_BOUND
 from twostate.runs import (
     STATE_A,
     STATE_B,
@@ -16,6 +19,7 @@ from twostate.runs import (
     expected_run_frequencies,
     expected_runs_markov,
     _expected_runs_total,
+    _mean_stays_per_run,
     extract_runs,
     log_run_frequencies,
     memoryfree_curve,
@@ -354,3 +358,39 @@ class TestExpectedRunsTotal:
         params, n = MarkovParams(0.88, 0.5), 500
         freqs = expected_run_frequencies(params, n, np.arange(1, n - 1), STATE_A)
         assert freqs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestMeanStaysPerRun:
+    """The closed-form model mean of m-1, the number of stays per run, against
+    the explicit weighted sum over m = 1..n-2, across the run-curve fit's
+    search range of stay probabilities."""
+
+    @staticmethod
+    def explicit(n, stay):
+        m = np.arange(1, n - 1)
+        weights = (n - m - 1) * stay ** (m - 1.0)
+        return float(weights @ (m - 1) / weights.sum())
+
+    def test_matches_explicit_sum(self):
+        n = 10_000
+        for theta in np.linspace(math.log(STAY_BOUND), math.log1p(-STAY_BOUND), 401):
+            stay = math.exp(theta)
+            explicit = self.explicit(n, stay)
+            assert _mean_stays_per_run(n, stay) == pytest.approx(explicit, rel=1e-10, abs=0)
+            # the mean run length E_s[m] is one more
+            assert 1.0 + _mean_stays_per_run(n, stay) == pytest.approx(1.0 + explicit, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n", [4, 5, 10, 50])
+    def test_matches_exact_sum_for_short_sequences(self, n):
+        # near s = 1 these take the term-by-term branch; exact rational arithmetic is the oracle
+        for theta in np.linspace(math.log(STAY_BOUND), math.log1p(-STAY_BOUND), 101):
+            stay = Fraction(math.exp(theta))
+            weights = [(n - 2 - j) * stay**j for j in range(n - 2)]
+            exact = float(sum(j * w for j, w in enumerate(weights)) / sum(weights))
+            assert _mean_stays_per_run(n, float(stay)) == pytest.approx(exact, rel=1e-10, abs=0)
+
+    def test_limits(self):
+        # s -> 0 leaves single-step runs; s -> 1 leaves the base weight n-m-1, whose mean of m-1 is (K-1)/3
+        n = 10_000
+        assert _mean_stays_per_run(n, 1e-12) == pytest.approx(1e-12, rel=1e-3)
+        assert _mean_stays_per_run(n, 1.0 - 1e-9) == pytest.approx((n - 3) / 3, rel=1e-4)

@@ -72,6 +72,35 @@ class TestScatterDataset:
             ScatterDataset(np.array([10]), np.array([1.5]))
 
 
+class TestValueEquality:
+    """`==` compares the arrays as values and always gives a bool."""
+
+    def test_binary_sequence(self):
+        x = np.array([1, 0, 1], dtype=np.uint8)
+        seq = BinarySequence(x)
+        assert (seq == BinarySequence(x.copy())) is True
+        assert (seq != BinarySequence(x.copy())) is False
+        assert (seq == BinarySequence([1, 1, 1])) is False
+        assert (seq == BinarySequence([1, 0])) is False
+        assert (seq == BinarySequence(x, seed=3)) is False
+        assert (seq == BinarySequence(x, params=MarkovParams(0.5, 0.5))) is False
+        for foreign in ("101", [1, 0, 1], None, 3):
+            assert (seq == foreign) is False and (seq != foreign) is True
+        params = MarkovParams(0.6, 0.3)
+        assert (generate(params, 100, 5) == generate(params, 100, 5)) is True
+
+    def test_scatter_dataset(self):
+        ds = ScatterDataset.from_points([(10, 0.5, "a"), (20, 0.25, "b")])
+        assert (ds == ScatterDataset(ds.sizes.copy(), ds.p_bars.copy(), ("a", "b"))) is True
+        assert (ds != ScatterDataset(ds.sizes.copy(), ds.p_bars.copy(), ("a", "b"))) is False
+        assert (ds == ScatterDataset.from_points([(10, 0.5, "a"), (20, 0.25, "c")])) is False
+        assert (ds == ScatterDataset.from_points([(10, 0.5, "a"), (21, 0.25, "b")])) is False
+        assert (ds == ScatterDataset.from_points([(10, 0.5, "a"), (20, 0.3, "b")])) is False
+        assert (ds == ScatterDataset.from_points([(10, 0.5, "a")])) is False
+        for foreign in (ds.points, "ds", None, 0.5):
+            assert (ds == foreign) is False and (ds != foreign) is True
+
+
 class TestGenerate:
     def test_deterministic(self):
         params = MarkovParams(0.65, 0.25)
