@@ -84,6 +84,8 @@ def cmd_runs(args) -> int:
     if args.input and simulated:
         raise _UsageError("give either --input or the --p/--q/--n simulation flags, not both")
     if args.input:
+        if args.seeds is not None:
+            raise _UsageError("--seeds applies only when simulating, not with --input")
         alphabet = None if args.alphabet is None else tuple(args.alphabet.split(","))
         # each symbol is matched against one whitespace-separated token, so it must be one
         if alphabet is not None and (
@@ -94,10 +96,13 @@ def cmd_runs(args) -> int:
     elif simulated:
         if args.p is None or args.q is None or args.n is None:
             raise _UsageError("simulation needs all of --p, --q and --n")
-        if args.seeds < 1:
-            raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
+        if args.alphabet is not None:
+            raise _UsageError("--alphabet applies only to an --input file, not when simulating")
+        seeds = 10 if args.seeds is None else args.seeds
+        if seeds < 1:
+            raise _UsageError(f"--seeds must be >= 1, got {seeds}")
         params = MarkovParams(args.p, args.q)
-        sequences = [generate(params, args.n, child_seed(args.seed, i)) for i in range(args.seeds)]
+        sequences = [generate(params, args.n, child_seed(args.seed, i)) for i in range(seeds)]
     else:
         raise _UsageError("give --input FILE or --p/--q/--n to simulate")
 
@@ -259,7 +264,7 @@ def build_parser() -> _Parser:
     p_runs.add_argument("--p", type=float, default=None)
     p_runs.add_argument("--q", type=float, default=None)
     p_runs.add_argument("--n", type=int, default=None)
-    p_runs.add_argument("--seeds", type=int, default=10, help="sequences to average when simulating")
+    p_runs.add_argument("--seeds", type=int, default=None, help="sequences to average when simulating (default 10)")
     p_runs.add_argument("--seed", type=int, default=None, help="default: $TWOSTATE_SEED, else 0")
     p_runs.add_argument("--out-on", default=None, help="state-A curve path")
     p_runs.add_argument("--out-off", default=None, help="state-B curve path")

@@ -153,12 +153,14 @@ def fit_runs_mle(*histograms: RunHistogram) -> float:
     return (total - sum(h.n_runs for h in histograms)) / total
 
 
-def _curve_arrays(curve: dict) -> tuple[np.ndarray, np.ndarray]:
-    ms = np.array(sorted(curve), dtype=np.int64)
+def _curve_arrays(curve: dict, length: int) -> tuple[np.ndarray, np.ndarray]:
+    ms = sorted(curve)
     freqs = np.array([curve[m] for m in ms], dtype=float)
-    if ms.size == 0 or ms.min() < 1 or freqs.min() < 0.0:
+    if not ms or ms[0] < 1 or freqs.min() < 0.0:
         raise ParameterError("run curve must map positive lengths to nonnegative frequencies")
-    return ms, freqs
+    # before the int64 cast, which a run length past 2^63 - 1 would overflow
+    _check_run_domain(length, ms[-1:])
+    return np.array(ms, dtype=np.int64), freqs
 
 
 def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float, length: int = 10_000) -> float:
@@ -169,7 +171,7 @@ def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float,
     stay probability, so MarkovParams(stay, stay) serves for either state."""
     total = 0.0
     for curve, stay, state in ((on_curve, p11, STATE_A), (off_curve, p22, STATE_B)):
-        ms, freqs = _curve_arrays(curve)
+        ms, freqs = _curve_arrays(curve, length)
         total -= float(np.dot(freqs, log_run_frequencies(MarkovParams(stay, stay), length, ms, state)))
     return total
 
@@ -192,8 +194,7 @@ def fit_runs_simulated(on_curve: dict, off_curve: dict, length: int = 10_000) ->
 
     estimates = []
     for name, curve in (("on", on_curve), ("off", off_curve)):
-        ms, freqs = _curve_arrays(curve)
-        _check_run_domain(length, ms)
+        ms, freqs = _curve_arrays(curve, length)
         mass = freqs.sum()
         target = float(np.dot(freqs, ms - 1) / mass) if mass > 0.0 else math.nan
         lo, hi = math.log(STAY_BOUND), math.log1p(-STAY_BOUND)

@@ -1,14 +1,16 @@
 """Seeded generation of Markovian binary sequences and study ensembles.
 
-Generation is driven by numpy's PCG64 generator.  Each ensemble member gets
-its own sub-stream keyed by (master seed, member index), so members are
-independent and each member's result does not depend on the others.
-
-A chain is generated slice by slice: uniforms are drawn from the one
-stream `_SLICE` at a time and each slice's scan starts from the state the
+Generation is driven by numpy's PCG64 generator, one stream per seed.  A
+chain is scanned slice by slice: uniforms are drawn from the stream
+`_SLICE` at a time, and each slice's scan starts from the state the
 previous slice ended in.  Consecutive draws equal one large draw, so the
-sequence is the same as from a single scan, while working memory is the
-n-byte state array plus O(_SLICE).
+result is the same as from a single scan, while working memory is
+O(_SLICE) plus the output.
+
+An ensemble lays its members end to end on that one stream: member i is
+the chain scanned from the uniforms after those of members 0..i-1.  Only
+each member's count of A states is kept, so an ensemble never builds a
+state array.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ from .chain import MarkovParams, ParameterError
 
 _SEED_MASK = (1 << 64) - 1
 
-# uniforms drawn and scanned per slice by `generate`; the scan's temporaries
-# take about 40 bytes per uniform, so a slice costs about 10 MB
-_SLICE = 1 << 18
+# uniforms drawn and scanned per slice by `generate` and `ensemble`.  The
+# scan's temporaries take up to about 40 bytes per uniform, about 1.3 MB
+# per slice.  This is a memory limit, not a speed one: 2^18 raised the
+# funnel benchmark's peak RSS from 62.5 to 74 MB and was no faster.
+_SLICE = 1 << 15
+# the parity of each position in a slice, 0101...
+_PARITY = np.arange(_SLICE, dtype=np.uint8) & 1
 
 
 def _entropy(seed: int) -> int:
@@ -34,7 +40,7 @@ def _entropy(seed: int) -> int:
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Deterministic 64-bit sub-seed for ensemble member `index`."""
+    """Deterministic 64-bit sub-seed for the `index`-th of several sequences."""
     ss = np.random.SeedSequence([_entropy(seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -133,45 +139,38 @@ class ScatterDataset:
         return cls(np.array(sizes), np.array(p_bars), labels)
 
 
-def _markov_states(params: MarkovParams, u: np.ndarray, prev: int | None = None) -> np.ndarray:
-    """Turn n uniforms into n chain states (vectorized scan).
+def _forced_steps(params: MarkovParams, u: np.ndarray, starts: np.ndarray, carry: int):
+    """Forced steps of one slice of a chain: (positions, values, gaps).
 
-    Equivalent to the sequential rule
-        x[0] = u[0] < p1
-        x[i] = u[i] < p      if x[i-1] == 1
-        x[i] = u[i] < 1 - q  otherwise
-    With `prev`, the state carried from the step before u[0], the first
-    step follows the same rule as the others (x[-1] = prev) instead of p1.
-    Each step is one of {set 1, set 0, copy, flip} depending only on u[i]:
-    below min(p, 1-q) both branches yield 1, at or above max(p, 1-q) both
-    yield 0, and in between the outcome copies the previous state when
-    p > 1-q and flips it when p < 1-q.  Runs of copy/flip between the
-    forced steps collapse into a carried value plus a flip parity.
+    The sequential rule is
+        x[i] = u[i] < p1                          at a chain start
+        x[i] = u[i] < (p if x[i-1] else 1 - q)    otherwise.
+    A step is forced when its state does not depend on x[i-1]: a chain
+    start, u < min(p, 1-q) (state 1) or u >= max(p, 1-q) (state 0).  Any
+    other step copies x[i-1] when p > 1-q and flips it when p < 1-q, so the
+    forced steps and the gaps between them give the whole slice.  `starts`
+    are the slice positions where a chain starts; `carry`, the state before
+    u[0], is a virtual forced step at position -1.  gaps[k] is the distance
+    from positions[k] to the next forced step, or to the end of the slice.
     """
-    p, q = params.p, params.q
-    if prev is None:
-        first = bool(u[0] < params.p1)
-    else:
-        first = bool(u[0] < (p if prev else 1.0 - q))
-    steps = u[1:]
-    n = u.size
-    states = np.empty(n, dtype=np.uint8)
-    states[0] = first
-    if n == 1:
-        return states
-
-    lo = min(p, 1.0 - q)
-    hi = max(p, 1.0 - q)
-    set1 = steps < lo
-    forced = set1 | (steps >= hi)
-    idx = np.arange(steps.size)
-    last = np.maximum.accumulate(np.where(forced, idx, -1))
-    base = np.where(last >= 0, set1[np.maximum(last, 0)], first)
-    if p >= 1.0 - q:
-        states[1:] = base
-    else:
-        states[1:] = base ^ ((idx - last) & 1).astype(bool)
-    return states
+    lo, hi = sorted((params.p, 1.0 - params.q))
+    # index 0 is the carried state, index i + 1 is u[i], and the last
+    # index marks the end of the slice
+    values = np.empty(u.size + 2, dtype=bool)
+    forced = np.empty(u.size + 2, dtype=bool)
+    np.less(u, lo, out=values[1:-1])
+    np.greater_equal(u, hi, out=forced[1:-1])
+    forced |= values
+    values[0] = carry
+    forced[0] = forced[-1] = True
+    forced[starts + 1] = True
+    values[starts + 1] = u[starts] < params.p1
+    edges = np.flatnonzero(forced)
+    gaps = np.diff(edges)
+    positions = edges[:-1]
+    values = values[positions]
+    positions -= 1
+    return positions, values, gaps
 
 
 def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
@@ -184,26 +183,33 @@ def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"sequence length must be a positive integer, got {n!r}")
     n = int(n)
+    flip = params.p < 1.0 - params.q
     rng = np.random.default_rng(_entropy(seed))
     states = np.empty(n, dtype=np.uint8)
-    prev = None
-    for start in range(0, n, _SLICE):
-        part = states[start : start + _SLICE]
-        part[:] = _markov_states(params, rng.random(part.size), prev)
-        prev = part[-1]
+    carry = 0
+    for a in range(0, n, _SLICE):
+        part = states[a : a + _SLICE]
+        starts = np.array([0] if a == 0 else [], dtype=np.intp)
+        positions, values, gaps = _forced_steps(params, rng.random(part.size), starts, carry)
+        # element 0 of each repeat is the carried state at position -1
+        if flip:
+            # x[i] = v ^ ((i - f) & 1) after a forced step f of value v
+            values ^= (positions & 1).astype(bool)
+            np.bitwise_xor(np.repeat(values, gaps)[1:], _PARITY[: part.size], out=part)
+        else:
+            part[:] = np.repeat(values, gaps)[1:]
+        carry = part[-1]
     return BinarySequence(states, params=params, seed=int(seed))
 
 
-def _member_frequency(params: MarkovParams, n: int, seed: int, index: int) -> float:
-    rng = np.random.default_rng(child_seed(seed, index))
-    return float(_markov_states(params, rng.random(int(n))).mean())
-
-
 def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
-    """One independent study per requested size: (n, observed frequency).
+    """One study per requested size: (n, observed frequency).
 
-    Member i always uses the sub-stream child_seed(seed, i), so the first k
-    members are the same whatever sizes follow them.
+    The members are consecutive chains on the stream of `generate`: member i
+    is scanned from the sizes[i] uniforms after those of members 0..i-1.
+    So it depends only on `seed` and sizes[:i+1], and a one-member ensemble
+    gives `generate(params, n, seed).frequency`.  Each member's count of A
+    states is summed over its forced steps, one slice at a time.
     """
     sizes = list(sizes)
     if not sizes:
@@ -211,8 +217,42 @@ def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     for n in sizes:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ParameterError(f"study sizes must be positive integers, got {n!r}")
-    freqs = [_member_frequency(params, n, seed, i) for i, n in enumerate(sizes)]
-    return ScatterDataset(np.array(sizes), np.array(freqs))
+    sizes = np.array(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    member_starts, total = ends - sizes, int(ends[-1])
+    p, q = params.p, params.q
+    flip = p < 1.0 - q
+    rng = np.random.default_rng(_entropy(seed))
+    # counts[i + 1] is member i's number of A states; counts[0] only gets zeros
+    counts = np.zeros(sizes.size + 1, dtype=np.int64)
+    carry = 0
+    for a in range(0, total, _SLICE):
+        u = rng.random(min(_SLICE, total - a))
+        first, last = np.searchsorted(member_starts, (a, a + u.size))
+        starts = member_starts[first:last] - a
+        # the A states of each unit of the slice; unit 0 is the carried state
+        if p == 1.0 - q:
+            # every step is forced, so each step is a unit
+            unit_ones = np.empty(u.size + 1, dtype=np.uint8)
+            unit_ones[0] = carry
+            np.less(u, p, out=unit_ones[1:])
+            unit_ones[starts + 1] = u[starts] < params.p1
+            bounds = starts + 1
+            last_state = unit_ones[-1]
+        else:
+            # each segment from a forced step to the next is a unit: g steps
+            # from state v hold v*g A states, or (g + v)//2 when they alternate
+            positions, values, gaps = _forced_steps(params, u, starts, carry)
+            unit_ones = (gaps + values) // 2 if flip else values * gaps
+            bounds = np.searchsorted(positions, starts)
+            # the last segment's state, flipped once per step after its first
+            last_state = values[-1] ^ (flip and bool((gaps[-1] - 1) & 1))
+        sums = np.add.reduceat(unit_ones, np.concatenate(([0], bounds)), dtype=np.int64)
+        # the carried state was counted in the slice before
+        sums[0] -= carry
+        counts[first : last + 1] += sums
+        carry = int(last_state)
+    return ScatterDataset(sizes, counts[1:] / sizes)
 
 
 def empirical_autocorrelation(seq: BinarySequence, m: int) -> float:

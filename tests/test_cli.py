@@ -332,6 +332,7 @@ class TestExitCodeContract:
         "seq_bad": "0 1 2 1\n",
         "seq_one_state": "1111\n",
         "seq_ab": "A B B A\n",
+        "seq_ok": "0 1 1 0 1 0 0 1\n",
         "studies_bad": "study_id,n,p_bar\ns1,abc,0.5\n",
         "studies_two_bad": "study_id,n,p_bar\ns1,0,0.5\ns2,10,2\n",
         "studies_huge_n": "study_id,n,p_bar\ns1,99999999999999999999,0.5\n",
@@ -352,6 +353,9 @@ class TestExitCodeContract:
         "runs-missing-file": (2, ["runs", "--input", "{missing}", "--out-on", "{out}"]),
         "runs-alphabet-space": (1, ["runs", "--input", "{seq_ab}", "--alphabet", "A B,B", "--out-on", "{out}"]),
         "runs-input-and-p": (1, ["runs", "--input", "{seq_ab}", "--p", "0.5", "--out-on", "{out}"]),
+        "runs-alphabet-when-simulating": (1, ["runs", "--p", "0.5", "--q", "0.5", "--n", "100", "--alphabet", "A,",
+                                              "--out-on", "{out}"]),
+        "runs-seeds-with-input": (1, ["runs", "--input", "{seq_ok}", "--seeds", "0", "--out-on", "{out}"]),
         "funnel-pinf-out-of-range": (1, ["funnel", "--pinf", "1.5", "--nu", "1", "--out", "{out}"]),
         "funnel-missing-nu": (1, ["funnel", "--pinf", "0.5", "--out", "{out}"]),
         "fit-scatter-bad-row": (2, ["fit-scatter", "--studies", "{studies_bad}", "--out", "{out}"]),

@@ -221,6 +221,16 @@ class TestFitRunsSimulated:
         with pytest.raises(ParameterError):
             fit_runs_simulated({1: 0.5, 19: 0.5}, off, length=20)
 
+    @pytest.mark.parametrize("m", [2**63 - 1, 2**63, 99999999999999999999])
+    def test_run_length_past_int64_rejected(self, m):
+        # parse_curve accepts any integer length; the int64 cast must not be what rejects it
+        on, off = model_curves(0.6, 0.6, max_m=10)
+        curve = {1: 0.5, m: 0.5}
+        with pytest.raises(ParameterError, match="outside formula domain"):
+            fit_runs_simulated(curve, off)
+        with pytest.raises(ParameterError, match="outside formula domain"):
+            run_curve_objective(on, curve, 0.6, 0.6)
+
     def test_solves_the_mean_run_length_equation(self):
         on, off = simulate_run_curves(MarkovParams(0.80, 0.55), 10**4, 10, 555)
         fit = fit_runs_simulated(on, off)

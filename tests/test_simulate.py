@@ -1,5 +1,9 @@
 """Simulator contract: exact conditional law, determinism, ensemble spread."""
 
+import hashlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,8 @@ from twostate import (
     generate,
     std_of_proportion,
 )
-from twostate.simulate import _SLICE, _markov_states
+from twostate import simulate
+from twostate.simulate import _SLICE, _forced_steps
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -28,6 +33,26 @@ def naive_states(params, u):
         stay = params.p if x[-1] == 1 else 1.0 - params.q
         x.append(1 if ui < stay else 0)
     return np.array(x, dtype=np.uint8)
+
+
+def scan_states(params, u, prev=None):
+    """Expand one `_forced_steps` scan of `u` segment by segment: a chain
+    starts at u[0], or carries on from the state `prev` before it."""
+    starts = np.array([0] if prev is None else [], dtype=np.intp)
+    positions, values, gaps = _forced_steps(params, u, starts, prev or 0)
+    assert positions[0] == -1 and values[0] == (prev or 0) and positions[-1] + gaps[-1] == u.size
+    flip = params.p < 1.0 - params.q
+    x = np.empty(u.size + 1, dtype=np.uint8)  # x[0] is the carried state
+    for f, v, g in zip(positions.tolist(), values.tolist(), gaps.tolist()):
+        x[f + 1 : f + 1 + g] = v ^ (np.arange(g) & 1 if flip else 0)
+    return x[1:]
+
+
+def member_frequencies(params, sizes, seed):
+    """The sequential rule on each member's block of the seed's one stream."""
+    u = np.random.default_rng(seed).random(sum(sizes))
+    ends = np.cumsum(sizes)
+    return [naive_states(params, u[end - n : end]).mean() for n, end in zip(sizes, ends)]
 
 
 class TestBinarySequence:
@@ -129,14 +154,46 @@ class TestGenerate:
         u = np.random.default_rng(seed).random(n)
         # a carried state makes the first step an ordinary one: p1 = p or 1 - q
         first_step = params if prev is None else MarkovParams(p, q, p1=p if prev else 1.0 - q)
-        assert np.array_equal(_markov_states(params, u, prev), naive_states(first_step, u))
+        assert np.array_equal(scan_states(params, u, prev), naive_states(first_step, u))
 
     @pytest.mark.parametrize("p, q", [(0.8, 0.7), (0.2, 0.3), (0.5, 0.5)], ids=["copy", "flip", "balanced"])
     def test_slices_match_one_scan(self, p, q):
         params = MarkovParams(p, q)
         for n in (1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 5):
-            one_scan = _markov_states(params, np.random.default_rng(21).random(n))
+            one_scan = scan_states(params, np.random.default_rng(21).random(n))
             assert np.array_equal(generate(params, n, 21).states, one_scan), n
+
+    # sha256 of states.tobytes(), keyed by (p, q, seed, n): copy, flip, every
+    # step forced, and rarely forced steps of both kinds, at the edges of a
+    # 2^15 slice.  Taken from version 0.2.0, whose generate output must not change.
+    PINNED = {
+        (0.88, 0.5, 2026, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+        (0.88, 0.5, 2026, 32768): "aa77b2c6b0a9c7fd90d8d7a4c2a8455c7d3d596dbb2e00472de85e345a07a794",
+        (0.88, 0.5, 2026, 32769): "a2d683801759c1b4234a40839a4028dbdd40fc44215a9a25ef3b945298bc6c4e",
+        (0.88, 0.5, 2026, 1000000): "4645c45f723f6b00b3b678f6ca90aea2f2f99b9e24075a1adeae031cbbafd358",
+        (0.12, 0.12, 2027, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+        (0.12, 0.12, 2027, 32768): "4d10729e4753e1ff8d837159367a8d61f083e42ea4adb1cfedf310d2a38bfcf2",
+        (0.12, 0.12, 2027, 32769): "18e2b38a92da135e8643d5d2b4e49d815943e4ee639b8c07345146a9cd61a030",
+        (0.12, 0.12, 2027, 1000000): "ba32eb51670bdf647ef08fe43198697cd4bb4b00a8049bd2ccb175259837fec2",
+        (0.5, 0.5, 2028, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+        (0.5, 0.5, 2028, 32768): "fd1fbdb1489494b7b822a2ce68972ffc93c1fcc9d306dbc3e9c1b8c39155d983",
+        (0.5, 0.5, 2028, 32769): "d86560891a7606eccb7ccd24e274a853f3b95b9b8ba2df19a147c9ed56e161b7",
+        (0.5, 0.5, 2028, 1000000): "e8ca35fa6344e20888ffe96daa635d864a11a8f7c09f79c04fcb8ea0a3794007",
+        (0.999, 0.999, 2029, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        (0.999, 0.999, 2029, 32768): "f5d0d9d483d4a2cbeb324969aa3d6fe92c07dd152e5291563ac370384a9a50cd",
+        (0.999, 0.999, 2029, 32769): "fb410e8304969dedbd7025531ff689fa2da96d3554183f0677b48cc273249720",
+        (0.999, 0.999, 2029, 1000000): "4bfc32fa7b43bfcdb735c7f47ab2e76ac9469926df6743c14f7845c5b9948a4e",
+        (0.001, 0.002, 2030, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+        (0.001, 0.002, 2030, 32768): "9be2bd4988f699b1f6185346f6f8ec39b796b556422e7a99c174ba26f4a17263",
+        (0.001, 0.002, 2030, 32769): "88d6c481a8d14efa1336f0d895c41be56cbdc00a6f54ff2681e32753845d7023",
+        (0.001, 0.002, 2030, 1000000): "42c36e7a243e303c6cc511200e65cbe8087e01c732c20794a691f8e4b1ee4279",
+    }
+
+    @pytest.mark.parametrize("key", PINNED, ids=lambda key: "-".join(map(str, key)))
+    def test_output_pinned(self, key):
+        p, q, seed, n = key
+        states = generate(MarkovParams(p, q), n, seed).states
+        assert hashlib.sha256(states.tobytes()).hexdigest() == self.PINNED[key]
 
     def test_memoryless_frequency(self):
         seq = generate(MarkovParams(0.5, 0.5), 10**6, 2024)
@@ -171,11 +228,60 @@ class TestEnsemble:
         ds = ensemble(MarkovParams(0.12, 0.12), [100] * 1000, 7)
         assert ds.p_bars.std(ddof=1) == pytest.approx(0.37 * 0.05, rel=0.10)
 
-    def test_members_use_indexed_substreams(self):
-        params = MarkovParams(0.65, 0.25)
-        ds = ensemble(params, [40, 60, 80], 11)
-        expected = [generate(params, n, child_seed(11, i)).frequency for i, n in enumerate([40, 60, 80])]
-        assert ds.p_bars.tolist() == expected
+    @pytest.mark.parametrize(
+        "p, q, p1, sizes",
+        [
+            (0.65, 0.25, None, [40, 60, 80]),
+            (0.88, 0.50, None, [_SLICE - 3, 7, 1, _SLICE + 5, 2]),
+            (0.12, 0.12, None, [1, 1, _SLICE, 1, 30]),
+            (0.50, 0.50, None, [3, _SLICE - 1, 1, 1, 40]),
+            (0.70, 0.30, 0.95, [1, 9, _SLICE + 1, 1]),
+            (0.93, 0.20, 0.0, [5, 1, _SLICE - 5, 20]),
+            (0.20, 0.35, 1.0, [1, _SLICE, 17]),
+        ],
+        ids=["small", "copy-across-slices", "flip-size-one", "p-is-1-minus-q", "p-is-1-minus-q-p1", "p1-zero",
+             "flip-p1-one"],
+    )
+    def test_members_follow_the_sequential_rule_on_one_stream(self, p, q, p1, sizes):
+        params = MarkovParams(p, q, p1=p1)
+        ds = ensemble(params, sizes, 11)
+        assert ds.sizes.tolist() == sizes
+        assert ds.p_bars.tolist() == member_frequencies(params, sizes, 11)
+
+    @given(
+        p=probs,
+        q=st.none() | probs,
+        p1=st.none() | st.floats(min_value=0.0, max_value=1.0),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        slice_size=st.sampled_from([1, 2, 7, 64]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_rule(self, p, q, p1, sizes, slice_size, seed):
+        # q=None is q = 1 - p, where every step is forced (exactly so for p >= 0.5);
+        # small slices make members span several slices, as long studies do
+        params = MarkovParams(p, 1.0 - p if q is None else q, p1=p1)
+        with mock.patch.object(simulate, "_SLICE", slice_size):
+            ds = ensemble(params, sizes, seed)
+        assert ds.p_bars.tolist() == member_frequencies(params, sizes, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, _SLICE, _SLICE + 1, 3 * _SLICE + 5])
+    def test_one_member_is_a_generated_chain(self, n):
+        for params in (MarkovParams(0.88, 0.5), MarkovParams(0.12, 0.12), MarkovParams(0.4, 0.6, p1=0.2)):
+            assert ensemble(params, [n], 8).p_bars[0] == generate(params, n, 8).frequency
+
+    @pytest.mark.parametrize("sizes", [[3 * 10**6], "criterion-3"])
+    def test_memory_bounded(self, sizes):
+        if sizes == "criterion-3":
+            rng = np.random.default_rng(20_260_811)
+            sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 10**4))).astype(int).tolist()
+        tracemalloc.start()
+        try:
+            ensemble(MarkovParams(0.88, 0.5), sizes, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_reproducible_and_prefix_stable(self):
         params = MarkovParams(0.88, 0.50)
