@@ -26,7 +26,7 @@ def _check_open_unit(name: str, value: float) -> None:
         )
 
 
-def stationary_frequency(p: float, q: float) -> float:
+def _stationary_frequency(p: float, q: float) -> float:
     """Long-run frequency of state A, (1-q) / (2-(p+q))."""
     return (1.0 - q) / (2.0 - (p + q))
 
@@ -49,7 +49,7 @@ class MarkovParams:
         _check_open_unit("p", self.p)
         _check_open_unit("q", self.q)
         if self.p1 is None:
-            object.__setattr__(self, "p1", stationary_frequency(self.p, self.q))
+            object.__setattr__(self, "p1", _stationary_frequency(self.p, self.q))
         elif not 0.0 <= self.p1 <= 1.0:
             raise ParameterError(f"p1 must lie in [0, 1], got {self.p1!r}")
 
@@ -77,7 +77,7 @@ def derive(params: MarkovParams) -> DerivedParams:
     """Compute the derived summary of a parameter set (exact algebra)."""
     p, q = params.p, params.q
     a = p + q - 1.0
-    pinf = stationary_frequency(p, q)
+    pinf = _stationary_frequency(p, q)
     nu_sq = (p + q) / (2.0 - (p + q))
     return DerivedParams(a=a, pinf=pinf, nu=math.sqrt(nu_sq), nu_sq=nu_sq)
 
@@ -141,9 +141,3 @@ def std_of_proportion(params: MarkovParams, n: int) -> float:
     _check_step_count(n)
     d = derive(params)
     return math.sqrt(d.pinf * (1.0 - d.pinf) / n) * d.nu
-
-
-def lag1_correlation_symmetric(p: float) -> float:
-    """First-neighbor correlation of the spin variable when p = q: 2p - 1."""
-    _check_open_unit("p", p)
-    return 2.0 * p - 1.0

@@ -1,5 +1,8 @@
 """File formats: study tables, sequence files, run curves, JSON reports.
 
+A study table is read in one pass straight into a `ScatterDataset`, the
+(n, p_bar) arrays; columns other than the ones it names are ignored.
+
 All numeric output uses plain decimal with up to 9 significant digits and a
 '.' separator, independent of locale, so fixed inputs produce byte-identical
 files.  Data files are written atomically (temp file + rename).
@@ -43,18 +46,6 @@ _MAX_STUDY_SIZE = 2**63 - 1  # study sizes are held as int64
 
 # the ASCII characters str.isspace() accepts, which the sequence format skips
 _ASCII_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
-
-
-@dataclass(frozen=True)
-class StudyRecord:
-    """One study row: identifier, size, proportion (or the successes it
-    was computed from), optional group tag."""
-
-    study_id: str
-    n: int
-    p_bar: float
-    successes: int | None = None
-    group: str | None = None
 
 
 def fmt(x: float) -> str:
@@ -109,18 +100,19 @@ def _detect_delimiter(header_line: str) -> str:
     return ","
 
 
-def parse_study_records(source) -> list[StudyRecord]:
-    """Parse a delimiter-separated study table into records.
+def parse_studies(source) -> ScatterDataset:
+    """Parse a delimiter-separated study table into a scatter dataset.
 
-    The header must name study_id, n and exactly one non-empty per row of
-    successes / p_bar; a group column is optional.  All malformed rows are
-    collected and reported together with their line numbers.
+    The header must name study_id, n and successes and/or p_bar, each at
+    most once; any other column is ignored.  Each data row gives n and
+    exactly one of successes / p_bar, and yields one (n, p_bar) point; no
+    per-row record is kept.  All malformed rows are collected and reported
+    together with their line numbers.
     """
     text = _read_text(source, StudyFileError)
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise StudyFileError("empty study file")
-    delim = _detect_delimiter(lines[0])
+    delim = _detect_delimiter(text.partition("\n")[0])
     reader = csv.reader(io.StringIO(text), delimiter=delim)
     try:
         rows = list(reader)
@@ -133,23 +125,20 @@ def parse_study_records(source) -> list[StudyRecord]:
         raise StudyFileError(
             f"header must name study_id, n and successes and/or p_bar; got {header}"
         )
-    col = {name: header.index(name) for name in header}
+    for name in ("study_id", "n", "successes", "p_bar"):
+        if header.count(name) > 1:
+            raise StudyFileError(f"header names column {name!r} more than once")
+    width = len(header)
+    i_n, i_succ, i_pbar = (header.index(name) if name in header else None for name in ("n", "successes", "p_bar"))
 
-    def cell(row, name):
-        i = col.get(name)
-        if i is None or i >= len(row):
-            return ""
-        return row[i].strip()
-
-    records, problems = [], []
+    sizes, p_bars, problems = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
-        if not any(field.strip() for field in row):
+        if not "".join(row).strip():
             continue
-        study_id = cell(row, "study_id")
-        group = cell(row, "group") or None
-        raw_n = cell(row, "n")
-        raw_succ = cell(row, "successes")
-        raw_pbar = cell(row, "p_bar")
+        row += [""] * (width - len(row))  # a short row's missing cells are empty
+        raw_n = row[i_n].strip()
+        raw_succ = "" if i_succ is None else row[i_succ].strip()
+        raw_pbar = "" if i_pbar is None else row[i_pbar].strip()
         try:
             n = int(raw_n)
             if not 0 < n <= _MAX_STUDY_SIZE:
@@ -162,7 +151,6 @@ def parse_study_records(source) -> list[StudyRecord]:
                 f"line {lineno}: exactly one of successes/p_bar must be given"
             )
             continue
-        successes = None
         if raw_succ:
             try:
                 successes = int(raw_succ)
@@ -180,22 +168,13 @@ def parse_study_records(source) -> list[StudyRecord]:
             except ValueError:
                 problems.append(f"line {lineno}: p_bar must lie in [0, 1], got {raw_pbar!r}")
                 continue
-        records.append(StudyRecord(study_id, n, p_bar, successes, group))
+        sizes.append(n)
+        p_bars.append(p_bar)
     if problems:
         raise StudyFileError("\n".join(problems))
-    if not records:
+    if not sizes:
         raise StudyFileError("study file contains no data rows")
-    return records
-
-
-def parse_studies(source) -> ScatterDataset:
-    """Parse a study table straight into a scatter dataset."""
-    records = parse_study_records(source)
-    return ScatterDataset(
-        np.array([r.n for r in records]),
-        np.array([r.p_bar for r in records]),
-        tuple(r.study_id for r in records),
-    )
+    return ScatterDataset(sizes, p_bars)
 
 
 def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySequence:
@@ -254,7 +233,11 @@ def curve_text(curve: dict) -> str:
 
 
 def parse_curve(source) -> dict:
-    """Read a two-column (m, frequency) table; header row optional."""
+    """Read a two-column (m, frequency) table.
+
+    The first line is a header, and skipped, when its first cell is not a
+    number; any other line must be an (m, frequency) pair.
+    """
     text = _read_text(source, CurveFileError)
     curve = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -264,8 +247,11 @@ def parse_curve(source) -> dict:
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise CurveFileError(f"line {lineno}: expected two columns, got {line!r}")
-        if lineno == 1 and not parts[0].lstrip("-").isdigit():
-            continue  # header
+        if lineno == 1:
+            try:
+                float(parts[0])
+            except ValueError:
+                continue  # a header: its first cell is not a number
         try:
             m = int(parts[0])
             f = float(parts[1])

@@ -88,55 +88,37 @@ class BinarySequence:
         """Observed proportion of state A."""
         return float(self.states.mean())
 
-    def spins(self) -> np.ndarray:
-        """Spin representation 2x - 1 with values in {-1, +1}."""
-        return self.states.astype(np.int8) * 2 - 1
-
 
 @dataclass(frozen=True)
 class ScatterDataset:
-    """Study points (n, p_bar): size and observed proportion per study."""
+    """Study points (n, p_bar): per study, its size and the observed
+    proportion of state A, held as two equal-length read-only arrays
+    (int64 sizes, float p_bars)."""
 
     sizes: np.ndarray
     p_bars: np.ndarray
-    labels: tuple = ()
 
     def __post_init__(self):
-        sizes = np.asarray(self.sizes, dtype=np.int64)
+        sizes = np.asarray(self.sizes)
         p_bars = np.asarray(self.p_bars, dtype=float)
         if sizes.ndim != 1 or sizes.size < 1 or p_bars.shape != sizes.shape:
             raise ParameterError("sizes and p_bars must be equal-length non-empty 1-d arrays")
-        if sizes.min() < 1:
-            raise ParameterError("every study size must be >= 1")
-        if p_bars.min() < 0.0 or p_bars.max() > 1.0:
+        # checked value by value before the cast, which would make 10.7 a size of 10
+        if not np.all((sizes >= 1) & (sizes < 2**63) & (sizes == np.floor(sizes))):
+            raise ParameterError("every study size must be an integer in [1, 2^63 - 1]")
+        # min/max are nan when any p_bar is, and then the test fails
+        if not (p_bars.min() >= 0.0 and p_bars.max() <= 1.0):
             raise ParameterError("every p_bar must lie in [0, 1]")
-        labels = tuple(self.labels) if self.labels else (None,) * sizes.size
-        if len(labels) != sizes.size:
-            raise ParameterError("labels must match the number of points")
+        sizes = sizes.astype(np.int64, copy=False)
         sizes.flags.writeable = False
         p_bars.flags.writeable = False
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "p_bars", p_bars)
-        object.__setattr__(self, "labels", labels)
 
     __eq__ = _value_eq
 
     def __len__(self) -> int:
         return self.sizes.size
-
-    @property
-    def points(self) -> list:
-        return list(zip(self.sizes.tolist(), self.p_bars.tolist(), self.labels))
-
-    @classmethod
-    def from_points(cls, points) -> "ScatterDataset":
-        points = list(points)
-        if not points:
-            raise ParameterError("dataset must contain at least one point")
-        sizes = [pt[0] for pt in points]
-        p_bars = [pt[1] for pt in points]
-        labels = tuple(pt[2] if len(pt) > 2 else None for pt in points)
-        return cls(np.array(sizes), np.array(p_bars), labels)
 
 
 def _forced_steps(params: MarkovParams, u: np.ndarray, starts: np.ndarray, carry: int):
@@ -254,13 +236,3 @@ def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
         carry = int(last_state)
     return ScatterDataset(sizes, counts[1:] / sizes)
 
-
-def empirical_autocorrelation(seq: BinarySequence, m: int) -> float:
-    """Lag-m product average of the spin variable, (1/(N-m)) sum s_i s_(i+m)."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ParameterError(f"lag must be a positive integer, got {m!r}")
-    n = len(seq)
-    if m >= n:
-        raise ParameterError(f"lag {m} must be smaller than the sequence length {n}")
-    s = seq.spins().astype(np.float64)
-    return float(s[: n - m] @ s[m:]) / (n - m)

@@ -11,7 +11,6 @@ from twostate import (
     MarkovParams,
     ParameterError,
     derive,
-    lag1_correlation_symmetric,
     mean_frequency,
     n_step_self_transitions,
     state_probability,
@@ -247,8 +246,5 @@ class TestStdOfProportion:
 class TestLag1Correlation:
     @pytest.mark.parametrize("p,expected", [(0.88, 0.76), (0.12, -0.76), (0.5, 0.0)])
     def test_values(self, p, expected):
-        assert lag1_correlation_symmetric(p) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_endpoints(self):
-        with pytest.raises(ParameterError):
-            lag1_correlation_symmetric(1.0)
+        # the lag-1 spin correlation of a symmetric chain, 2p - 1, is its memory eigenvalue a
+        assert derive(MarkovParams(p, p)).a == pytest.approx(expected, abs=1e-12)

@@ -337,8 +337,10 @@ class TestExitCodeContract:
         "studies_two_bad": "study_id,n,p_bar\ns1,0,0.5\ns2,10,2\n",
         "studies_huge_n": "study_id,n,p_bar\ns1,99999999999999999999,0.5\n",
         "studies_long_cell": "study_id,n,p_bar\ns1,10," + "0" * 131_073 + "\n",
+        "studies_repeated_n": "study_id,n,n,successes\n" + "".join(f"s{i},100,50,{35 + i}\n" for i in range(30)),
         "studies_flat": "study_id,n,p_bar\n" + "".join(f"s{i},100,0.5\n" for i in range(25)),
         "curve_bad": "m,frequency\nx,y\n",
+        "curve_float_first_row": "1.5,0.3\n2,0.25\n",
         "curve_single_steps": "m,frequency\n1,1.0\n",
         "curve_empty": "m,frequency\n1,0.0\n2,0.0\n",
         "curve_longest": f"m,frequency\n{LENGTH - 2},1.0\n",
@@ -362,6 +364,7 @@ class TestExitCodeContract:
         "fit-scatter-two-bad-rows": (2, ["fit-scatter", "--studies", "{studies_two_bad}", "--out", "{out}"]),
         "fit-scatter-huge-n": (2, ["fit-scatter", "--studies", "{studies_huge_n}", "--out", "{out}"]),
         "fit-scatter-long-cell": (2, ["fit-scatter", "--studies", "{studies_long_cell}", "--out", "{out}"]),
+        "fit-scatter-repeated-column": (2, ["fit-scatter", "--studies", "{studies_repeated_n}", "--out", "{out}"]),
         "fit-scatter-missing-file": (2, ["fit-scatter", "--studies", "{missing}", "--out", "{out}"]),
         "fit-scatter-flat": (3, ["fit-scatter", "--studies", "{studies_flat}", "--out", "{out}"]),
         "analyze-bad-row": (2, ["analyze", "--studies", "{studies_bad}", "--out", "{out}"]),
@@ -369,6 +372,8 @@ class TestExitCodeContract:
         "analyze-flat": (3, ["analyze", "--studies", "{studies_flat}", "--out", "{out}"]),
         "analyze-level": (1, ["analyze", "--studies", "{studies_flat}", "--level", "1", "--out", "{out}"]),
         "fit-runs-bad-curve": (2, ["fit-runs", "--on", "{curve_bad}", "--off", "{off}", "--out", "{out}"]),
+        "fit-runs-float-first-row": (2, ["fit-runs", "--on", "{curve_float_first_row}", "--off", "{off}",
+                                         "--out", "{out}"]),
         "fit-runs-missing-file": (2, ["fit-runs", "--on", "{on}", "--off", "{missing}", "--out", "{out}"]),
         "fit-runs-length-too-small": (1, ["fit-runs", "--on", "{on}", "--off", "{off}", "--length", "3",
                                           "--out", "{out}"]),
@@ -485,14 +490,14 @@ def test_public_surface():
         "AnalysisReport", "BinarySequence", "CurveFileError", "DataFormatError", "DerivedParams",
         "FunnelSingularityError", "FunnelSpec", "InfeasibleParametersError", "MarkovParams",
         "ParameterError", "RunFit", "RunHistogram", "STATE_A", "STATE_B",
-        "ScatterDataset", "ScatterFit", "SequenceFormatError", "StudyFileError", "StudyRecord",
+        "ScatterDataset", "ScatterFit", "SequenceFormatError", "StudyFileError",
         "average_and_normalize", "child_seed", "confidence_bounds", "coverage", "derive",
-        "empirical_autocorrelation", "ensemble", "estimate_center", "estimate_nu",
+        "ensemble", "estimate_center", "estimate_nu",
         "expected_run_frequencies", "expected_runs_markov", "extract_runs", "fit_runs_mle",
-        "fit_runs_simulated", "fit_scatter", "generate", "invert_to_pq", "lag1_correlation_symmetric",
+        "fit_runs_simulated", "fit_scatter", "generate", "invert_to_pq",
         "mean_frequency", "memoryfree_curve", "n_step_self_transitions", "parse_curve", "parse_sequence",
-        "parse_studies", "parse_study_records", "required_n", "run_curve_objective", "sample_curve",
-        "simulate_run_curves", "state_probability", "stationary_frequency", "std_of_proportion",
+        "parse_studies", "required_n", "run_curve_objective", "sample_curve",
+        "simulate_run_curves", "state_probability", "std_of_proportion",
         "transition_matrix", "z_from_level",
     ]
     assert len(set(twostate.__all__)) == len(twostate.__all__)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twostate import BinarySequence, MarkovParams, generate
+from twostate import BinarySequence, MarkovParams, ScatterDataset, generate
 from twostate.dataio import (
     AnalysisReport,
     CurveFileError,
@@ -20,7 +20,6 @@ from twostate.dataio import (
     parse_curve,
     parse_sequence,
     parse_studies,
-    parse_study_records,
     round9,
     sequence_text,
     write_text_atomic,
@@ -31,17 +30,22 @@ from twostate.estimate import RunFit, ScatterFit
 class TestParseStudies:
     def test_successes_converted(self):
         ds = parse_studies(io.StringIO("study_id,n,successes,p_bar\ns1,100,58,\n"))
-        assert ds.points == [(100, 0.58, "s1")]
+        assert ds == ScatterDataset([100], [0.58])
 
     def test_p_bar_column(self):
         ds = parse_studies(io.StringIO("study_id,n,p_bar\ns1,100,0.58\n"))
-        assert ds.points == [(100, 0.58, "s1")]
+        assert ds == ScatterDataset([100], [0.58])
 
     def test_group_and_tab_delimited(self):
-        records = parse_study_records(
-            io.StringIO("study_id\tn\tsuccesses\tgroup\ns1\t10\t5\tcaptive\n")
-        )
-        assert records[0].group == "captive" and records[0].p_bar == 0.5
+        # group, like any column the parser does not name, is ignored
+        ds = parse_studies(io.StringIO("study_id\tn\tsuccesses\tgroup\ns1\t10\t5\tcaptive\n"))
+        assert ds == ScatterDataset([10], [0.5])
+
+    @pytest.mark.parametrize("column", ["study_id", "n", "successes", "p_bar"])
+    def test_repeated_column_rejected(self, column):
+        header = ",".join(["study_id", "n", "successes", "p_bar", column])
+        with pytest.raises(StudyFileError, match=f"'{column}' more than once"):
+            parse_studies(io.StringIO(header + "\ns1,10,5,,5\n"))
 
     def test_zero_n_rejected_with_line_number(self):
         with pytest.raises(StudyFileError, match="line 2"):
@@ -182,6 +186,11 @@ class TestCurveIO:
         for row in ("0,0.5", "1,-0.5", "1,nan", "1,inf", "1,-inf"):
             with pytest.raises(CurveFileError, match="line 2"):
                 parse_curve(io.StringIO(f"m,frequency\n{row}\n"))
+
+    @pytest.mark.parametrize("row", ["1.5,0.3", "1e0,0.5", "-1,0.3"])
+    def test_bad_first_row_is_not_a_header(self, row):
+        with pytest.raises(CurveFileError, match="line 1: bad"):
+            parse_curve(io.StringIO(f"{row}\n2,0.25\n"))
 
     def test_canonical_format(self):
         text = curve_text({1: 1 / 3, 2: 2 / 3})

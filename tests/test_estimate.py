@@ -42,11 +42,11 @@ def model_curves(p11, p22, n=10_000, max_m=200):
 
 class TestEstimateCenter:
     def test_weighted_mean(self):
-        ds = ScatterDataset.from_points([(100, 0.6), (300, 0.5)])
+        ds = ScatterDataset([100, 300], [0.6, 0.5])
         assert estimate_center(ds) == pytest.approx(0.525, abs=1e-12)
 
     def test_single_point(self):
-        ds = ScatterDataset.from_points([(42, 0.37)])
+        ds = ScatterDataset([42], [0.37])
         assert estimate_center(ds) == pytest.approx(0.37, abs=1e-12)
 
     def test_monte_carlo_consistency(self):

@@ -15,7 +15,6 @@ from twostate import (
     ScatterDataset,
     child_seed,
     derive,
-    empirical_autocorrelation,
     ensemble,
     generate,
     std_of_proportion,
@@ -48,6 +47,18 @@ def scan_states(params, u, prev=None):
     return x[1:]
 
 
+def empirical_autocorrelation(seq, m):
+    """Lag-m product average of the spin variable s = 2x - 1,
+    (1/(N-m)) sum s_i s_(i+m)."""
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ParameterError(f"lag must be a positive integer, got {m!r}")
+    n = len(seq)
+    if m >= n:
+        raise ParameterError(f"lag {m} must be smaller than the sequence length {n}")
+    s = seq.states.astype(np.float64) * 2 - 1
+    return float(s[: n - m] @ s[m:]) / (n - m)
+
+
 def member_frequencies(params, sizes, seed):
     """The sequential rule on each member's block of the seed's one stream."""
     u = np.random.default_rng(seed).random(sum(sizes))
@@ -78,16 +89,8 @@ class TestBinarySequence:
         with pytest.raises(ValueError):
             seq.states[0] = 1
 
-    def test_spins(self):
-        seq = BinarySequence(np.array([1, 0, 1]))
-        assert seq.spins().tolist() == [1, -1, 1]
-
 
 class TestScatterDataset:
-    def test_from_points_and_back(self):
-        ds = ScatterDataset.from_points([(100, 0.6, "s1"), (300, 0.5, "s2")])
-        assert ds.points == [(100, 0.6, "s1"), (300, 0.5, "s2")]
-
     def test_rejects_bad_size(self):
         with pytest.raises(ParameterError):
             ScatterDataset(np.array([0]), np.array([0.5]))
@@ -95,6 +98,15 @@ class TestScatterDataset:
     def test_rejects_bad_proportion(self):
         with pytest.raises(ParameterError):
             ScatterDataset(np.array([10]), np.array([1.5]))
+
+    @pytest.mark.parametrize(
+        "sizes,p_bars",
+        [([10.7], [0.5]), ([float("nan")], [0.5]), ([float("inf")], [0.5]), ([2.0**63], [0.5]),
+         ([2**64], [0.5]), ([10], [float("nan")]), ([10, 20], [0.5, float("nan")])],
+    )
+    def test_rejects_values_a_cast_would_coerce(self, sizes, p_bars):
+        with pytest.raises(ParameterError):
+            ScatterDataset(sizes, p_bars)
 
 
 class TestValueEquality:
@@ -115,14 +127,13 @@ class TestValueEquality:
         assert (generate(params, 100, 5) == generate(params, 100, 5)) is True
 
     def test_scatter_dataset(self):
-        ds = ScatterDataset.from_points([(10, 0.5, "a"), (20, 0.25, "b")])
-        assert (ds == ScatterDataset(ds.sizes.copy(), ds.p_bars.copy(), ("a", "b"))) is True
-        assert (ds != ScatterDataset(ds.sizes.copy(), ds.p_bars.copy(), ("a", "b"))) is False
-        assert (ds == ScatterDataset.from_points([(10, 0.5, "a"), (20, 0.25, "c")])) is False
-        assert (ds == ScatterDataset.from_points([(10, 0.5, "a"), (21, 0.25, "b")])) is False
-        assert (ds == ScatterDataset.from_points([(10, 0.5, "a"), (20, 0.3, "b")])) is False
-        assert (ds == ScatterDataset.from_points([(10, 0.5, "a")])) is False
-        for foreign in (ds.points, "ds", None, 0.5):
+        ds = ScatterDataset([10, 20], [0.5, 0.25])
+        assert (ds == ScatterDataset(ds.sizes.copy(), ds.p_bars.copy())) is True
+        assert (ds != ScatterDataset(ds.sizes.copy(), ds.p_bars.copy())) is False
+        assert (ds == ScatterDataset([10, 21], [0.5, 0.25])) is False
+        assert (ds == ScatterDataset([10, 20], [0.5, 0.3])) is False
+        assert (ds == ScatterDataset([10], [0.5])) is False
+        for foreign in ([(10, 0.5), (20, 0.25)], "ds", None, 0.5):
             assert (ds == foreign) is False and (ds != foreign) is True
 
 
