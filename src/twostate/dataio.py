@@ -174,6 +174,8 @@ def parse_studies(source) -> ScatterDataset:
         raise StudyFileError("\n".join(problems))
     if not sizes:
         raise StudyFileError("study file contains no data rows")
+    sizes, p_bars = np.array(sizes, dtype=np.int64), np.array(p_bars)
+    sizes.flags.writeable = p_bars.flags.writeable = False
     return ScatterDataset(sizes, p_bars)
 
 
@@ -206,6 +208,7 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
             raise SequenceFormatError(f"unexpected symbol {symbol!r} at position {pos + 1}")
         if not states.size:
             raise SequenceFormatError("sequence file contains no symbols")
+        states.flags.writeable = False
         return BinarySequence(states)
     bits = []
     sym_a, sym_b = alphabet
@@ -218,7 +221,9 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
             raise SequenceFormatError(f"unexpected symbol {token!r} at position {pos}")
     if not bits:
         raise SequenceFormatError("sequence file contains no symbols")
-    return BinarySequence(np.array(bits, dtype=np.uint8))
+    states = np.array(bits, dtype=np.uint8)
+    states.flags.writeable = False
+    return BinarySequence(states)
 
 
 def sequence_text(seq: BinarySequence) -> str:

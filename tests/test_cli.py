@@ -464,6 +464,13 @@ class TestSubprocessEntry:
         assert result.returncode == 0
         assert result.stdout.strip() == "[]"
 
+    def test_import_loads_no_pool_module(self):
+        # ensemble's blocks run on plain threads; a pool module would add to every cold start
+        code = "import sys, twostate; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stdout.strip() == "False"
+
     def test_module_bad_env_seed_has_no_traceback(self):
         env = {**os.environ, "TWOSTATE_SEED": "abc"}
         argv = [sys.executable, "-m", "twostate"]

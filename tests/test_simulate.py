@@ -1,6 +1,7 @@
 """Simulator contract: exact conditional law, determinism, ensemble spread."""
 
 import hashlib
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -23,6 +24,9 @@ from twostate import simulate
 from twostate.simulate import _SLICE, _forced_steps
 
 probs = st.floats(min_value=0.01, max_value=0.99)
+# near 0 or 1, a forced step is rare in the copy (0.9999, 0.9999) and the
+# flip (0.0001, 0.0001) regime, so the steps before one can span slices
+near_edge = st.sampled_from([0.0001, 0.9999])
 
 
 def naive_states(params, u):
@@ -84,6 +88,16 @@ class TestBinarySequence:
         assert BinarySequence([1.0, 0.0, 1.0]).states.tolist() == [1, 0, 1]
         assert BinarySequence(np.array([True, False])).states.tolist() == [1, 0]
 
+    def test_callers_array_stays_writeable(self):
+        x = np.array([1, 0, 1], dtype=np.uint8)
+        seq = BinarySequence(x)
+        # a read-only view is no handover: its base stays writeable
+        view = x.view()
+        view.flags.writeable = False
+        from_view = BinarySequence(view)
+        x[0] = 0
+        assert seq.states.tolist() == [1, 0, 1] and from_view.states.tolist() == [1, 0, 1]
+
     def test_states_frozen(self):
         seq = generate(MarkovParams(0.5, 0.5), 10, 0)
         with pytest.raises(ValueError):
@@ -107,6 +121,14 @@ class TestScatterDataset:
     def test_rejects_values_a_cast_would_coerce(self, sizes, p_bars):
         with pytest.raises(ParameterError):
             ScatterDataset(sizes, p_bars)
+
+    def test_callers_arrays_stay_writeable(self):
+        sizes, p_bars = np.array([10, 20]), np.array([0.5, 0.25])
+        ds = ScatterDataset(sizes, p_bars)
+        sizes[0], p_bars[0] = 11, 0.3
+        assert ds.sizes.tolist() == [10, 20] and ds.p_bars.tolist() == [0.5, 0.25]
+        with pytest.raises(ValueError):
+            ds.p_bars[0] = 0.3
 
 
 class TestValueEquality:
@@ -230,6 +252,17 @@ class TestEnsemble:
         with pytest.raises(ParameterError):
             ensemble(MarkovParams(0.5, 0.5), [], 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda p: ensemble(p, [2**62, 2**62], 0), lambda p: ensemble(p, [2**63], 0),
+         lambda p: ensemble(p, [np.uint64(2**63)], 0), lambda p: ensemble(p, [10, True], 0),
+         lambda p: generate(p, True, 0)],
+        ids=["total-past-int64", "size-past-int64", "uint64-size-past-int64", "bool-size", "bool-length"],
+    )
+    def test_rejects_sizes_past_int64_and_bools(self, call):
+        with pytest.raises(ParameterError):
+            call(MarkovParams(0.5, 0.5))
+
     def test_memoryless_spread(self):
         ds = ensemble(MarkovParams(0.5, 0.5), [100] * 1000, 7)
         assert ds.p_bars.std(ddof=1) == pytest.approx(0.05, rel=0.10)
@@ -260,21 +293,59 @@ class TestEnsemble:
         assert ds.p_bars.tolist() == member_frequencies(params, sizes, 11)
 
     @given(
-        p=probs,
-        q=st.none() | probs,
+        p=probs | near_edge,
+        q=st.none() | probs | near_edge,
         p1=st.none() | st.floats(min_value=0.0, max_value=1.0),
         sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
         slice_size=st.sampled_from([1, 2, 7, 64]),
+        cpus=st.integers(1, 5),
+        min_block_slices=st.sampled_from([1, 3, 8]),
         seed=st.integers(0, 2**32),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_sequential_rule(self, p, q, p1, sizes, slice_size, seed):
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sequential_rule(self, p, q, p1, sizes, slice_size, cpus, min_block_slices, seed):
         # q=None is q = 1 - p, where every step is forced (exactly so for p >= 0.5);
-        # small slices make members span several slices, as long studies do
+        # small slices make members span several slices, as long studies do, and
+        # small blocks cut the stream into up to `cpus` blocks
         params = MarkovParams(p, 1.0 - p if q is None else q, p1=p1)
-        with mock.patch.object(simulate, "_SLICE", slice_size):
+        with mock.patch.multiple(simulate, _SLICE=slice_size, _CPUS=cpus, _MIN_BLOCK_SLICES=min_block_slices):
             ds = ensemble(params, sizes, seed)
         assert ds.p_bars.tolist() == member_frequencies(params, sizes, seed)
+
+    @pytest.mark.parametrize("p, q", [(0.9999, 0.9999), (0.0001, 0.0001)], ids=["copy", "flip"])
+    def test_blocks_without_forced_steps(self, p, q):
+        # one long member spans whole blocks with no forced step, whose states all
+        # follow the state carried in; the chain starts at 0 or 1 from p1
+        real = simulate._count_block
+        found = []
+
+        def count_block(*args):
+            found.append(real(*args))
+            return found[-1]
+
+        sizes = [1, 301, 3]
+        for p1 in (0.0, 1.0):
+            params = MarkovParams(p, q, p1=p1)
+            with mock.patch.multiple(simulate, _SLICE=4, _CPUS=5, _MIN_BLOCK_SLICES=1, _count_block=count_block):
+                ds = ensemble(params, sizes, 12)
+            assert ds.p_bars.tolist() == member_frequencies(params, sizes, 12)
+        prefixes = [prefix for prefix, forced, _ in found if not forced]
+        assert len(found) == 10 and len(prefixes) >= 2 and min(prefixes) > 4
+
+    def test_worker_error_reaches_caller(self):
+        real = simulate._count_block
+        failed_on = []
+
+        def count_block(params, member_starts, a0, *rest):
+            if a0 > 0:
+                failed_on.append(threading.current_thread())
+                raise MemoryError("block scan failed")
+            return real(params, member_starts, a0, *rest)
+
+        with mock.patch.multiple(simulate, _CPUS=3, _MIN_BLOCK_SLICES=1, _count_block=count_block):
+            with pytest.raises(MemoryError, match="block scan failed"):
+                ensemble(MarkovParams(0.88, 0.5), [3 * _SLICE], 0)
+        assert len(failed_on) == 2 and threading.main_thread() not in failed_on
 
     @pytest.mark.parametrize("n", [1, 2, _SLICE, _SLICE + 1, 3 * _SLICE + 5])
     def test_one_member_is_a_generated_chain(self, n):
@@ -288,7 +359,9 @@ class TestEnsemble:
             sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 10**4))).astype(int).tolist()
         tracemalloc.start()
         try:
-            ensemble(MarkovParams(0.88, 0.5), sizes, 3)
+            # two blocks at once, as on a 2-CPU host
+            with mock.patch.object(simulate, "_CPUS", 2):
+                ensemble(MarkovParams(0.88, 0.5), sizes, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
