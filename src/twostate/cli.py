@@ -92,7 +92,7 @@ def cmd_runs(args) -> int:
             len(alphabet) != 2 or alphabet[0] == alphabet[1] or any(sym.split() != [sym] for sym in alphabet)
         ):
             raise _UsageError("--alphabet needs exactly two different comma-separated symbols without whitespace")
-        sequences = [parse_sequence(args.input, alphabet=alphabet)]
+        hists = [extract_runs(parse_sequence(args.input, alphabet=alphabet))]
     elif simulated:
         if args.p is None or args.q is None or args.n is None:
             raise _UsageError("simulation needs all of --p, --q and --n")
@@ -102,18 +102,18 @@ def cmd_runs(args) -> int:
         if seeds < 1:
             raise _UsageError(f"--seeds must be >= 1, got {seeds}")
         params = MarkovParams(args.p, args.q)
-        sequences = [generate(params, args.n, child_seed(args.seed, i)) for i in range(seeds)]
+        # histogrammed one at a time, so only one sequence is held at once
+        hists = [extract_runs(generate(params, args.n, child_seed(args.seed, i))) for i in range(seeds)]
     else:
         raise _UsageError("give --input FILE or --p/--q/--n to simulate")
 
     # every curve is computed before any is emitted: a data error writes nothing
-    hists = [extract_runs(seq) for seq in sequences]
     try:
         on_curve = average_and_normalize([ha for ha, _ in hists])
         off_curve = average_and_normalize([hb for _, hb in hists])
         if args.reference:
-            n = len(sequences[0])
-            p_bar = float(np.mean([seq.frequency for seq in sequences]))
+            n = hists[0][0].total_length
+            p_bar = float(np.mean([ha.occupied_length / n for ha, _ in hists]))
             max_m = max(max(on_curve), max(off_curve))
             reference = memoryfree_curve(n, p_bar, max_m)
     except ParameterError as exc:
@@ -140,8 +140,8 @@ def cmd_funnel(args) -> int:
 
 
 def _fit_scatter_checked(dataset, args):
-    if not 0.0 < args.level < 1.0:
-        raise _UsageError(f"--level must lie strictly inside (0, 1), got {args.level}")
+    # checked here, so that a bad --level is a usage error (exit 1), not a data error
+    z_from_level(args.level)
     for flag, bound in (("--min-p", args.min_p), ("--min-q", args.min_q)):
         if bound is not None and not 0.0 <= bound < 1.0:  # nan fails too
             raise _UsageError(f"{flag} must lie in [0, 1), got {bound}")

@@ -28,9 +28,14 @@ class FunnelSingularityError(ValueError):
 
 def z_from_level(level: float) -> float:
     """Two-sided normal quantile for a coverage level in (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must lie strictly inside (0, 1), got {level!r}")
-    return NormalDist().inv_cdf(0.5 + level / 2.0)
+    tail = 0.5 + level / 2.0
+    # fails too for a level so near 0 or 1 that the tail rounds to 0.5 or 1,
+    # whose quantile is 0 or infinite
+    if not 0.5 < tail < 1.0:
+        raise ParameterError(
+            f"level must lie strictly inside (0, 1), more than about 1e-16 from either end, got {level!r}"
+        )
+    return NormalDist().inv_cdf(tail)
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,8 @@ def coverage(dataset: ScatterDataset, spec: FunnelSpec) -> float:
 
 def sample_curve(spec: FunnelSpec, n_min: float = 10.0, n_max: float = 1e5, points: int = 200):
     """(n, lower, upper) samples over a log-spaced grid of study sizes."""
-    if not (0 < n_min < n_max < math.inf) or points < 2:
-        raise ParameterError("need finite 0 < n_min < n_max and at least two points")
+    if not (1 <= n_min < n_max < math.inf) or points < 2:
+        raise ParameterError("need finite 1 <= n_min < n_max and at least two points")
     ns = np.logspace(np.log10(n_min), np.log10(n_max), points)
     half = spec.half_width(ns)
     return ns, spec.pinf - half, spec.pinf + half

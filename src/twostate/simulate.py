@@ -10,15 +10,13 @@ O(_SLICE) plus the output.
 An ensemble lays its members end to end on that one stream: member i is
 the chain scanned from the uniforms after those of members 0..i-1.  Only
 each member's count of A states is kept, so an ensemble never builds a
-state array.  A long ensemble cuts the stream into one contiguous block of
-slices per usable CPU and scans the blocks at the same time, the first on
-the calling thread and the others on threads of their own.  Each block
-draws from a fresh generator on the seed, jumped ahead to the block's
-first draw with `PCG64.advance` (O(log n) steps), and is scanned as if the
-state before it were 0.  Only the steps before the block's first forced
-step depend on that state, which they copy or flip, so once every block
-is done its count is fixed up from the true carried state, in block
-order.  The values are the same for any number of blocks.
+state array.  A long ensemble cuts the stream into up to one block per
+usable CPU and scans the blocks at the same time, the first on the calling
+thread and the others on threads of their own.  Every block starts at a
+member start, where a chain starts afresh from p1, so no block needs the
+state before it; each draws from a fresh generator on the seed, jumped
+ahead to its first draw with `PCG64.advance` (O(log n) steps).  The values
+are the same for any number of blocks.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ _INT64_MAX = 2**63 - 1
 _SLICE = 1 << 15
 # the parity of each position in a slice, 0101...
 _PARITY = np.arange(_SLICE, dtype=np.uint8) & 1
-# `ensemble` scans at most one block per usable CPU at a time, and gives a
-# block at least _MIN_BLOCK_SLICES slices, so that starting its thread and
+# `ensemble` scans at most one block per usable CPU at a time, and cuts at
+# most one block per _MIN_BLOCK_SLICES slices, so that starting its thread and
 # jumping its generator ahead stay small beside its scan (~0.3 ms a slice)
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MIN_BLOCK_SLICES = 8
@@ -75,7 +73,10 @@ class BinarySequence:
     """A finite record of binary state measurements (A=1, B=0).
 
     `params` and `seed` are provenance: set when the sequence was simulated,
-    None when it was read from external data.
+    None when it was read from external data.  `states` is read-only.  An
+    array the caller can still write to is copied; a read-only array that
+    owns its data is kept, not copied, so a long sequence is held once, and
+    whoever sets its `writeable` flag again can still change it.
     """
 
     states: np.ndarray
@@ -111,7 +112,9 @@ class BinarySequence:
 class ScatterDataset:
     """Study points (n, p_bar): per study, its size and the observed
     proportion of state A, held as two equal-length read-only arrays
-    (int64 sizes, float p_bars)."""
+    (int64 sizes, float p_bars).  As in `BinarySequence`, a read-only array
+    that owns its data is kept, not copied, and can still change if its
+    holder makes it writeable again."""
 
     sizes: np.ndarray
     p_bars: np.ndarray
@@ -207,19 +210,14 @@ def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
 
 def _count_block(params: MarkovParams, member_starts: np.ndarray, a0: int, a1: int, seed: int,
                  counts: np.ndarray):
-    """Scan draws a0..a1-1 of the seed's stream from a carried state of 0,
-    adding each member's number of A states into `counts` (counts[i + 1]
-    for member i): returns (prefix, forced, last).
-
-    `prefix` is the number of steps before the block's first forced step,
-    which may span slices or the whole block; `forced` says whether the
-    block has a forced step, and `last` is its last state.
-    """
+    """Scan draws a0..a1-1 of the seed's stream, adding each member's number
+    of A states into `counts` (counts[i + 1] for member i).  a0 is a member
+    start, a forced step, so the scan needs no state from before it."""
     p, q = params.p, params.q
     flip = p < 1.0 - q
     rng = np.random.Generator(np.random.PCG64(seed))
     rng.bit_generator.advance(a0)
-    carry, prefix, forced = 0, 0, False
+    carry = 0
     for a in range(a0, a1, _SLICE):
         u = rng.random(min(_SLICE, a1 - a))
         first, last = np.searchsorted(member_starts, (a, a + u.size))
@@ -233,7 +231,6 @@ def _count_block(params: MarkovParams, member_starts: np.ndarray, a0: int, a1: i
             unit_ones[starts + 1] = u[starts] < params.p1
             bounds = starts + 1
             last_state = unit_ones[-1]
-            head = 0
         else:
             # each segment from a forced step to the next is a unit: g steps
             # from state v hold v*g A states, or (g + v)//2 when they alternate
@@ -242,17 +239,11 @@ def _count_block(params: MarkovParams, member_starts: np.ndarray, a0: int, a1: i
             bounds = np.searchsorted(positions, starts)
             # the last segment's state, flipped once per step after its first
             last_state = values[-1] ^ (flip and bool((gaps[-1] - 1) & 1))
-            # the unforced steps after the carried state
-            head = int(gaps[0]) - 1
-        if not forced:
-            prefix += head
-            forced = head < u.size
         sums = np.add.reduceat(unit_ones, np.concatenate(([0], bounds)), dtype=np.int64)
         # the carried state was counted in the slice before
         sums[0] -= carry
         counts[first : last + 1] += sums
         carry = int(last_state)
-    return prefix, forced, carry
 
 
 def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
@@ -262,12 +253,11 @@ def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     is scanned from the sizes[i] uniforms after those of members 0..i-1.
     So it depends only on `seed` and sizes[:i+1], and a one-member ensemble
     gives `generate(params, n, seed).frequency`.  Each member's count of A
-    states is summed over its forced steps, one slice at a time.  Blocks of
-    at least _MIN_BLOCK_SLICES slices, one per usable CPU, are scanned at
-    the same time, each from its own generator jumped ahead with
-    `PCG64.advance`, and fixed up in block order from the state carried
-    into them (see the module docstring).  The values do not depend on the
-    number of blocks.
+    states is summed over its forced steps, one slice at a time.  The stream
+    is cut at member starts into at most one block per usable CPU and per
+    _MIN_BLOCK_SLICES slices, and the blocks are scanned at the same time,
+    each from its own generator jumped ahead with `PCG64.advance`.  The
+    values do not depend on the number of blocks.
     """
     sizes = list(sizes)
     if not sizes:
@@ -283,16 +273,23 @@ def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     member_starts = np.cumsum(sizes) - sizes
     n_slices = -(-total // _SLICE)
     n_blocks = max(1, min(_CPUS, n_slices // _MIN_BLOCK_SLICES))
-    cuts = [min(total, b * n_slices // n_blocks * _SLICE) for b in range(n_blocks + 1)]
-    # one row per block, so that no two threads add into the same array
+    # block b starts at the start of the member that holds draw b*total//n_blocks;
+    # a few long members give fewer blocks
+    targets = [b * total // n_blocks for b in range(n_blocks)]
+    # a set, not np.unique: the first np.unique call imports numpy.ma (+1.7 MB RSS)
+    cuts = sorted(set(member_starts[np.searchsorted(member_starts, targets, side="right") - 1].tolist()))
+    cuts.append(total)
+    n_blocks = len(cuts) - 1
+    # one row per block: the blocks on either side of a cut both add into
+    # the slot of the member that ends there (the later block adds 0)
     counts = np.zeros((n_blocks, sizes.size + 1), dtype=np.int64)
-    results = [None] * n_blocks
+    errors = [None] * n_blocks
 
     def scan(b):
         try:
-            results[b] = _count_block(params, member_starts, cuts[b], cuts[b + 1], seed, counts[b])
+            _count_block(params, member_starts, cuts[b], cuts[b + 1], seed, counts[b])
         except BaseException as exc:  # raised again below, on the calling thread
-            results[b] = exc
+            errors[b] = exc
 
     threads = [threading.Thread(target=scan, args=(b,)) for b in range(1, n_blocks)]
     for thread in threads:
@@ -300,18 +297,9 @@ def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     scan(0)
     for thread in threads:
         thread.join()
-    flip = params.p < 1.0 - params.q
-    carry = 0
-    for b, result in enumerate(results):
-        if isinstance(result, BaseException):
-            raise result
-        prefix, forced, last = result
-        if carry:
-            # the prefix copied or flipped a carried 1, not the 0 it was
-            # scanned from; a member start is forced, so one member holds it
-            member = np.searchsorted(member_starts, cuts[b], side="right")
-            counts[b, member] += -(prefix & 1) if flip else prefix
-        carry = last if forced else last ^ carry
+    for exc in errors:
+        if exc is not None:
+            raise exc
     counts = counts.sum(axis=0)
     p_bars = counts[1:] / sizes
     sizes.flags.writeable = p_bars.flags.writeable = False

@@ -303,6 +303,15 @@ class TestBadNumericFlags:
         "analyze-min-p-negative": ["analyze", "--studies", FIXTURE, "--min-p", "-0.1", "--out", "{out}"],
         "analyze-min-q-inf": ["analyze", "--studies", FIXTURE, "--min-q", "inf", "--out", "{out}"],
         "analyze-n-max-inf": ["analyze", "--studies", FIXTURE, "--n-max", "inf", "--out", "{out}"],
+        # 0.5 + level/2 rounds to 1 or to 0.5: no normal quantile, or a quantile of 0
+        "fit-scatter-level-rounds-to-one": ["fit-scatter", "--studies", FIXTURE, "--level", "0.9999999999999999",
+                                            "--out", "{out}"],
+        "fit-scatter-level-rounds-to-zero": ["fit-scatter", "--studies", FIXTURE, "--level", "1e-300",
+                                             "--out", "{out}"],
+        "analyze-level-rounds-to-one": ["analyze", "--studies", FIXTURE, "--level", "0.9999999999999999",
+                                        "--out", "{out}"],
+        "funnel-n-min-tiny": ["funnel", "--pinf", "0.5", "--nu", "1", "--n-min", "5e-324", "--out", "{out}"],
+        "analyze-n-min-below-one": ["analyze", "--studies", FIXTURE, "--n-min", "0.5", "--out", "{out}"],
         "runs-seeds-zero": ["runs", "--p", "0.5", "--q", "0.5", "--n", "100", "--seeds", "0", "--out-on", "{out}"],
         "runs-alphabet-repeated": ["runs", "--input", "{seq}", "--alphabet", "B,B", "--out-on", "{out}"],
         "fit-runs-confirm-seeds-negative": [
@@ -371,6 +380,9 @@ class TestExitCodeContract:
         "analyze-huge-n": (2, ["analyze", "--studies", "{studies_huge_n}", "--out", "{out}"]),
         "analyze-flat": (3, ["analyze", "--studies", "{studies_flat}", "--out", "{out}"]),
         "analyze-level": (1, ["analyze", "--studies", "{studies_flat}", "--level", "1", "--out", "{out}"]),
+        "analyze-level-rounds-to-zero": (1, ["analyze", "--studies", "{studies_flat}", "--level", "1e-300",
+                                             "--out", "{out}"]),
+        "funnel-n-min-below-one": (1, ["funnel", "--pinf", "0.5", "--nu", "1", "--n-min", "0.5", "--out", "{out}"]),
         "fit-runs-bad-curve": (2, ["fit-runs", "--on", "{curve_bad}", "--off", "{off}", "--out", "{out}"]),
         "fit-runs-float-first-row": (2, ["fit-runs", "--on", "{curve_float_first_row}", "--off", "{off}",
                                          "--out", "{out}"]),

@@ -34,6 +34,12 @@ class TestFunnelSpec:
         with pytest.raises(ParameterError):
             z_from_level(1.0)
 
+    @pytest.mark.parametrize("level", [0.9999999999999999, 1e-300, 5e-17])
+    def test_z_from_level_rejects_a_level_whose_tail_rounds_away(self, level):
+        # 0.5 + level/2 rounds to 1 (no quantile) or to 0.5 (a quantile of 0)
+        with pytest.raises(ParameterError):
+            z_from_level(level)
+
 
 class TestConfidenceBounds:
     def test_binomial_case(self):
@@ -134,3 +140,9 @@ class TestSampleCurve:
     def test_bad_grid(self):
         with pytest.raises(ParameterError):
             sample_curve(FunnelSpec(0.5, 1.0), 100, 10, 50)
+
+    @pytest.mark.parametrize("n_min", [0.5, 5e-324])
+    def test_rejects_study_sizes_below_one(self, n_min):
+        # as `confidence_bounds` does; 5e-324 overflowed the half-width to inf
+        with pytest.raises(ParameterError):
+            sample_curve(FunnelSpec(0.5, 1.0), n_min, 10, 50)

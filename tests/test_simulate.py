@@ -282,9 +282,16 @@ class TestEnsemble:
             (0.70, 0.30, 0.95, [1, 9, _SLICE + 1, 1]),
             (0.93, 0.20, 0.0, [5, 1, _SLICE - 5, 20]),
             (0.20, 0.35, 1.0, [1, _SLICE, 17]),
+            # a forced step is rare, so most of the long member copies or
+            # flips the state its chain started in, across slices
+            (0.9999, 0.9999, 0.0, [1, 4 * _SLICE + 1, 3]),
+            (0.9999, 0.9999, 1.0, [1, 4 * _SLICE + 1, 3]),
+            (0.0001, 0.0001, 0.0, [1, 4 * _SLICE + 1, 3]),
+            (0.0001, 0.0001, 1.0, [1, 4 * _SLICE + 1, 3]),
         ],
         ids=["small", "copy-across-slices", "flip-size-one", "p-is-1-minus-q", "p-is-1-minus-q-p1", "p1-zero",
-             "flip-p1-one"],
+             "flip-p1-one", "rarely-forced-copy-p1-zero", "rarely-forced-copy-p1-one", "rarely-forced-flip-p1-zero",
+             "rarely-forced-flip-p1-one"],
     )
     def test_members_follow_the_sequential_rule_on_one_stream(self, p, q, p1, sizes):
         params = MarkovParams(p, q, p1=p1)
@@ -312,25 +319,27 @@ class TestEnsemble:
             ds = ensemble(params, sizes, seed)
         assert ds.p_bars.tolist() == member_frequencies(params, sizes, seed)
 
-    @pytest.mark.parametrize("p, q", [(0.9999, 0.9999), (0.0001, 0.0001)], ids=["copy", "flip"])
-    def test_blocks_without_forced_steps(self, p, q):
-        # one long member spans whole blocks with no forced step, whose states all
-        # follow the state carried in; the chain starts at 0 or 1 from p1
+    @pytest.mark.parametrize(
+        "sizes, cpus, n_blocks",
+        [([10] * 200, 1, 1), ([10] * 200, 2, 2), ([10] * 200, 3, 3), ([10] * 200, 5, 5), ([3, 2000], 5, 2),
+         ([2003], 5, 1)],
+        ids=["equal-1-cpu", "equal-2-cpus", "equal-3-cpus", "equal-5-cpus", "two-members-5-cpus", "one-member-5-cpus"],
+    )
+    def test_blocks_start_at_member_starts(self, sizes, cpus, n_blocks):
+        # equal members give one block per CPU; a few long members give fewer
         real = simulate._count_block
-        found = []
+        block_starts = []
 
-        def count_block(*args):
-            found.append(real(*args))
-            return found[-1]
+        def count_block(params, member_starts, a0, *rest):
+            block_starts.append(a0)
+            real(params, member_starts, a0, *rest)
 
-        sizes = [1, 301, 3]
-        for p1 in (0.0, 1.0):
-            params = MarkovParams(p, q, p1=p1)
-            with mock.patch.multiple(simulate, _SLICE=4, _CPUS=5, _MIN_BLOCK_SLICES=1, _count_block=count_block):
-                ds = ensemble(params, sizes, 12)
-            assert ds.p_bars.tolist() == member_frequencies(params, sizes, 12)
-        prefixes = [prefix for prefix, forced, _ in found if not forced]
-        assert len(found) == 10 and len(prefixes) >= 2 and min(prefixes) > 4
+        params = MarkovParams(0.9, 0.3)
+        with mock.patch.multiple(simulate, _SLICE=64, _CPUS=cpus, _MIN_BLOCK_SLICES=1, _count_block=count_block):
+            ds = ensemble(params, sizes, 5)
+        assert len(block_starts) == n_blocks
+        assert set(block_starts) <= set((np.cumsum(sizes) - sizes).tolist())
+        assert ds.p_bars.tolist() == member_frequencies(params, sizes, 5)
 
     def test_worker_error_reaches_caller(self):
         real = simulate._count_block
@@ -344,7 +353,7 @@ class TestEnsemble:
 
         with mock.patch.multiple(simulate, _CPUS=3, _MIN_BLOCK_SLICES=1, _count_block=count_block):
             with pytest.raises(MemoryError, match="block scan failed"):
-                ensemble(MarkovParams(0.88, 0.5), [3 * _SLICE], 0)
+                ensemble(MarkovParams(0.88, 0.5), [_SLICE] * 3, 0)
         assert len(failed_on) == 2 and threading.main_thread() not in failed_on
 
     @pytest.mark.parametrize("n", [1, 2, _SLICE, _SLICE + 1, 3 * _SLICE + 5])
