@@ -65,6 +65,15 @@ def _indexed_path(path: str, index: int) -> str:
     return f"{base}_{index:03d}{ext}"
 
 
+# here, not in `runs`, so that generate and extract_runs are called through
+# this module's names, which perfbench's tracer wraps to time them
+def simulated_histograms(params: MarkovParams, n: int, count: int, seed: int) -> list:
+    """(A, B) run histograms of `count` simulated chains of length n, chain i
+    on child_seed(seed, i).  Each chain is histogrammed as soon as it is
+    generated, so only one is held at a time."""
+    return [extract_runs(generate(params, n, child_seed(seed, i))) for i in range(count)]
+
+
 def cmd_simulate(args) -> int:
     params = MarkovParams(args.p, args.q, p1=args.p1)
     if args.count < 1:
@@ -101,9 +110,7 @@ def cmd_runs(args) -> int:
         seeds = 10 if args.seeds is None else args.seeds
         if seeds < 1:
             raise _UsageError(f"--seeds must be >= 1, got {seeds}")
-        params = MarkovParams(args.p, args.q)
-        # histogrammed one at a time, so only one sequence is held at once
-        hists = [extract_runs(generate(params, args.n, child_seed(args.seed, i))) for i in range(seeds)]
+        hists = simulated_histograms(MarkovParams(args.p, args.q), args.n, seeds, args.seed)
     else:
         raise _UsageError("give --input FILE or --p/--q/--n to simulate")
 
@@ -187,11 +194,7 @@ def cmd_fit_runs(args) -> int:
         # Monte Carlo confirmation: simulate at the fitted parameters and
         # re-estimate by per-state run-length MLE
         seed = args.seed
-        params = MarkovParams(fit.p11_hat, fit.p22_hat)
-        hists = [
-            extract_runs(generate(params, args.length, child_seed(seed, i)))
-            for i in range(args.confirm_seeds)
-        ]
+        hists = simulated_histograms(MarkovParams(fit.p11_hat, fit.p22_hat), args.length, args.confirm_seeds, seed)
         details["mc_confirmation"] = {
             "seeds": args.confirm_seeds,
             "mle_p11": fit_runs_mle(*(ha for ha, _ in hists)),
@@ -326,6 +329,9 @@ def main(argv=None) -> int:
         return 1
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size too large to allocate, e.g. --n 10**15
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import MarkovParams, ParameterError, derive
-from .simulate import BinarySequence, _value_eq, child_seed, generate
+from .simulate import BinarySequence, _value_eq
 
 STATE_A = 1
 STATE_B = 0
@@ -68,16 +68,15 @@ class RunHistogram:
 def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
     """Histogram the maximal same-state stretches, state A first."""
     x = seq.states
-    change = np.flatnonzero(x[1:] != x[:-1])
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [x.size]))
-    lengths = ends - starts
-    values = x[starts]
+    # runs alternate states, the first in the state of x[0]
+    ends = np.concatenate(([-1], np.flatnonzero(x[1:] != x[:-1]), [x.size - 1]))
+    lengths = np.diff(ends)
+    first_a = int(x[0] != STATE_A)
 
-    def hist(state):
-        return RunHistogram(state, np.bincount(lengths[values == state])[1:], x.size)
+    def hist(state, first):
+        return RunHistogram(state, np.bincount(lengths[first::2])[1:], x.size)
 
-    return hist(STATE_A), hist(STATE_B)
+    return hist(STATE_A, first_a), hist(STATE_B, 1 - first_a)
 
 
 def _check_run_domain(n: int, m) -> None:
@@ -190,16 +189,3 @@ def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:
     counts = expected_runs_markov(params, n, ms, STATE_A) + expected_runs_markov(params, n, ms, STATE_B)
     total = _expected_runs_total(params, n, STATE_A) + _expected_runs_total(params, n, STATE_B)
     return dict(zip(ms.tolist(), (counts / total).tolist()))
-
-
-def simulate_run_curves(params: MarkovParams, n: int, n_seqs: int, seed: int) -> tuple[dict, dict]:
-    """Averaged, normalized run curves for states A and B from n_seqs
-    simulated sequences of length n (one sub-stream per sequence)."""
-    if n_seqs < 1:
-        raise ParameterError("need at least one sequence")
-    hists_a, hists_b = [], []
-    for i in range(n_seqs):
-        ha, hb = extract_runs(generate(params, n, child_seed(seed, i)))
-        hists_a.append(ha)
-        hists_b.append(hb)
-    return average_and_normalize(hists_a), average_and_normalize(hists_b)

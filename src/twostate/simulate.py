@@ -7,6 +7,12 @@ previous slice ended in.  Consecutive draws equal one large draw, so the
 result is the same as from a single scan, while working memory is
 O(_SLICE) plus the output.
 
+Both scans rest on forced steps, whose state does not depend on the state
+before them (see `_forced_steps`).  `generate` writes every state: it cuts
+a slice into rows of _ROW steps and fills each row from its forced steps
+with a running max over uint8 codes.  `ensemble` only counts A states, so
+it sums them over the segments between forced steps.
+
 An ensemble lays its members end to end on that one stream: member i is
 the chain scanned from the uniforms after those of members 0..i-1.  Only
 each member's count of A states is kept, so an ensemble never builds a
@@ -32,11 +38,15 @@ from .chain import MarkovParams, ParameterError
 _SEED_MASK = (1 << 64) - 1
 _INT64_MAX = 2**63 - 1
 
-# uniforms drawn and scanned per slice by `generate` and `ensemble`.  The
-# scan's temporaries take up to about 40 bytes per uniform, about 1.3 MB
-# per slice.  This is a memory limit, not a speed one: 2^18 raised the
-# funnel benchmark's peak RSS from 62.5 to 74 MB and was no faster.
+# uniforms drawn and scanned per slice by `generate` and `ensemble`.
+# `generate` holds 12 bytes per uniform in buffers it reuses, about 0.4 MB;
+# `ensemble`'s temporaries take up to about 40 bytes per uniform, about
+# 1.3 MB per slice.  This is a memory limit, not a speed one: 2^18 raised
+# the funnel benchmark's peak RSS from 62.5 to 74 MB and was no faster.
 _SLICE = 1 << 15
+# steps per row of `generate`'s scan: its codes 2(j + 1) + w stay below 256,
+# and since the row is even, a step's parity is its column's
+_ROW = 64
 # the parity of each position in a slice, 0101...
 _PARITY = np.arange(_SLICE, dtype=np.uint8) & 1
 # `ensemble` scans at most one block per usable CPU at a time, and cuts at
@@ -181,29 +191,59 @@ def _forced_steps(params: MarkovParams, u: np.ndarray, starts: np.ndarray, carry
 def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
     """Simulate a chain of n measurements; same inputs, same sequence.
 
-    Memory is the n-byte state array plus O(_SLICE): uniforms are drawn
-    and scanned one slice at a time, each slice carrying on from the last
-    state of the one before.
+    The rule is the one of `_forced_steps`.  The scan works on w, the state
+    or, when the chain flips, the state XOR the step's parity in its slice;
+    every unforced step copies w from the step before.  Each slice is cut
+    into rows of _ROW steps, and a forced step at column j gets the uint8
+    code 2(j + 1) + w, every other step 0.  A running max along each row
+    then leaves each step the code of its row's last forced step so far,
+    whose low bit is its w.  Steps before a row's first forced step take
+    the w carried into the row, 0 or 1, which lies below every code.
+
+    Memory is the n-byte state array plus buffers for min(n, _SLICE) draws,
+    allocated once per call.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"sequence length must be a positive integer, got {n!r}")
     n = int(n)
+    lo, hi = sorted((params.p, 1.0 - params.q))
     flip = params.p < 1.0 - params.q
     rng = np.random.default_rng(_entropy(seed))
     states = np.empty(n, dtype=np.uint8)
-    carry = 0
+    max_rows = -(-min(n, _SLICE) // _ROW)
+    u = np.empty(max_rows * _ROW)
+    codes = np.zeros(max_rows * _ROW, dtype=np.uint8)
+    codes0 = np.empty(max_rows * _ROW, dtype=np.uint8)
+    # the code of a forced 0 and of a forced 1 at each step of the rows
+    code_of_0 = np.tile(2 * np.arange(1, _ROW + 1, dtype=np.uint8) + _PARITY[:_ROW] * flip, max_rows)
+    code_of_1 = code_of_0 ^ 1
+    rank = np.arange(1, max_rows + 1)
+    carry = np.uint8(0)  # w before the slice, at its position -1
     for a in range(0, n, _SLICE):
         part = states[a : a + _SLICE]
-        starts = np.array([0] if a == 0 else [], dtype=np.intp)
-        positions, values, gaps = _forced_steps(params, rng.random(part.size), starts, carry)
-        # element 0 of each repeat is the carried state at position -1
+        m, rows = part.size, -(-part.size // _ROW)
+        rng.random(out=u[:m])
+        code, code0 = codes[:m], codes0[:m]
+        np.less(u[:m], lo, out=code)
+        np.multiply(code, code_of_1[:m], out=code)
+        np.greater_equal(u[:m], hi, out=code0)
+        np.multiply(code0, code_of_0[:m], out=code0)
+        code += code0
+        if a == 0:  # the chain starts here
+            code[0] = code_of_1[0] if u[0] < params.p1 else code_of_0[0]
+        # codes past m, zero or left from an earlier slice, lie after the
+        # slice's last step, so they change no state
+        code = codes[: rows * _ROW].reshape(rows, _ROW)
+        np.maximum.accumulate(code, axis=1, out=code)
+        # w after each row is that of the last row so far with a forced
+        # step, or else the carry; each row takes the w after the one before
+        last = code[:, -1]
+        after = np.concatenate(([carry], last & 1))[np.maximum.accumulate((last > 0) * rank[:rows])]
+        np.maximum(code, np.concatenate(([carry], after[:-1]))[:, None], out=code)
+        np.bitwise_and(codes[:m], 1, out=part)
         if flip:
-            # x[i] = v ^ ((i - f) & 1) after a forced step f of value v
-            values ^= (positions & 1).astype(bool)
-            np.bitwise_xor(np.repeat(values, gaps)[1:], _PARITY[: part.size], out=part)
-        else:
-            part[:] = np.repeat(values, gaps)[1:]
-        carry = part[-1]
+            np.bitwise_xor(part, _PARITY[:m], out=part)
+        carry = part[-1] ^ np.uint8(flip)
     states.flags.writeable = False
     return BinarySequence(states, params=params, seed=int(seed))
 

@@ -396,6 +396,13 @@ class TestExitCodeContract:
         "fit-runs-empty-curve": (3, ["fit-runs", "--on", "{on}", "--off", "{curve_empty}", "--out", "{out}"]),
         "fit-runs-all-mass-at-longest": (3, ["fit-runs", "--on", "{curve_longest}", "--off", "{off}",
                                              "--length", str(LENGTH), "--out", "{out}"]),
+        # 10^15 bytes is more than the address space, so the state array cannot be allocated
+        "simulate-n-too-large-to-allocate": (1, ["simulate", "--p", "0.5", "--q", "0.5", "--n", str(10**15),
+                                                 "--out", "{out}"]),
+        "runs-n-too-large-to-allocate": (1, ["runs", "--p", "0.5", "--q", "0.5", "--n", str(10**15),
+                                             "--out-on", "{out}"]),
+        "fit-runs-length-too-large-to-allocate": (1, ["fit-runs", "--on", "{on}", "--off", "{off}", "--length",
+                                                      str(10**15), "--confirm-seeds", "1", "--out", "{out}"]),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -516,7 +523,7 @@ def test_public_surface():
         "fit_runs_simulated", "fit_scatter", "generate", "invert_to_pq",
         "mean_frequency", "memoryfree_curve", "n_step_self_transitions", "parse_curve", "parse_sequence",
         "parse_studies", "required_n", "run_curve_objective", "sample_curve",
-        "simulate_run_curves", "state_probability", "std_of_proportion",
+        "state_probability", "std_of_proportion",
         "transition_matrix", "z_from_level",
     ]
     assert len(set(twostate.__all__)) == len(twostate.__all__)

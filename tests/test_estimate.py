@@ -25,7 +25,6 @@ from twostate.runs import (
     _mean_stays_per_run,
     expected_run_frequencies,
     extract_runs,
-    simulate_run_curves,
 )
 
 probs = st.floats(min_value=0.02, max_value=0.98)
@@ -231,7 +230,7 @@ class TestFitRunsSimulated:
         with pytest.raises(ParameterError, match="outside formula domain"):
             run_curve_objective(on, curve, 0.6, 0.6)
 
-    def test_solves_the_mean_run_length_equation(self):
+    def test_solves_the_mean_run_length_equation(self, simulate_run_curves):
         on, off = simulate_run_curves(MarkovParams(0.80, 0.55), 10**4, 10, 555)
         fit = fit_runs_simulated(on, off)
         for curve, stay in ((on, fit.p11_hat), (off, fit.p22_hat)):
@@ -255,7 +254,7 @@ class TestFitRunsSimulated:
         assert len(calls) == 1
         assert fit.objective == run_curve_objective(on, off, fit.p11_hat, fit.p22_hat)
 
-    def test_recovers_pairs_across_the_square(self):
+    def test_recovers_pairs_across_the_square(self, simulate_run_curves):
         # tolerance fixed beforehand: 0.02 on each estimate
         values = (0.05, 0.20, 0.50, 0.80, 0.93, 0.95)
         misses = []
@@ -267,7 +266,7 @@ class TestFitRunsSimulated:
                     misses.append((p11, p22, round(fit.p11_hat, 3), round(fit.p22_hat, 3)))
         assert misses == []
 
-    def test_agrees_with_mle_on_simulated_data(self):
+    def test_agrees_with_mle_on_simulated_data(self, simulate_run_curves):
         params = MarkovParams(0.80, 0.55)
         on_curve, off_curve = simulate_run_curves(params, 10**4, 10, 555)
         curve_fit = fit_runs_simulated(on_curve, off_curve)

@@ -23,7 +23,6 @@ from twostate.runs import (
     extract_runs,
     log_run_frequencies,
     memoryfree_curve,
-    simulate_run_curves,
 )
 
 
@@ -286,7 +285,7 @@ class TestMeanRunLengthOrdering:
 
 
 class TestModelCurves:
-    def test_expected_frequencies_match_simulation(self):
+    def test_expected_frequencies_match_simulation(self, simulate_run_curves):
         params = MarkovParams(0.25, 0.65)
         n, seeds = 10**4, 10
         on_curve, off_curve = simulate_run_curves(params, n, seeds, 99)

@@ -193,8 +193,40 @@ class TestGenerate:
     def test_slices_match_one_scan(self, p, q):
         params = MarkovParams(p, q)
         for n in (1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 5):
-            one_scan = scan_states(params, np.random.default_rng(21).random(n))
+            one_scan = naive_states(params, np.random.default_rng(21).random(n))
             assert np.array_equal(generate(params, n, 21).states, one_scan), n
+
+    @given(
+        p=probs | near_edge,
+        q=st.none() | probs | near_edge,
+        p1=st.none() | st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        n=st.integers(1, 300) | st.sampled_from([63, 64, 65, 127, 128, 129]),
+        slice_size=st.sampled_from([1, 2, 7, 63, 64, 65, 130, _SLICE]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sequential_rule_on_the_stream(self, p, q, p1, n, slice_size, seed):
+        # q=None is q = 1 - p, where every step is forced; near the edges a
+        # forced step is rare, so whole rows have none; small slices end
+        # within rows, and the state is carried across rows and slices
+        params = MarkovParams(p, 1.0 - p if q is None else q, p1=p1)
+        with mock.patch.object(simulate, "_SLICE", slice_size):
+            states = generate(params, n, seed).states
+        assert np.array_equal(states, naive_states(params, np.random.default_rng(seed).random(n)))
+
+    @pytest.mark.parametrize("n, bound", [(3 * 10**6, 0.5 * 2**20), (10**4, 0.15 * 2**20)])
+    @pytest.mark.parametrize("p, q", [(0.88, 0.5), (0.12, 0.12), (0.5, 0.5)])
+    def test_working_memory_bounded(self, p, q, n, bound):
+        # beyond the n-byte state array, buffers for at most one slice of
+        # draws; the first call imports numpy's generators, so it comes first
+        generate(MarkovParams(p, q), 1, 4)
+        tracemalloc.start()
+        try:
+            generate(MarkovParams(p, q), n, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n < bound
 
     # sha256 of states.tobytes(), keyed by (p, q, seed, n): copy, flip, every
     # step forced, and rarely forced steps of both kinds, at the edges of a
