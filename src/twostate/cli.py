@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__
 from .chain import MarkovParams, ParameterError
 from .dataio import (
-    AnalysisReport,
     DataFormatError,
     curve_text,
     fmt,
@@ -25,6 +24,7 @@ from .dataio import (
     parse_curve,
     parse_sequence,
     parse_studies,
+    report_text,
     sequence_text,
     sha256_of,
     write_text_atomic,
@@ -163,15 +163,9 @@ def _fit_scatter_checked(dataset, args):
 def cmd_fit_scatter(args) -> int:
     dataset = parse_studies(args.studies)
     fit = _fit_scatter_checked(dataset, args)
-    report = AnalysisReport.build(
-        command="fit-scatter",
-        version=__version__,
-        seed=None,
-        inputs=_input_digest(studies=args.studies),
-        scatter_fit=fit,
-        details={"level": args.level, "min_p": args.min_p, "min_q": args.min_q},
-    )
-    _emit(report.to_json(), args.out)
+    details = {"level": args.level, "min_p": args.min_p, "min_q": args.min_q}
+    _emit(report_text("fit-scatter", __version__, None, _input_digest(studies=args.studies),
+                      scatter_fit=fit, details=details), args.out)
     return 0
 
 
@@ -195,21 +189,17 @@ def cmd_fit_runs(args) -> int:
         # re-estimate by per-state run-length MLE
         seed = args.seed
         hists = simulated_histograms(MarkovParams(fit.p11_hat, fit.p22_hat), args.length, args.confirm_seeds, seed)
-        details["mc_confirmation"] = {
-            "seeds": args.confirm_seeds,
-            "mle_p11": fit_runs_mle(*(ha for ha, _ in hists)),
-            "mle_p22": fit_runs_mle(*(hb for _, hb in hists)),
-        }
-    report = AnalysisReport.build(
-        command="fit-runs",
-        version=__version__,
-        seed=seed,
-        inputs=_input_digest(on=args.on, off=args.off),
-        run_fit=fit,
-        run_curves={"on": on_curve, "off": off_curve},
-        details=details,
-    )
-    _emit(report.to_json(), args.out)
+        confirmation = {"seeds": args.confirm_seeds}
+        for key, name, index in (("mle_p11", "on", 0), ("mle_p22", "off", 1)):
+            try:
+                confirmation[key] = fit_runs_mle(*(pair[index] for pair in hists))
+            except ParameterError:  # no chain ever entered this state
+                raise InfeasibleParametersError(
+                    f"no Monte Carlo confirmation chain holds a run of the {name} state"
+                ) from None
+        details["mc_confirmation"] = confirmation
+    _emit(report_text("fit-runs", __version__, seed, _input_digest(on=args.on, off=args.off), run_fit=fit,
+                      run_curves={"on": on_curve, "off": off_curve}, details=details), args.out)
     return 0
 
 
@@ -218,20 +208,14 @@ def cmd_analyze(args) -> int:
     fit = _fit_scatter_checked(dataset, args)
     spec = FunnelSpec(fit.pinf_hat, fit.nu_hat, z_from_level(args.level))
     ns, lower, upper = sample_curve(spec, args.n_min, args.n_max, args.points)
-    report = AnalysisReport.build(
-        command="analyze",
-        version=__version__,
-        seed=None,
-        inputs=_input_digest(studies=args.studies),
-        scatter_fit=fit,
-        funnel_curve={
-            "n": ns.tolist(),
-            "lower": np.clip(lower, 0.0, 1.0).tolist(),
-            "upper": np.clip(upper, 0.0, 1.0).tolist(),
-        },
-        details={"level": args.level, "min_p": args.min_p, "min_q": args.min_q},
-    )
-    _emit(report.to_json(), args.out)
+    funnel_curve = {
+        "n": ns.tolist(),
+        "lower": np.clip(lower, 0.0, 1.0).tolist(),
+        "upper": np.clip(upper, 0.0, 1.0).tolist(),
+    }
+    details = {"level": args.level, "min_p": args.min_p, "min_q": args.min_q}
+    _emit(report_text("analyze", __version__, None, _input_digest(studies=args.studies), scatter_fit=fit,
+                      funnel_curve=funnel_curve, details=details), args.out)
     return 0
 
 

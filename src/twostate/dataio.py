@@ -17,8 +17,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, replace
-from typing import get_type_hints
+from dataclasses import asdict
 
 import numpy as np
 
@@ -290,77 +289,27 @@ def _round_nested(value):
     return value
 
 
-def _round_fit(fit):
-    """A copy of a fit dataclass with every float field canonically rounded."""
-    hints = get_type_hints(type(fit))
-    return replace(fit, **{name: round9(getattr(fit, name)) for name, hint in hints.items() if hint is float})
+def report_text(command: str, version: str, seed: int | None, inputs: dict, *,
+                scatter_fit: ScatterFit | None = None, run_fit: RunFit | None = None,
+                funnel_curve: dict | None = None, run_curves: dict | None = None,
+                details: dict | None = None) -> str:
+    """The self-describing JSON report of one CLI invocation.
 
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Self-describing result record for one CLI invocation.
-
-    Every derived quantity inside is recomputable from the recorded inputs
-    digest plus the seed; no timestamps, so reruns are byte-identical.
-    All floats are stored already rounded to the canonical 9 significant
-    digits, which is what makes serialization round-trip exactly.
+    Every float is rounded to the canonical 9 significant digits.  Every
+    derived quantity is recomputable from the recorded input digests plus
+    the seed, and there are no timestamps, so reruns are byte-identical.
+    A section the command does not produce is null.
     """
-
-    command: str
-    version: str
-    seed: int | None
-    inputs: dict
-    scatter_fit: ScatterFit | None = None
-    run_fit: RunFit | None = None
-    funnel_curve: dict | None = None
-    run_curves: dict | None = None
-    details: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "twostate",
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "scatter_fit": None if self.scatter_fit is None else asdict(self.scatter_fit),
-            "run_fit": None if self.run_fit is None else asdict(self.run_fit),
-            "funnel_curve": self.funnel_curve,
-            "run_curves": self.run_curves,
-            "details": self.details,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def build(cls, **kwargs) -> "AnalysisReport":
-        """Construct with all float payloads canonically rounded."""
-        for key in ("inputs", "funnel_curve", "run_curves", "details"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = _round_nested(kwargs[key])
-        for key in ("scatter_fit", "run_fit"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = _round_fit(kwargs[key])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        data = json.loads(text)
-        scatter_fit, run_fit = data.get("scatter_fit"), data.get("run_fit")
-        curves = data.get("run_curves")
-        if curves is not None:
-            curves = {
-                state: {int(m): f for m, f in curve.items()} for state, curve in curves.items()
-            }
-        return cls(
-            command=data["command"],
-            version=data["version"],
-            seed=data["seed"],
-            inputs=data["inputs"],
-            scatter_fit=None if scatter_fit is None else ScatterFit(**scatter_fit),
-            run_fit=None if run_fit is None else RunFit(**run_fit),
-            funnel_curve=data.get("funnel_curve"),
-            run_curves=curves,
-            details=data.get("details"),
-        )
+    report = {
+        "tool": "twostate",
+        "command": command,
+        "version": version,
+        "seed": seed,
+        "inputs": inputs,
+        "scatter_fit": None if scatter_fit is None else asdict(scatter_fit),
+        "run_fit": None if run_fit is None else asdict(run_fit),
+        "funnel_curve": funnel_curve,
+        "run_curves": run_curves,
+        "details": details,
+    }
+    return json.dumps(_round_nested(report), sort_keys=True, indent=2) + "\n"

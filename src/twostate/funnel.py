@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .chain import ParameterError
-from .simulate import ScatterDataset
+from .simulate import _INT64_MAX, ScatterDataset
 
 BOUNDARY_RTOL = 1e-12  # relative slack at the bound in `coverage`
 
@@ -59,18 +59,6 @@ class FunnelSpec:
         return self.z * np.sqrt(self.pinf * (1.0 - self.pinf) / np.asarray(n, dtype=float)) * self.nu
 
 
-def confidence_bounds(spec: FunnelSpec, n: int) -> tuple[float, float]:
-    """(lower, upper) confidence bounds on the proportion at study size n.
-
-    Bounds are not clamped to [0, 1]; clamping is a display concern and
-    must never enter coverage decisions.
-    """
-    if n < 1:
-        raise ParameterError(f"study size must be >= 1, got {n!r}")
-    half = float(spec.half_width(n))
-    return spec.pinf - half, spec.pinf + half
-
-
 def required_n(spec: FunnelSpec, p_bar: float) -> float:
     """Study size at which p_bar sits exactly on the funnel boundary:
     z^2 * pinf(1-pinf) * nu^2 / (p_bar - pinf)^2."""
@@ -94,8 +82,8 @@ def coverage(dataset: ScatterDataset, spec: FunnelSpec) -> float:
 
 def sample_curve(spec: FunnelSpec, n_min: float = 10.0, n_max: float = 1e5, points: int = 200):
     """(n, lower, upper) samples over a log-spaced grid of study sizes."""
-    if not (1 <= n_min < n_max < math.inf) or points < 2:
-        raise ParameterError("need finite 1 <= n_min < n_max and at least two points")
+    if not (1 <= n_min < n_max < math.inf) or not 2 <= points <= _INT64_MAX:
+        raise ParameterError("need finite 1 <= n_min < n_max and 2 <= points <= 2^63 - 1")
     ns = np.logspace(np.log10(n_min), np.log10(n_max), points)
     half = spec.half_width(ns)
     return ns, spec.pinf - half, spec.pinf + half

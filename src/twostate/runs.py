@@ -166,19 +166,15 @@ def average_and_normalize(histograms) -> dict:
 
 
 def log_run_frequencies(params: MarkovParams, n: int, ms, state: int) -> np.ndarray:
-    """Natural log of `expected_run_frequencies`; it forms no power of the stay
-    probability, so it stays finite where the frequency underflows to 0."""
+    """Natural log of the model run-length frequencies at the requested
+    lengths, normalized over the full domain 1..n-2 (not just the requested
+    bins).  It forms no power of the stay probability, so it stays finite
+    where the frequency underflows to 0."""
     ms = np.asarray(ms, dtype=np.int64)
     _check_run_domain(n, ms)
     enter, stay, other = _state_factors(params, state)
     scale = other * enter * (1.0 - stay) / _expected_runs_total(params, n, state)
     return np.log((n - ms - 1) * scale) + (ms - 1) * math.log(stay)
-
-
-def expected_run_frequencies(params: MarkovParams, n: int, ms, state: int) -> np.ndarray:
-    """Model run-length frequencies at the requested lengths, normalized
-    over the full domain 1..n-2 (not just the requested bins)."""
-    return np.exp(log_run_frequencies(params, n, ms, state))
 
 
 def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:

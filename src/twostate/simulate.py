@@ -82,16 +82,13 @@ def _value_eq(self, other):
 class BinarySequence:
     """A finite record of binary state measurements (A=1, B=0).
 
-    `params` and `seed` are provenance: set when the sequence was simulated,
-    None when it was read from external data.  `states` is read-only.  An
-    array the caller can still write to is copied; a read-only array that
-    owns its data is kept, not copied, so a long sequence is held once, and
-    whoever sets its `writeable` flag again can still change it.
+    `states` is read-only.  An array the caller can still write to is
+    copied; a read-only array that owns its data is kept, not copied, so a
+    long sequence is held once, and whoever sets its `writeable` flag again
+    can still change it.
     """
 
     states: np.ndarray
-    params: MarkovParams | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         states = np.asarray(self.states)
@@ -203,8 +200,8 @@ def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
     Memory is the n-byte state array plus buffers for min(n, _SLICE) draws,
     allocated once per call.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"sequence length must be a positive integer, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= _INT64_MAX:
+        raise ParameterError(f"sequence length must be an integer in [1, 2^63 - 1], got {n!r}")
     n = int(n)
     lo, hi = sorted((params.p, 1.0 - params.q))
     flip = params.p < 1.0 - params.q
@@ -245,7 +242,7 @@ def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
             np.bitwise_xor(part, _PARITY[:m], out=part)
         carry = part[-1] ^ np.uint8(flip)
     states.flags.writeable = False
-    return BinarySequence(states, params=params, seed=int(seed))
+    return BinarySequence(states)
 
 
 def _count_block(params: MarkovParams, member_starts: np.ndarray, a0: int, a1: int, seed: int,

@@ -1,9 +1,17 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
+import numpy as np
 import pytest
 
 from twostate import average_and_normalize
 from twostate.cli import simulated_histograms
+from twostate.runs import log_run_frequencies
+
+
+def run_frequencies(params, n, ms, state):
+    """Model run-length frequencies at lengths `ms`, normalized over the
+    full domain 1..n-2."""
+    return np.exp(log_run_frequencies(params, n, ms, state))
 
 
 @pytest.fixture

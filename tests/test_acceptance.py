@@ -14,7 +14,6 @@ from twostate import (
     child_seed,
     derive,
     ensemble,
-    expected_run_frequencies,
     extract_runs,
     fit_runs_mle,
     fit_runs_simulated,
@@ -26,8 +25,9 @@ from twostate import (
     average_and_normalize,
 )
 from twostate.cli import main
-from twostate.dataio import AnalysisReport
 from twostate.funnel import FunnelSpec, coverage
+
+from conftest import run_frequencies
 
 GRID5 = (0.12, 0.25, 0.5, 0.65, 0.88)
 
@@ -151,7 +151,7 @@ def test_criterion_6_run_fit_round_trip(tmp_path, capsys):
         params = MarkovParams(p11, p22)
         ms = np.arange(1, 151)
         for state, name in ((1, "on"), (0, "off")):
-            freqs = expected_run_frequencies(params, 10_000, ms, state)
+            freqs = run_frequencies(params, 10_000, ms, state)
             lines = ["m,frequency"] + [f"{m},{f:.12g}" for m, f in zip(ms, freqs)]
             (tmp_path / f"{name}{k}.csv").write_text("\n".join(lines) + "\n")
         assert main([
@@ -159,9 +159,8 @@ def test_criterion_6_run_fit_round_trip(tmp_path, capsys):
             "--on", str(tmp_path / f"on{k}.csv"),
             "--off", str(tmp_path / f"off{k}.csv"),
         ]) == 0
-        report = AnalysisReport.from_json(capsys.readouterr().out)
-        rf = report.run_fit
-        ok &= abs(rf.p11_hat - p11) <= 0.02 and abs(rf.p22_hat - p22) <= 0.02
+        rf = json.loads(capsys.readouterr().out)["run_fit"]
+        ok &= abs(rf["p11_hat"] - p11) <= 0.02 and abs(rf["p22_hat"] - p22) <= 0.02
 
         # both fit routes on the same simulated data agree within 0.02
         seq_hists = [extract_runs(generate(params, 10**4, child_seed(6_000 + k, i))) for i in range(10)]
@@ -177,7 +176,7 @@ def test_criterion_6_run_fit_round_trip(tmp_path, capsys):
         mle_p22 = (off_all - off_runs) / off_all
         ok &= abs(ls_fit.p11_hat - mle_p11) <= 0.02 and abs(ls_fit.p22_hat - mle_p22) <= 0.02
         details.append(
-            f"({p11},{p22})->({rf.p11_hat:.2f},{rf.p22_hat:.2f}) "
+            f"({p11},{p22})->({rf['p11_hat']:.2f},{rf['p22_hat']:.2f}) "
             f"mle=({mle_p11:.3f},{mle_p22:.3f}) ls=({ls_fit.p11_hat:.2f},{ls_fit.p22_hat:.2f})"
         )
     _report(6, ok, "; ".join(details))
@@ -210,7 +209,7 @@ def test_criterion_8_determinism(tmp_path):
     params = MarkovParams(0.60, 0.65)
     ms = np.arange(1, 101)
     for state, name in ((1, "on"), (0, "off")):
-        freqs = expected_run_frequencies(params, 10_000, ms, state)
+        freqs = run_frequencies(params, 10_000, ms, state)
         (tmp_path / f"{name}.csv").write_text(
             "\n".join(["m,frequency"] + [f"{m},{f:.12g}" for m, f in zip(ms, freqs)]) + "\n"
         )

@@ -1,8 +1,10 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -10,9 +12,11 @@ import numpy as np
 import pytest
 
 import twostate
-from twostate import MarkovParams, expected_run_frequencies, generate
+from twostate import MarkovParams, generate
 from twostate.cli import build_parser, main
-from twostate.dataio import AnalysisReport, parse_curve
+from twostate.dataio import parse_curve
+
+from conftest import run_frequencies
 
 FIXTURE = str(pathlib.Path(__file__).parent / "data" / "handedness_synthetic.csv")
 
@@ -28,7 +32,7 @@ def write_model_curves(tmp_path, p11, p22, n=10_000, max_m=150):
     ms = np.arange(1, max_m + 1)
     paths = []
     for state, name in ((1, "on"), (0, "off")):
-        freqs = expected_run_frequencies(params, n, ms, state)
+        freqs = run_frequencies(params, n, ms, state)
         lines = ["m,frequency"] + [f"{m},{f:.12g}" for m, f in zip(ms, freqs)]
         path = tmp_path / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n")
@@ -159,15 +163,15 @@ class TestFunnel:
 class TestFitScatter:
     def test_bundled_fixture_recovers_captivity_parameters(self, capsys):
         assert main(["fit-scatter", "--studies", FIXTURE]) == 0
-        report = AnalysisReport.from_json(capsys.readouterr().out)
-        assert report.scatter_fit.p_hat == pytest.approx(0.64, abs=0.02)
-        assert report.scatter_fit.q_hat == pytest.approx(0.50, abs=0.02)
-        assert report.scatter_fit.coverage_achieved >= 0.95
+        fit = json.loads(capsys.readouterr().out)["scatter_fit"]
+        assert fit["p_hat"] == pytest.approx(0.64, abs=0.02)
+        assert fit["q_hat"] == pytest.approx(0.50, abs=0.02)
+        assert fit["coverage_achieved"] >= 0.95
 
     def test_constraint_flags(self, capsys):
         assert main(["fit-scatter", "--studies", FIXTURE, "--min-p", "0.5", "--min-q", "0.5"]) == 0
-        report = AnalysisReport.from_json(capsys.readouterr().out)
-        assert report.scatter_fit.p_hat >= 0.5 and report.scatter_fit.q_hat >= 0.5
+        fit = json.loads(capsys.readouterr().out)["scatter_fit"]
+        assert fit["p_hat"] >= 0.5 and fit["q_hat"] >= 0.5
 
     def test_report_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -203,19 +207,19 @@ class TestFitRuns:
     def test_recovers_synthetic_pair(self, tmp_path, capsys):
         on, off = write_model_curves(tmp_path, 0.25, 0.65)
         assert main(["fit-runs", "--on", on, "--off", off]) == 0
-        report = AnalysisReport.from_json(capsys.readouterr().out)
-        assert report.run_fit.p11_hat == pytest.approx(0.25, abs=0.02)
-        assert report.run_fit.p22_hat == pytest.approx(0.65, abs=0.02)
+        fit = json.loads(capsys.readouterr().out)["run_fit"]
+        assert fit["p11_hat"] == pytest.approx(0.25, abs=0.02)
+        assert fit["p22_hat"] == pytest.approx(0.65, abs=0.02)
 
     def test_confirmation_block(self, tmp_path, capsys):
         on, off = write_model_curves(tmp_path, 0.60, 0.65)
         argv = ["fit-runs", "--on", on, "--off", off, "--confirm-seeds", "5", "--seed", "11"]
         assert main(argv) == 0
-        report = AnalysisReport.from_json(capsys.readouterr().out)
-        conf = report.details["mc_confirmation"]
-        assert conf["mle_p11"] == pytest.approx(report.run_fit.p11_hat, abs=0.05)
-        assert conf["mle_p22"] == pytest.approx(report.run_fit.p22_hat, abs=0.05)
-        assert report.seed == 11
+        report = json.loads(capsys.readouterr().out)
+        conf = report["details"]["mc_confirmation"]
+        assert conf["mle_p11"] == pytest.approx(report["run_fit"]["p11_hat"], abs=0.05)
+        assert conf["mle_p22"] == pytest.approx(report["run_fit"]["p22_hat"], abs=0.05)
+        assert report["seed"] == 11
 
     def test_flat_curve_is_infeasible(self, tmp_path):
         flat = tmp_path / "flat.csv"
@@ -254,16 +258,69 @@ class TestFitRuns:
 class TestAnalyze:
     def test_combined_report(self, capsys):
         assert main(["analyze", "--studies", FIXTURE, "--points", "40"]) == 0
-        report = AnalysisReport.from_json(capsys.readouterr().out)
-        assert report.scatter_fit is not None
-        curve = report.funnel_curve
+        report = json.loads(capsys.readouterr().out)
+        assert report["scatter_fit"] is not None
+        curve = report["funnel_curve"]
         assert len(curve["n"]) == 40
         widths = np.array(curve["upper"]) - np.array(curve["lower"])
         assert np.all(np.diff(widths[widths > 0]) <= 0)
         # curve center matches the fit
         assert (curve["upper"][-1] + curve["lower"][-1]) / 2 == pytest.approx(
-            report.scatter_fit.pinf_hat, abs=1e-6
+            report["scatter_fit"]["pinf_hat"], abs=1e-6
         )
+
+
+class TestReportBytes:
+    """The three report kinds, on inputs at fixed relative paths, so that
+    their `inputs` sections, and so their bytes, do not depend on where the
+    tests run."""
+
+    ARGV = {
+        "fit-scatter": ["fit-scatter", "--studies", "studies.csv"],
+        "analyze": ["analyze", "--studies", "studies.csv", "--points", "40"],
+        "fit-runs": ["fit-runs", "--on", "on.csv", "--off", "off.csv", "--confirm-seeds", "3", "--seed", "11"],
+    }
+    SHA256 = {
+        "fit-scatter": "58c772dd7205db28fe18b18bf19b840836cf2ed7fce13477c16be24de7dafba1",
+        "analyze": "6a245c496aaf1173f76412e4bf7069bee26ac0fc78915515ddf735dd1c197459",
+        "fit-runs": "cb752ee2ddd34d5dd390f55d75b0cafafdadad52283934097a4e63178e9da941",
+    }
+    ABSENT = {
+        "fit-scatter": {"run_fit", "funnel_curve", "run_curves"},
+        "analyze": {"run_fit", "run_curves"},
+        "fit-runs": {"scatter_fit", "funnel_curve"},
+    }
+
+    @pytest.fixture
+    def reports(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(FIXTURE, "studies.csv")
+        write_model_curves(pathlib.Path(), 0.60, 0.65)
+        texts = {}
+        for command, argv in self.ARGV.items():
+            assert main(argv) == 0
+            texts[command] = capsys.readouterr().out
+        return texts
+
+    def test_bytes_are_pinned(self, reports):
+        assert {command: hashlib.sha256(text.encode()).hexdigest() for command, text in reports.items()} == self.SHA256
+
+    def test_floats_are_canonical_and_absent_sections_null(self, reports):
+        def leaves(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        for command, text in reports.items():
+            report = json.loads(text)
+            floats = [x for x in leaves(report) if isinstance(x, float)]
+            assert floats and all(x == float(f"{x:.9g}") for x in floats), command
+            sections = {"scatter_fit", "run_fit", "funnel_curve", "run_curves", "details"}
+            assert {name for name in sections if report[name] is None} == self.ABSENT[command]
 
 
 class TestUsageErrors:
@@ -353,6 +410,9 @@ class TestExitCodeContract:
         "curve_single_steps": "m,frequency\n1,1.0\n",
         "curve_empty": "m,frequency\n1,0.0\n2,0.0\n",
         "curve_longest": f"m,frequency\n{LENGTH - 2},1.0\n",
+        # fits p11 ~ 1e-6 and p22 ~ 0.9999976: short confirmation chains never enter state A
+        "curve_rare_on": "m,frequency\n1,0.999999\n2,0.000001\n",
+        "curve_long_off": "m,frequency\n3320,1\n",
     }
     CASES = {
         "simulate-p-out-of-range": (1, ["simulate", "--p", "1.5", "--q", "0.5", "--n", "10", "--out", "{out}"]),
@@ -403,6 +463,13 @@ class TestExitCodeContract:
                                              "--out-on", "{out}"]),
         "fit-runs-length-too-large-to-allocate": (1, ["fit-runs", "--on", "{on}", "--off", "{off}", "--length",
                                                       str(10**15), "--confirm-seeds", "1", "--out", "{out}"]),
+        "simulate-n-past-int64": (1, ["simulate", "--p", "0.5", "--q", "0.5", "--n", str(10**20), "--out", "{out}"]),
+        "runs-n-past-int64": (1, ["runs", "--p", "0.5", "--q", "0.5", "--n", str(10**20), "--out-on", "{out}"]),
+        "funnel-points-past-int64": (1, ["funnel", "--pinf", "0.5", "--nu", "1", "--points", str(10**20),
+                                         "--out", "{out}"]),
+        "analyze-points-past-int64": (1, ["analyze", "--studies", FIXTURE, "--points", str(10**20), "--out", "{out}"]),
+        "fit-runs-confirmation-without-runs": (3, ["fit-runs", "--on", "{curve_rare_on}", "--off", "{curve_long_off}",
+                                                   "--confirm-seeds", "2", "--seed", "0", "--out", "{out}"]),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -513,13 +580,13 @@ class TestSubprocessEntry:
 def test_public_surface():
     # a name added to or dropped from the package's surface must change this list
     assert sorted(twostate.__all__) == [
-        "AnalysisReport", "BinarySequence", "CurveFileError", "DataFormatError", "DerivedParams",
+        "BinarySequence", "CurveFileError", "DataFormatError", "DerivedParams",
         "FunnelSingularityError", "FunnelSpec", "InfeasibleParametersError", "MarkovParams",
         "ParameterError", "RunFit", "RunHistogram", "STATE_A", "STATE_B",
         "ScatterDataset", "ScatterFit", "SequenceFormatError", "StudyFileError",
-        "average_and_normalize", "child_seed", "confidence_bounds", "coverage", "derive",
+        "average_and_normalize", "child_seed", "coverage", "derive",
         "ensemble", "estimate_center", "estimate_nu",
-        "expected_run_frequencies", "expected_runs_markov", "extract_runs", "fit_runs_mle",
+        "expected_runs_markov", "extract_runs", "fit_runs_mle",
         "fit_runs_simulated", "fit_scatter", "generate", "invert_to_pq",
         "mean_frequency", "memoryfree_curve", "n_step_self_transitions", "parse_curve", "parse_sequence",
         "parse_studies", "required_n", "run_curve_objective", "sample_curve",

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from twostate import BinarySequence, MarkovParams, ScatterDataset, generate
 from twostate.dataio import (
-    AnalysisReport,
     CurveFileError,
     SequenceFormatError,
     StudyFileError,
@@ -20,11 +19,12 @@ from twostate.dataio import (
     parse_curve,
     parse_sequence,
     parse_studies,
+    report_text,
     round9,
     sequence_text,
     write_text_atomic,
 )
-from twostate.estimate import RunFit, ScatterFit
+from twostate.estimate import ScatterFit
 
 
 class TestParseStudies:
@@ -255,38 +255,20 @@ class TestFormatting:
 
 class TestAnalysisReport:
     def make_report(self):
-        return AnalysisReport.build(
-            command="fit-scatter",
-            version="0.1.0",
-            seed=None,
-            inputs={"studies": {"path": "x.csv", "sha256": "00"}},
+        return report_text(
+            "fit-scatter",
+            "0.1.0",
+            None,
+            {"studies": {"path": "x.csv", "sha256": "00"}},
             scatter_fit=ScatterFit(0.5811825607, 1.13833017, 0.63514396, 0.49369833, 0.95, 2000),
             details={"level": 0.95, "min_p": None, "min_q": None},
         )
 
-    def test_json_round_trip(self):
-        report = self.make_report()
-        assert AnalysisReport.from_json(report.to_json()) == report
-
-    def test_run_fit_round_trip(self):
-        report = AnalysisReport.build(
-            command="fit-runs",
-            version="0.1.0",
-            seed=7,
-            inputs={},
-            run_fit=RunFit(0.25, 0.65, 0.00123456789),
-            run_curves={"on": {1: 0.75, 2: 0.25}, "off": {1: 0.5, 2: 0.5}},
-        )
-        back = AnalysisReport.from_json(report.to_json())
-        assert back == report
-        assert back.run_curves["on"][1] == 0.75  # integer keys restored
-
     def test_serialization_is_deterministic(self):
-        assert self.make_report().to_json() == self.make_report().to_json()
+        assert self.make_report() == self.make_report()
 
     def test_payload_floats_are_canonical(self):
-        report = self.make_report()
-        data = json.loads(report.to_json())
+        data = json.loads(self.make_report())
         assert data["scatter_fit"]["pinf_hat"] == round9(0.5811825607)
 
 

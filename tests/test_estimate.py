@@ -23,9 +23,10 @@ from twostate.runs import (
     STATE_B,
     RunHistogram,
     _mean_stays_per_run,
-    expected_run_frequencies,
     extract_runs,
 )
+
+from conftest import run_frequencies
 
 probs = st.floats(min_value=0.02, max_value=0.98)
 FIXTURE = pathlib.Path(__file__).parent / "data" / "handedness_synthetic.csv"
@@ -34,8 +35,8 @@ FIXTURE = pathlib.Path(__file__).parent / "data" / "handedness_synthetic.csv"
 def model_curves(p11, p22, n=10_000, max_m=200):
     params = MarkovParams(p11, p22)
     ms = np.arange(1, max_m + 1)
-    on = dict(zip(ms.tolist(), expected_run_frequencies(params, n, ms, STATE_A).tolist()))
-    off = dict(zip(ms.tolist(), expected_run_frequencies(params, n, ms, STATE_B).tolist()))
+    on = dict(zip(ms.tolist(), run_frequencies(params, n, ms, STATE_A).tolist()))
+    off = dict(zip(ms.tolist(), run_frequencies(params, n, ms, STATE_B).tolist()))
     return on, off
 
 
@@ -209,7 +210,7 @@ class TestFitRunsSimulated:
         for stay in (0.3, 0.99, 0.9999):
             params = MarkovParams(stay, stay)
             on, off = (
-                dict(zip(ms.tolist(), expected_run_frequencies(params, length, ms, state).tolist()))
+                dict(zip(ms.tolist(), run_frequencies(params, length, ms, state).tolist()))
                 for state in (STATE_A, STATE_B)
             )
             fit = fit_runs_simulated(on, off, length)

@@ -8,12 +8,18 @@ from twostate import MarkovParams, ParameterError, ScatterDataset, derive, ensem
 from twostate.funnel import (
     FunnelSingularityError,
     FunnelSpec,
-    confidence_bounds,
     coverage,
     required_n,
     sample_curve,
     z_from_level,
 )
+
+
+def bounds(spec, n):
+    """(lower, upper) funnel bounds at study size n, unclamped."""
+    half = spec.half_width(n)
+    return spec.pinf - half, spec.pinf + half
+
 
 specs = st.builds(
     FunnelSpec,
@@ -43,7 +49,7 @@ class TestFunnelSpec:
 
 class TestConfidenceBounds:
     def test_binomial_case(self):
-        lower, upper = confidence_bounds(FunnelSpec(0.5, 1.0, 1.96), 100)
+        lower, upper = bounds(FunnelSpec(0.5, 1.0, 1.96), 100)
         assert lower == pytest.approx(0.402, abs=1e-12)
         assert upper == pytest.approx(0.598, abs=1e-12)
 
@@ -53,25 +59,25 @@ class TestConfidenceBounds:
         rng = np.random.default_rng(42)
         p_bars = rng.binomial(100, 0.5, size=10**5) / 100
         lo_emp, hi_emp = np.quantile(p_bars, [0.025, 0.975])
-        lower, upper = confidence_bounds(FunnelSpec(0.5, 1.0, 1.96), 100)
+        lower, upper = bounds(FunnelSpec(0.5, 1.0, 1.96), 100)
         assert lower == pytest.approx(lo_emp, abs=0.01)
         assert upper == pytest.approx(hi_emp, abs=0.01)
 
     def test_width_vanishes_at_large_n(self):
         spec = FunnelSpec(0.58, 1.15)
-        lower, upper = confidence_bounds(spec, 10**12)
+        lower, upper = bounds(spec, 10**12)
         assert lower == pytest.approx(0.58, abs=1e-5)
         assert upper == pytest.approx(0.58, abs=1e-5)
 
     @given(spec=specs, n=st.integers(1, 10**6))
     def test_half_width_linear_in_nu(self, spec, n):
         doubled = FunnelSpec(spec.pinf, 2 * spec.nu, spec.z)
-        lo1, hi1 = confidence_bounds(spec, n)
-        lo2, hi2 = confidence_bounds(doubled, n)
+        lo1, hi1 = bounds(spec, n)
+        lo2, hi2 = bounds(doubled, n)
         assert hi2 - lo2 == pytest.approx(2 * (hi1 - lo1), rel=1e-12)
 
     def test_bounds_not_clamped(self):
-        lower, _ = confidence_bounds(FunnelSpec(0.12, 1.0), 20)
+        lower, _ = bounds(FunnelSpec(0.12, 1.0), 20)
         assert lower < 0.0
 
 
@@ -91,7 +97,7 @@ class TestRequiredN:
 
     @given(spec=specs, n=st.integers(1, 10**6))
     def test_inverts_upper_bound(self, spec, n):
-        _, upper = confidence_bounds(spec, n)
+        _, upper = bounds(spec, n)
         assert required_n(spec, upper) == pytest.approx(n, rel=1e-9)
 
 
@@ -115,7 +121,7 @@ class TestCoverage:
 
     def test_point_on_bound_counts_inside(self):
         spec = FunnelSpec(0.5, 1.0, 1.96)
-        _, upper = confidence_bounds(spec, 100)
+        _, upper = bounds(spec, 100)
         ds = ScatterDataset(np.array([100]), np.array([upper]))
         assert coverage(ds, spec) == 1.0
 
@@ -143,6 +149,11 @@ class TestSampleCurve:
 
     @pytest.mark.parametrize("n_min", [0.5, 5e-324])
     def test_rejects_study_sizes_below_one(self, n_min):
-        # as `confidence_bounds` does; 5e-324 overflowed the half-width to inf
+        # a funnel has no study of size below one; 5e-324 overflowed the half-width to inf
         with pytest.raises(ParameterError):
             sample_curve(FunnelSpec(0.5, 1.0), n_min, 10, 50)
+
+    @pytest.mark.parametrize("points", [1, 2**63])
+    def test_rejects_point_counts_outside_two_to_int64(self, points):
+        with pytest.raises(ParameterError):
+            sample_curve(FunnelSpec(0.5, 1.0), 10, 100, points)

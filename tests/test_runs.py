@@ -16,7 +16,6 @@ from twostate.runs import (
     STATE_B,
     RunHistogram,
     average_and_normalize,
-    expected_run_frequencies,
     expected_runs_markov,
     _expected_runs_total,
     _mean_stays_per_run,
@@ -24,6 +23,8 @@ from twostate.runs import (
     log_run_frequencies,
     memoryfree_curve,
 )
+
+from conftest import run_frequencies
 
 
 def expected_runs_memoryfree(n, p_bar, m):
@@ -294,7 +295,7 @@ class TestModelCurves:
                 expected_runs_markov(params, n, m, state) for m in range(1, 200)
             )
             ms = sorted(curve)
-            model = expected_run_frequencies(params, n, ms, state)
+            model = run_frequencies(params, n, ms, state)
             for m, f in zip(ms, model):
                 if f > 1e-3:
                     # 5 sigma of the Poisson-scale bin noise
@@ -304,7 +305,7 @@ class TestModelCurves:
         stay, n, ms = 1e-6, 10**4, np.arange(1, 301)
         params = MarkovParams(stay, 0.5)
         logs = log_run_frequencies(params, n, ms, STATE_A)
-        freqs = expected_run_frequencies(params, n, ms, STATE_A)
+        freqs = run_frequencies(params, n, ms, STATE_A)
         assert np.all(np.isfinite(logs)) and freqs[-1] == 0.0
         shown = freqs >= np.finfo(float).tiny  # where the frequency is a normal float, the log matches it
         np.testing.assert_allclose(logs[shown], np.log(freqs[shown]), rtol=1e-12)
@@ -355,7 +356,7 @@ class TestExpectedRunsTotal:
 
     def test_frequencies_sum_to_one_over_the_domain(self):
         params, n = MarkovParams(0.88, 0.5), 500
-        freqs = expected_run_frequencies(params, n, np.arange(1, n - 1), STATE_A)
+        freqs = run_frequencies(params, n, np.arange(1, n - 1), STATE_A)
         assert freqs.sum() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -141,8 +141,6 @@ class TestValueEquality:
         assert (seq != BinarySequence(x.copy())) is False
         assert (seq == BinarySequence([1, 1, 1])) is False
         assert (seq == BinarySequence([1, 0])) is False
-        assert (seq == BinarySequence(x, seed=3)) is False
-        assert (seq == BinarySequence(x, params=MarkovParams(0.5, 0.5))) is False
         for foreign in ("101", [1, 0, 1], None, 3):
             assert (seq == foreign) is False and (seq != foreign) is True
         params = MarkovParams(0.6, 0.3)
@@ -165,7 +163,6 @@ class TestGenerate:
         a = generate(params, 5000, 123)
         b = generate(params, 5000, 123)
         assert np.array_equal(a.states, b.states)
-        assert a.seed == 123 and a.params == params
 
     def test_different_seeds_differ(self):
         params = MarkovParams(0.65, 0.25)
@@ -288,8 +285,9 @@ class TestEnsemble:
         "call",
         [lambda p: ensemble(p, [2**62, 2**62], 0), lambda p: ensemble(p, [2**63], 0),
          lambda p: ensemble(p, [np.uint64(2**63)], 0), lambda p: ensemble(p, [10, True], 0),
-         lambda p: generate(p, True, 0)],
-        ids=["total-past-int64", "size-past-int64", "uint64-size-past-int64", "bool-size", "bool-length"],
+         lambda p: generate(p, True, 0), lambda p: generate(p, 2**63, 0)],
+        ids=["total-past-int64", "size-past-int64", "uint64-size-past-int64", "bool-size", "bool-length",
+             "length-past-int64"],
     )
     def test_rejects_sizes_past_int64_and_bools(self, call):
         with pytest.raises(ParameterError):
