@@ -19,7 +19,6 @@ from .chain import MarkovParams, ParameterError
 from .dataio import (
     DataFormatError,
     curve_text,
-    fmt,
     funnel_table_text,
     parse_curve,
     parse_sequence,

@@ -84,6 +84,10 @@ def sample_curve(spec: FunnelSpec, n_min: float = 10.0, n_max: float = 1e5, poin
     """(n, lower, upper) samples over a log-spaced grid of study sizes."""
     if not (1 <= n_min < n_max < math.inf) or not 2 <= points <= _INT64_MAX:
         raise ParameterError("need finite 1 <= n_min < n_max and 2 <= points <= 2^63 - 1")
+    # numpy sizes the grid from float(points), and past 2^63 - 1 bytes it
+    # raises ValueError or IndexError where a smaller grid raises MemoryError
+    if 8.0 * points > _INT64_MAX:
+        raise MemoryError(f"cannot allocate {points} float64 curve samples: they pass 2^63 - 1 bytes")
     ns = np.logspace(np.log10(n_min), np.log10(n_max), points)
     half = spec.half_width(ns)
     return ns, spec.pinf - half, spec.pinf + half

@@ -7,11 +7,10 @@ previous slice ended in.  Consecutive draws equal one large draw, so the
 result is the same as from a single scan, while working memory is
 O(_SLICE) plus the output.
 
-Both scans rest on forced steps, whose state does not depend on the state
-before them (see `_forced_steps`).  `generate` writes every state: it cuts
-a slice into rows of _ROW steps and fills each row from its forced steps
-with a running max over uint8 codes.  `ensemble` only counts A states, so
-it sums them over the segments between forced steps.
+One kernel, `_scanner`, scans every slice: it draws the slice's uniforms
+and writes its states into a uint8 array.  `generate` hands it the slices
+of its output; `ensemble` hands it one buffer it reuses and sums each
+member's states in it to count them.
 
 An ensemble lays its members end to end on that one stream: member i is
 the chain scanned from the uniforms after those of members 0..i-1.  Only
@@ -38,13 +37,13 @@ from .chain import MarkovParams, ParameterError
 _SEED_MASK = (1 << 64) - 1
 _INT64_MAX = 2**63 - 1
 
-# uniforms drawn and scanned per slice by `generate` and `ensemble`.
-# `generate` holds 12 bytes per uniform in buffers it reuses, about 0.4 MB;
-# `ensemble`'s temporaries take up to about 40 bytes per uniform, about
-# 1.3 MB per slice.  This is a memory limit, not a speed one: 2^18 raised
-# the funnel benchmark's peak RSS from 62.5 to 74 MB and was no faster.
+# uniforms drawn and scanned per slice by `_scanner`.  A scan holds about
+# 13 bytes per uniform, about 0.4 MB: 12 in the kernel's buffers, which it
+# reuses, and the state byte it writes.  This is a memory limit, not a speed
+# one: 2^18 raised the funnel benchmark's peak RSS from 62.5 to 74 MB and was
+# no faster.
 _SLICE = 1 << 15
-# steps per row of `generate`'s scan: its codes 2(j + 1) + w stay below 256,
+# steps per row of the scan: its codes 2(j + 1) + w stay below 256,
 # and since the row is even, a step's parity is its column's
 _ROW = 64
 # the parity of each position in a slice, 0101...
@@ -151,63 +150,33 @@ class ScatterDataset:
         return self.sizes.size
 
 
-def _forced_steps(params: MarkovParams, u: np.ndarray, starts: np.ndarray, carry: int):
-    """Forced steps of one slice of a chain: (positions, values, gaps).
+def _scanner(params: MarkovParams, size: int):
+    """The slice scan of a chain, with buffers for slices of up to `size`
+    steps allocated once: `fill(rng, part, starts, carry)` draws part.size
+    uniforms u from `rng`, writes the states of that slice into `part` and
+    returns the carry of the slice after it.
 
     The sequential rule is
         x[i] = u[i] < p1                          at a chain start
-        x[i] = u[i] < (p if x[i-1] else 1 - q)    otherwise.
-    A step is forced when its state does not depend on x[i-1]: a chain
-    start, u < min(p, 1-q) (state 1) or u >= max(p, 1-q) (state 0).  Any
-    other step copies x[i-1] when p > 1-q and flips it when p < 1-q, so the
-    forced steps and the gaps between them give the whole slice.  `starts`
-    are the slice positions where a chain starts; `carry`, the state before
-    u[0], is a virtual forced step at position -1.  gaps[k] is the distance
-    from positions[k] to the next forced step, or to the end of the slice.
+        x[i] = u[i] < (p if x[i-1] else 1 - q)    otherwise,
+    and `starts` are the slice positions where a chain starts.  A step is
+    forced when its state does not depend on x[i-1]: a chain start,
+    u < min(p, 1-q) (state 1) or u >= max(p, 1-q) (state 0).  When p = 1-q
+    every step is.  Otherwise an unforced step copies x[i-1] when p > 1-q and
+    flips it when p < 1-q, so the scan works on w, the state or, when the
+    chain flips, the state XOR the step's parity in its slice; every unforced
+    step copies w from the step before.  `carry` is the w before the slice,
+    at its position -1.  Each slice is cut into rows of _ROW steps, and a
+    forced step at column j gets the uint8 code 2(j + 1) + w, every other
+    step 0.  A running max along each row then leaves each step the code of
+    its row's last forced step so far, whose low bit is its w.  Steps before
+    a row's first forced step take the w carried into the row, 0 or 1, which
+    lies below every code.
     """
-    lo, hi = sorted((params.p, 1.0 - params.q))
-    # index 0 is the carried state, index i + 1 is u[i], and the last
-    # index marks the end of the slice
-    values = np.empty(u.size + 2, dtype=bool)
-    forced = np.empty(u.size + 2, dtype=bool)
-    np.less(u, lo, out=values[1:-1])
-    np.greater_equal(u, hi, out=forced[1:-1])
-    forced |= values
-    values[0] = carry
-    forced[0] = forced[-1] = True
-    forced[starts + 1] = True
-    values[starts + 1] = u[starts] < params.p1
-    edges = np.flatnonzero(forced)
-    gaps = np.diff(edges)
-    positions = edges[:-1]
-    values = values[positions]
-    positions -= 1
-    return positions, values, gaps
-
-
-def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
-    """Simulate a chain of n measurements; same inputs, same sequence.
-
-    The rule is the one of `_forced_steps`.  The scan works on w, the state
-    or, when the chain flips, the state XOR the step's parity in its slice;
-    every unforced step copies w from the step before.  Each slice is cut
-    into rows of _ROW steps, and a forced step at column j gets the uint8
-    code 2(j + 1) + w, every other step 0.  A running max along each row
-    then leaves each step the code of its row's last forced step so far,
-    whose low bit is its w.  Steps before a row's first forced step take
-    the w carried into the row, 0 or 1, which lies below every code.
-
-    Memory is the n-byte state array plus buffers for min(n, _SLICE) draws,
-    allocated once per call.
-    """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= _INT64_MAX:
-        raise ParameterError(f"sequence length must be an integer in [1, 2^63 - 1], got {n!r}")
-    n = int(n)
-    lo, hi = sorted((params.p, 1.0 - params.q))
-    flip = params.p < 1.0 - params.q
-    rng = np.random.default_rng(_entropy(seed))
-    states = np.empty(n, dtype=np.uint8)
-    max_rows = -(-min(n, _SLICE) // _ROW)
+    p, p1 = params.p, params.p1
+    lo, hi = sorted((p, 1.0 - params.q))
+    flip = p < 1.0 - params.q
+    max_rows = -(-size // _ROW)
     u = np.empty(max_rows * _ROW)
     codes = np.zeros(max_rows * _ROW, dtype=np.uint8)
     codes0 = np.empty(max_rows * _ROW, dtype=np.uint8)
@@ -215,32 +184,58 @@ def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
     code_of_0 = np.tile(2 * np.arange(1, _ROW + 1, dtype=np.uint8) + _PARITY[:_ROW] * flip, max_rows)
     code_of_1 = code_of_0 ^ 1
     rank = np.arange(1, max_rows + 1)
-    carry = np.uint8(0)  # w before the slice, at its position -1
-    for a in range(0, n, _SLICE):
-        part = states[a : a + _SLICE]
-        m, rows = part.size, -(-part.size // _ROW)
+
+    def fill(rng, part, starts, carry):
+        m = part.size
         rng.random(out=u[:m])
+        if lo == hi:
+            # every step is forced, and the row scan would take 1.3-1.7x as long
+            np.less(u[:m], p, out=part)
+            part[starts] = u[starts] < p1
+            return part[-1]
         code, code0 = codes[:m], codes0[:m]
         np.less(u[:m], lo, out=code)
         np.multiply(code, code_of_1[:m], out=code)
         np.greater_equal(u[:m], hi, out=code0)
         np.multiply(code0, code_of_0[:m], out=code0)
         code += code0
-        if a == 0:  # the chain starts here
-            code[0] = code_of_1[0] if u[0] < params.p1 else code_of_0[0]
+        code[starts] = code_of_0[starts] ^ (u[starts] < p1)
         # codes past m, zero or left from an earlier slice, lie after the
         # slice's last step, so they change no state
+        rows = -(-m // _ROW)
         code = codes[: rows * _ROW].reshape(rows, _ROW)
         np.maximum.accumulate(code, axis=1, out=code)
         # w after each row is that of the last row so far with a forced
         # step, or else the carry; each row takes the w after the one before
+        carry = np.uint8(carry)
         last = code[:, -1]
         after = np.concatenate(([carry], last & 1))[np.maximum.accumulate((last > 0) * rank[:rows])]
         np.maximum(code, np.concatenate(([carry], after[:-1]))[:, None], out=code)
         np.bitwise_and(codes[:m], 1, out=part)
         if flip:
             np.bitwise_xor(part, _PARITY[:m], out=part)
-        carry = part[-1] ^ np.uint8(flip)
+        return part[-1] ^ np.uint8(flip)
+
+    return fill
+
+
+def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
+    """Simulate a chain of n measurements; same inputs, same sequence.
+
+    The chain starts at step 0 and is scanned by `_scanner` one slice at a
+    time.  Memory is the n-byte state array plus the scan's buffers for
+    min(n, _SLICE) draws, allocated once per call.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= _INT64_MAX:
+        raise ParameterError(f"sequence length must be an integer in [1, 2^63 - 1], got {n!r}")
+    n = int(n)
+    rng = np.random.default_rng(_entropy(seed))
+    states = np.empty(n, dtype=np.uint8)
+    fill = _scanner(params, min(n, _SLICE))
+    starts = np.zeros(1, dtype=np.intp)
+    carry = 0
+    for a in range(0, n, _SLICE):
+        carry = fill(rng, states[a : a + _SLICE], starts if a == 0 else starts[:0], carry)
     states.flags.writeable = False
     return BinarySequence(states)
 
@@ -249,38 +244,23 @@ def _count_block(params: MarkovParams, member_starts: np.ndarray, a0: int, a1: i
                  counts: np.ndarray):
     """Scan draws a0..a1-1 of the seed's stream, adding each member's number
     of A states into `counts` (counts[i + 1] for member i).  a0 is a member
-    start, a forced step, so the scan needs no state from before it."""
-    p, q = params.p, params.q
-    flip = p < 1.0 - q
+    start, where a chain starts afresh, so the scan needs no state from
+    before it."""
+    size = min(_SLICE, a1 - a0)
+    fill = _scanner(params, size)
+    # a slice's states go to cells[1:]; cells[0] stays 0, so the first sum,
+    # up to the slice's first member start, is only the member carried in
+    cells = np.zeros(size + 1, dtype=np.uint8)
     rng = np.random.Generator(np.random.PCG64(seed))
     rng.bit_generator.advance(a0)
     carry = 0
     for a in range(a0, a1, _SLICE):
-        u = rng.random(min(_SLICE, a1 - a))
-        first, last = np.searchsorted(member_starts, (a, a + u.size))
+        m = min(_SLICE, a1 - a)
+        first, last = np.searchsorted(member_starts, (a, a + m))
         starts = member_starts[first:last] - a
-        # the A states of each unit of the slice; unit 0 is the carried state
-        if p == 1.0 - q:
-            # every step is forced, so each step is a unit
-            unit_ones = np.empty(u.size + 1, dtype=np.uint8)
-            unit_ones[0] = carry
-            np.less(u, p, out=unit_ones[1:])
-            unit_ones[starts + 1] = u[starts] < params.p1
-            bounds = starts + 1
-            last_state = unit_ones[-1]
-        else:
-            # each segment from a forced step to the next is a unit: g steps
-            # from state v hold v*g A states, or (g + v)//2 when they alternate
-            positions, values, gaps = _forced_steps(params, u, starts, carry)
-            unit_ones = (gaps + values) >> 1 if flip else values * gaps
-            bounds = np.searchsorted(positions, starts)
-            # the last segment's state, flipped once per step after its first
-            last_state = values[-1] ^ (flip and bool((gaps[-1] - 1) & 1))
-        sums = np.add.reduceat(unit_ones, np.concatenate(([0], bounds)), dtype=np.int64)
-        # the carried state was counted in the slice before
-        sums[0] -= carry
-        counts[first : last + 1] += sums
-        carry = int(last_state)
+        carry = fill(rng, cells[1 : m + 1], starts, carry)
+        counts[first : last + 1] += np.add.reduceat(cells[: m + 1], np.concatenate(([0], starts + 1)),
+                                                    dtype=np.int64)
 
 
 def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
@@ -289,8 +269,9 @@ def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     The members are consecutive chains on the stream of `generate`: member i
     is scanned from the sizes[i] uniforms after those of members 0..i-1.
     So it depends only on `seed` and sizes[:i+1], and a one-member ensemble
-    gives `generate(params, n, seed).frequency`.  Each member's count of A
-    states is summed over its forced steps, one slice at a time.  The stream
+    gives `generate(params, n, seed).frequency`.  Each slice is scanned by
+    `_scanner`, as in `generate`, into one buffer per block, and each
+    member's count of A states is the sum of its states there.  The stream
     is cut at member starts into at most one block per usable CPU and per
     _MIN_BLOCK_SLICES slices, and the blocks are scanned at the same time,
     each from its own generator jumped ahead with `PCG64.advance`.  The

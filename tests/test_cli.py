@@ -468,6 +468,12 @@ class TestExitCodeContract:
         "funnel-points-past-int64": (1, ["funnel", "--pinf", "0.5", "--nu", "1", "--points", str(10**20),
                                          "--out", "{out}"]),
         "analyze-points-past-int64": (1, ["analyze", "--studies", FIXTURE, "--points", str(10**20), "--out", "{out}"]),
+        # a grid of 2^62 or 2^63 - 1 float64 samples passes 2^63 - 1 bytes
+        "funnel-points-2^62": (1, ["funnel", "--pinf", "0.5", "--nu", "1", "--points", str(2**62), "--out", "{out}"]),
+        "funnel-points-2^63-1": (1, ["funnel", "--pinf", "0.5", "--nu", "1", "--points", str(2**63 - 1),
+                                     "--out", "{out}"]),
+        "analyze-points-2^62": (1, ["analyze", "--studies", FIXTURE, "--points", str(2**62), "--out", "{out}"]),
+        "analyze-points-2^63-1": (1, ["analyze", "--studies", FIXTURE, "--points", str(2**63 - 1), "--out", "{out}"]),
         "fit-runs-confirmation-without-runs": (3, ["fit-runs", "--on", "{curve_rare_on}", "--off", "{curve_long_off}",
                                                    "--confirm-seeds", "2", "--seed", "0", "--out", "{out}"]),
     }

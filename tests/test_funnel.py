@@ -157,3 +157,9 @@ class TestSampleCurve:
     def test_rejects_point_counts_outside_two_to_int64(self, points):
         with pytest.raises(ParameterError):
             sample_curve(FunnelSpec(0.5, 1.0), 10, 100, points)
+
+    @pytest.mark.parametrize("points", [2**60 - 65, 2**60 - 64])
+    def test_grid_too_large_to_allocate_is_a_memory_error(self, points):
+        # numpy counts 2^60 - 64 points as float 2^60, 2^63 bytes of samples
+        with pytest.raises(MemoryError):
+            sample_curve(FunnelSpec(0.5, 1.0), 10, 100, points)

@@ -3,6 +3,7 @@
 import hashlib
 import threading
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from twostate import (
     std_of_proportion,
 )
 from twostate import simulate
-from twostate.simulate import _SLICE, _forced_steps
+from twostate.simulate import _SLICE, _scanner
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 # near 0 or 1, a forced step is rare in the copy (0.9999, 0.9999) and the
@@ -39,16 +40,15 @@ def naive_states(params, u):
 
 
 def scan_states(params, u, prev=None):
-    """Expand one `_forced_steps` scan of `u` segment by segment: a chain
-    starts at u[0], or carries on from the state `prev` before it."""
+    """One `_scanner` slice over `u`: a chain starts at u[0], or carries on
+    from the state `prev` before it."""
     starts = np.array([0] if prev is None else [], dtype=np.intp)
-    positions, values, gaps = _forced_steps(params, u, starts, prev or 0)
-    assert positions[0] == -1 and values[0] == (prev or 0) and positions[-1] + gaps[-1] == u.size
-    flip = params.p < 1.0 - params.q
-    x = np.empty(u.size + 1, dtype=np.uint8)  # x[0] is the carried state
-    for f, v, g in zip(positions.tolist(), values.tolist(), gaps.tolist()):
-        x[f + 1 : f + 1 + g] = v ^ (np.arange(g) & 1 if flip else 0)
-    return x[1:]
+    # the carry is w at position -1, whose parity is odd
+    carry = (prev or 0) ^ (params.p < 1.0 - params.q)
+    replay = SimpleNamespace(random=lambda out: np.copyto(out, u))
+    x = np.empty(u.size, dtype=np.uint8)
+    _scanner(params, u.size)(replay, x, starts, carry)
+    return x
 
 
 def empirical_autocorrelation(seq, m):
@@ -391,20 +391,33 @@ class TestEnsemble:
         for params in (MarkovParams(0.88, 0.5), MarkovParams(0.12, 0.12), MarkovParams(0.4, 0.6, p1=0.2)):
             assert ensemble(params, [n], 8).p_bars[0] == generate(params, n, 8).frequency
 
-    @pytest.mark.parametrize("sizes", [[3 * 10**6], "criterion-3"])
-    def test_memory_bounded(self, sizes):
+    @staticmethod
+    def peak_bytes(sizes):
+        """tracemalloc's peak over one ensemble at (0.88, 0.5) with two blocks
+        at once, as on a 2-CPU host."""
         if sizes == "criterion-3":
             rng = np.random.default_rng(20_260_811)
             sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 10**4))).astype(int).tolist()
         tracemalloc.start()
         try:
-            # two blocks at once, as on a 2-CPU host
             with mock.patch.object(simulate, "_CPUS", 2):
                 ensemble(MarkovParams(0.88, 0.5), sizes, 3)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("sizes", [[3 * 10**6], "criterion-3"])
+    def test_memory_bounded(self, sizes):
+        assert self.peak_bytes(sizes) < 4 * 2**20
+
+    @pytest.mark.parametrize("sizes, bound", [([3 * 10**6], 0.9 * 2**20), ("criterion-3", 2 * 2**20)],
+                             ids=["one-long-member", "criterion-3"])
+    def test_memory_is_the_scan_buffers(self, sizes, bound):
+        # per block, the scan's buffers for one slice, about 13 bytes a draw
+        # (0.41 MiB), besides the count rows and the returned dataset; the
+        # first call imports numpy's generators, so it comes first
+        ensemble(MarkovParams(0.88, 0.5), [1], 3)
+        assert self.peak_bytes(sizes) < bound
 
     def test_reproducible_and_prefix_stable(self):
         params = MarkovParams(0.88, 0.50)
