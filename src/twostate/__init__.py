@@ -29,7 +29,6 @@ from .runs import (
     memoryfree_curve,
 )
 from .funnel import (
-    FunnelSingularityError,
     FunnelSpec,
     coverage,
     required_n,
@@ -49,10 +48,7 @@ from .estimate import (
     run_curve_objective,
 )
 from .dataio import (
-    CurveFileError,
     DataFormatError,
-    SequenceFormatError,
-    StudyFileError,
     parse_curve,
     parse_sequence,
     parse_studies,
@@ -62,10 +58,8 @@ __version__ = "0.3.0"
 
 __all__ = [
     "BinarySequence",
-    "CurveFileError",
     "DataFormatError",
     "DerivedParams",
-    "FunnelSingularityError",
     "FunnelSpec",
     "InfeasibleParametersError",
     "MarkovParams",
@@ -76,8 +70,6 @@ __all__ = [
     "STATE_B",
     "ScatterDataset",
     "ScatterFit",
-    "SequenceFormatError",
-    "StudyFileError",
     "average_and_normalize",
     "child_seed",
     "coverage",

@@ -16,7 +16,7 @@ import numpy as np
 
 
 class ParameterError(ValueError):
-    """A chain parameter lies outside its valid domain."""
+    """An argument lies outside its valid domain."""
 
 
 def _check_open_unit(name: str, value: float) -> None:

@@ -1,8 +1,10 @@
 """Command-line surface: simulate chains, export run and funnel curves,
 fit scatter datasets and run-length curves.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 infeasible fit.
-The TWOSTATE_SEED environment variable supplies the default seed.
+Exit codes: 0 success, 1 usage error (`ParameterError`, or `MemoryError`
+for a size too large to allocate), 2 data error (`DataFormatError`, or an
+`OSError` reading or writing a file), 3 infeasible fit
+(`InfeasibleParametersError`).  TWOSTATE_SEED supplies the default seed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .dataio import (
     report_text,
     sequence_text,
     sha256_of,
+    staged_writes,
     write_text_atomic,
 )
 from .estimate import (
@@ -39,18 +42,14 @@ from .runs import average_and_normalize, extract_runs, memoryfree_curve
 from .simulate import child_seed, generate
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ParameterError(message)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, staged: list | None = None) -> None:
     if out:
-        write_text_atomic(out, text)
+        write_text_atomic(out, text, staged)
     else:
         sys.stdout.write(text)
 
@@ -76,47 +75,49 @@ def simulated_histograms(params: MarkovParams, n: int, count: int, seed: int) ->
 def cmd_simulate(args) -> int:
     params = MarkovParams(args.p, args.q, p1=args.p1)
     if args.count < 1:
-        raise _UsageError("--count must be >= 1")
-    for i in range(args.count):
-        seed_i = args.seed if args.count == 1 else child_seed(args.seed, i)
-        seq = generate(params, args.n, seed_i)
-        out = None
-        if args.out:
-            out = args.out if args.count == 1 else _indexed_path(args.out, i)
-        _emit(sequence_text(seq), out)
+        raise ParameterError("--count must be >= 1")
+    with staged_writes() as staged:
+        for i in range(args.count):
+            seed_i = args.seed if args.count == 1 else child_seed(args.seed, i)
+            seq = generate(params, args.n, seed_i)
+            out = None
+            if args.out:
+                out = args.out if args.count == 1 else _indexed_path(args.out, i)
+            _emit(sequence_text(seq), out, staged)
     return 0
 
 
 def cmd_runs(args) -> int:
     simulated = args.p is not None or args.q is not None or args.n is not None
     if args.input and simulated:
-        raise _UsageError("give either --input or the --p/--q/--n simulation flags, not both")
+        raise ParameterError("give either --input or the --p/--q/--n simulation flags, not both")
     if args.input:
         if args.seeds is not None:
-            raise _UsageError("--seeds applies only when simulating, not with --input")
+            raise ParameterError("--seeds applies only when simulating, not with --input")
         alphabet = None if args.alphabet is None else tuple(args.alphabet.split(","))
         # each symbol is matched against one whitespace-separated token, so it must be one
         if alphabet is not None and (
             len(alphabet) != 2 or alphabet[0] == alphabet[1] or any(sym.split() != [sym] for sym in alphabet)
         ):
-            raise _UsageError("--alphabet needs exactly two different comma-separated symbols without whitespace")
+            raise ParameterError("--alphabet needs exactly two different comma-separated symbols without whitespace")
         hists = [extract_runs(parse_sequence(args.input, alphabet=alphabet))]
     elif simulated:
         if args.p is None or args.q is None or args.n is None:
-            raise _UsageError("simulation needs all of --p, --q and --n")
+            raise ParameterError("simulation needs all of --p, --q and --n")
         if args.alphabet is not None:
-            raise _UsageError("--alphabet applies only to an --input file, not when simulating")
+            raise ParameterError("--alphabet applies only to an --input file, not when simulating")
         seeds = 10 if args.seeds is None else args.seeds
         if seeds < 1:
-            raise _UsageError(f"--seeds must be >= 1, got {seeds}")
+            raise ParameterError(f"--seeds must be >= 1, got {seeds}")
         hists = simulated_histograms(MarkovParams(args.p, args.q), args.n, seeds, args.seed)
     else:
-        raise _UsageError("give --input FILE or --p/--q/--n to simulate")
+        raise ParameterError("give --input FILE or --p/--q/--n to simulate")
 
     # every curve is computed before any is emitted: a data error writes nothing
     try:
         on_curve = average_and_normalize([ha for ha, _ in hists])
         off_curve = average_and_normalize([hb for _, hb in hists])
+        reference = None
         if args.reference:
             n = hists[0][0].total_length
             p_bar = float(np.mean([ha.occupied_length / n for ha, _ in hists]))
@@ -125,16 +126,13 @@ def cmd_runs(args) -> int:
     except ParameterError as exc:
         raise DataFormatError(f"cannot build run curves: {exc}") from exc
 
-    if args.out_on or args.out_off:
-        if args.out_on:
-            _emit(curve_text(on_curve), args.out_on)
-        if args.out_off:
-            _emit(curve_text(off_curve), args.out_off)
-    else:
+    with staged_writes() as staged:
+        for path, curve in ((args.out_on, on_curve), (args.out_off, off_curve), (args.reference, reference)):
+            if path:
+                write_text_atomic(path, curve_text(curve), staged)
+    if not (args.out_on or args.out_off):
         sys.stdout.write("# state A (on) runs\n" + curve_text(on_curve))
         sys.stdout.write("# state B (off) runs\n" + curve_text(off_curve))
-    if args.reference:
-        _emit(curve_text(reference), args.reference)
     return 0
 
 
@@ -150,7 +148,7 @@ def _fit_scatter_checked(dataset, args):
     z_from_level(args.level)
     for flag, bound in (("--min-p", args.min_p), ("--min-q", args.min_q)):
         if bound is not None and not 0.0 <= bound < 1.0:  # nan fails too
-            raise _UsageError(f"{flag} must lie in [0, 1), got {bound}")
+            raise ParameterError(f"{flag} must lie in [0, 1), got {bound}")
     # the dataset is already well-formed here, so any parameter complaint
     # (e.g. too few points for the quantile) is a shortcoming of the data
     try:
@@ -172,9 +170,9 @@ def cmd_fit_runs(args) -> int:
     on_curve = parse_curve(args.on)
     off_curve = parse_curve(args.off)
     if not 4 <= args.length <= 2**63 - 1:  # the model counts n-m-1 in int64
-        raise _UsageError(f"--length must be an integer in [4, 2^63 - 1], got {args.length}")
+        raise ParameterError(f"--length must be an integer in [4, 2^63 - 1], got {args.length}")
     if args.confirm_seeds < 0:
-        raise _UsageError(f"--confirm-seeds must be >= 0, got {args.confirm_seeds}")
+        raise ParameterError(f"--confirm-seeds must be >= 0, got {args.confirm_seeds}")
     longest = max(max(on_curve), max(off_curve))
     if longest > args.length - 2:
         raise DataFormatError(
@@ -291,29 +289,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help / --version
-        return exc.code or 0
-    try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) is None:  # read here, so a bad value is a usage error
             value = os.environ.get("TWOSTATE_SEED", "0")
             try:
                 args.seed = int(value)
             except ValueError:
-                raise _UsageError(f"TWOSTATE_SEED must be an integer, got {value!r}") from None
+                raise ParameterError(f"TWOSTATE_SEED must be an integer, got {value!r}") from None
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # a size too large to allocate, e.g. --n 10**15
+    except SystemExit as exc:  # --help / --version
+        return exc.code or 0
+    except (ParameterError, MemoryError) as exc:  # MemoryError: a size too large to allocate, e.g. --n 10**15
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (DataFormatError, OSError) as exc:

@@ -5,18 +5,20 @@ A study table is read in one pass straight into a `ScatterDataset`, the
 
 All numeric output uses plain decimal with up to 9 significant digits and a
 '.' separator, independent of locale, so fixed inputs produce byte-identical
-files.  Data files are written atomically (temp file + rename).
+files.  Data files are written atomically (temp file + rename), and a
+command's files all together (`staged_writes`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -27,18 +29,6 @@ from .simulate import BinarySequence, ScatterDataset
 
 class DataFormatError(ValueError):
     """An input file does not match its declared format."""
-
-
-class StudyFileError(DataFormatError):
-    pass
-
-
-class SequenceFormatError(DataFormatError):
-    pass
-
-
-class CurveFileError(DataFormatError):
-    pass
 
 
 _MAX_STUDY_SIZE = 2**63 - 1  # study sizes are held as int64
@@ -57,31 +47,56 @@ def round9(x: float) -> float:
     return float(fmt(x))
 
 
-def _read_text(source, error: type[DataFormatError]) -> str:
+def _read_text(source) -> str:
     """The whole text of a path or text stream; bytes that are not UTF-8
-    raise `error`, the calling parser's format error."""
+    raise `DataFormatError`."""
     try:
         if hasattr(source, "read"):
             return source.read()
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise error(f"input is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+        raise DataFormatError(f"input is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partially written file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+@contextlib.contextmanager
+def staged_writes():
+    """A list for `write_text_atomic` to stage files in; they are renamed
+    onto their paths when the block ends, after every one is written, and
+    removed if it raises.  So a command writes all of its files or none."""
+    staged = []
     try:
+        yield staged
+        for tmp, path in staged:
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:  # named by the user's path, not the temp file's
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
+def write_text_atomic(path, text: str, staged: list | None = None) -> None:
+    """Write via a sibling temp file and rename, so readers never see a
+    partially written file; given the list of a `staged_writes` block, the
+    rename waits for the end of the block.  The temp file gets the mode
+    open(path, "w") would give a new file, 0o666 less the umask, and
+    os.replace keeps it."""
+    if staged is None:
+        with staged_writes() as staged:
+            return write_text_atomic(path, text, staged)
+    if os.path.isdir(path):  # found here, before any file of the block is renamed
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        staged.append((tmp, path))
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def sha256_of(path) -> str:
@@ -108,25 +123,25 @@ def parse_studies(source) -> ScatterDataset:
     per-row record is kept.  All malformed rows are collected and reported
     together with their line numbers.
     """
-    text = _read_text(source, StudyFileError)
+    text = _read_text(source)
     if not text:
-        raise StudyFileError("empty study file")
+        raise DataFormatError("empty study file")
     delim = _detect_delimiter(text.partition("\n")[0])
     reader = csv.reader(io.StringIO(text), delimiter=delim)
     try:
         rows = list(reader)
     except csv.Error as exc:  # e.g. a cell longer than csv's field size limit
-        raise StudyFileError(f"line {reader.line_num}: {exc}") from None
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
     header = [h.strip().lower() for h in rows[0]]
     required = {"study_id", "n"}
     missing = required - set(header)
     if missing or not ({"successes", "p_bar"} & set(header)):
-        raise StudyFileError(
+        raise DataFormatError(
             f"header must name study_id, n and successes and/or p_bar; got {header}"
         )
     for name in ("study_id", "n", "successes", "p_bar"):
         if header.count(name) > 1:
-            raise StudyFileError(f"header names column {name!r} more than once")
+            raise DataFormatError(f"header names column {name!r} more than once")
     width = len(header)
     i_n, i_succ, i_pbar = (header.index(name) if name in header else None for name in ("n", "successes", "p_bar"))
 
@@ -170,9 +185,9 @@ def parse_studies(source) -> ScatterDataset:
         sizes.append(n)
         p_bars.append(p_bar)
     if problems:
-        raise StudyFileError("\n".join(problems))
+        raise DataFormatError("\n".join(problems))
     if not sizes:
-        raise StudyFileError("study file contains no data rows")
+        raise DataFormatError("study file contains no data rows")
     sizes, p_bars = np.array(sizes, dtype=np.int64), np.array(p_bars)
     sizes.flags.writeable = p_bars.flags.writeable = False
     return ScatterDataset(sizes, p_bars)
@@ -193,7 +208,7 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
     which on a one-line file of 5e6 symbols is 2-3 ms faster than
     `str.split`; other text needs `str.split` for unicode whitespace.
     """
-    text = _read_text(source, SequenceFormatError)
+    text = _read_text(source)
     if alphabet is None:
         if text.isascii():
             symbols = text.encode("ascii").translate(None, _ASCII_WHITESPACE)
@@ -204,9 +219,9 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
         if bad.size:
             pos = int(bad[0])
             symbol = "".join(text.split())[pos]
-            raise SequenceFormatError(f"unexpected symbol {symbol!r} at position {pos + 1}")
+            raise DataFormatError(f"unexpected symbol {symbol!r} at position {pos + 1}")
         if not states.size:
-            raise SequenceFormatError("sequence file contains no symbols")
+            raise DataFormatError("sequence file contains no symbols")
         states.flags.writeable = False
         return BinarySequence(states)
     bits = []
@@ -217,9 +232,9 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
         elif token == sym_b:
             bits.append(0)
         else:
-            raise SequenceFormatError(f"unexpected symbol {token!r} at position {pos}")
+            raise DataFormatError(f"unexpected symbol {token!r} at position {pos}")
     if not bits:
-        raise SequenceFormatError("sequence file contains no symbols")
+        raise DataFormatError("sequence file contains no symbols")
     states = np.array(bits, dtype=np.uint8)
     states.flags.writeable = False
     return BinarySequence(states)
@@ -242,7 +257,7 @@ def parse_curve(source) -> dict:
     The first line is a header, and skipped, when its first cell is not a
     number; any other line must be an (m, frequency) pair.
     """
-    text = _read_text(source, CurveFileError)
+    text = _read_text(source)
     curve = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -250,7 +265,7 @@ def parse_curve(source) -> dict:
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
-            raise CurveFileError(f"line {lineno}: expected two columns, got {line!r}")
+            raise DataFormatError(f"line {lineno}: expected two columns, got {line!r}")
         if lineno == 1:
             try:
                 float(parts[0])
@@ -262,12 +277,12 @@ def parse_curve(source) -> dict:
             if m < 1 or not 0.0 <= f < math.inf:  # rejects nan and inf too
                 raise ValueError
         except ValueError:
-            raise CurveFileError(f"line {lineno}: bad (m, frequency) pair {line!r}") from None
+            raise DataFormatError(f"line {lineno}: bad (m, frequency) pair {line!r}") from None
         if m in curve:
-            raise CurveFileError(f"line {lineno}: duplicate run length {m}")
+            raise DataFormatError(f"line {lineno}: duplicate run length {m}")
         curve[m] = f
     if not curve:
-        raise CurveFileError("curve file contains no data rows")
+        raise DataFormatError("curve file contains no data rows")
     return curve
 
 

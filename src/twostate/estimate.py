@@ -19,7 +19,7 @@ import numpy as np
 
 from .chain import MarkovParams, ParameterError, derive
 from .funnel import FunnelSpec, coverage, z_from_level
-from .runs import STATE_A, STATE_B, RunHistogram, _check_run_domain, _mean_stays_per_run, log_run_frequencies
+from .runs import RunHistogram, _check_run_domain, _mean_stays_per_run, log_run_frequencies
 from .simulate import ScatterDataset
 
 # the run-curve fit bisects log(stay) over [log(STAY_BOUND), log(1 - STAY_BOUND)] to LOG_STAY_TOLERANCE
@@ -168,11 +168,11 @@ def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float,
     (p11, p22): minus the sum over states and bins of f_m log g_m, where g_m
     is the model run-length frequency for sequences of `length` steps; log g_m
     is finite, so empty bins add 0.  Each state's term depends only on its own
-    stay probability, so MarkovParams(stay, stay) serves for either state."""
+    stay probability."""
     total = 0.0
-    for curve, stay, state in ((on_curve, p11, STATE_A), (off_curve, p22, STATE_B)):
+    for curve, stay in ((on_curve, p11), (off_curve, p22)):
         ms, freqs = _curve_arrays(curve, length)
-        total -= float(np.dot(freqs, log_run_frequencies(MarkovParams(stay, stay), length, ms, state)))
+        total -= float(np.dot(freqs, log_run_frequencies(length, ms, stay)))
     return total
 
 

@@ -22,10 +22,6 @@ from .simulate import _INT64_MAX, ScatterDataset
 BOUNDARY_RTOL = 1e-12  # relative slack at the bound in `coverage`
 
 
-class FunnelSingularityError(ValueError):
-    """The inverse curve diverges: the proportion equals the center."""
-
-
 def z_from_level(level: float) -> float:
     """Two-sided normal quantile for a coverage level in (0, 1)."""
     tail = 0.5 + level / 2.0
@@ -63,7 +59,7 @@ def required_n(spec: FunnelSpec, p_bar: float) -> float:
     """Study size at which p_bar sits exactly on the funnel boundary:
     z^2 * pinf(1-pinf) * nu^2 / (p_bar - pinf)^2."""
     if p_bar == spec.pinf:
-        raise FunnelSingularityError(
+        raise ParameterError(
             "the boundary curve diverges at the funnel center; plot the two branches separately"
         )
     return spec.z**2 * spec.pinf * (1.0 - spec.pinf) * spec.nu**2 / (p_bar - spec.pinf) ** 2

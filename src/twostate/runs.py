@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovParams, ParameterError, derive
+from .chain import MarkovParams, ParameterError, _check_open_unit, derive
 from .simulate import BinarySequence, _value_eq
 
 STATE_A = 1
@@ -114,21 +114,26 @@ def expected_runs_markov(params: MarkovParams, n: int, m, state: int):
     return (n - m - 1) * other * enter * stay ** (m - 1) * (1.0 - stay)
 
 
-def _expected_runs_total(params: MarkovParams, n: int, state: int) -> float:
-    """Expected number of runs of one state over all lengths m = 1..n-2, in
-    closed form: with K = n-2 and stay s, the sum of (n-m-1) s^(m-1) is
+def _run_weight_total(n: int, stay: float) -> float:
+    """Sum of the run-length weights (n-m-1) s^(m-1) over m = 1..n-2, in
+    closed form: with K = n-2, the sum over j < K of (K-j) s^j is
     K/(1-s) - s(1-s^K)/(1-s)^2, which loses about log10(2/(K(1-s))) digits
     to cancellation when K(1-s) < 1.  Callers first check m <= n-2."""
-    enter, stay, other = _state_factors(params, state)
     k, x = n - 2, 1.0 - stay
     escape = -math.expm1(k * math.log1p(-x))  # 1 - s^K, accurate for s near 1
-    return other * enter * x * (k / x - stay * escape / x**2)
+    return k / x - stay * escape / x**2
+
+
+def _expected_runs_total(params: MarkovParams, n: int, state: int) -> float:
+    """Expected number of runs of one state over all lengths m = 1..n-2."""
+    enter, stay, other = _state_factors(params, state)
+    return other * enter * (1.0 - stay) * _run_weight_total(n, stay)
 
 
 def _mean_stays_per_run(n: int, stay: float) -> float:
     """Model mean of m-1 over run lengths m = 1..n-2, in closed form: with
     the normaliser Z(s) = sum over j < K of (K-j) s^j (K = n-2) written as in
-    `_expected_runs_total`, s Z'(s)/Z(s) = 2s/(1-s) - (K+1) s (1-s^K) /
+    `_run_weight_total`, s Z'(s)/Z(s) = 2s/(1-s) - (K+1) s (1-s^K) /
     (K(1-s) - s(1-s^K)).  It rises with s from 0 to (K-1)/3.  When K(1-s)
     < 1 the two terms cancel and about 2 log10(1/(K(1-s))) + 1 digits are
     lost, so below K(1-s) = 0.005, where fewer than 10 correct digits would
@@ -165,16 +170,16 @@ def average_and_normalize(histograms) -> dict:
     return dict(zip(range(1, total.size + 1), (avg / avg.sum()).tolist()))
 
 
-def log_run_frequencies(params: MarkovParams, n: int, ms, state: int) -> np.ndarray:
-    """Natural log of the model run-length frequencies at the requested
-    lengths, normalized over the full domain 1..n-2 (not just the requested
-    bins).  It forms no power of the stay probability, so it stays finite
-    where the frequency underflows to 0."""
+def log_run_frequencies(n: int, ms, stay: float) -> np.ndarray:
+    """Natural log of the model run-length frequencies, at the requested
+    lengths, of a state that stays with probability `stay`: the weights
+    (n-m-1) stay^(m-1) over their total on the full domain 1..n-2 (the
+    entry factors of `expected_runs_markov` cancel).  It forms no power of
+    `stay`, so it stays finite where the frequency underflows to 0."""
+    _check_open_unit("stay", stay)
     ms = np.asarray(ms, dtype=np.int64)
     _check_run_domain(n, ms)
-    enter, stay, other = _state_factors(params, state)
-    scale = other * enter * (1.0 - stay) / _expected_runs_total(params, n, state)
-    return np.log((n - ms - 1) * scale) + (ms - 1) * math.log(stay)
+    return np.log((n - ms - 1) / _run_weight_total(n, stay)) + (ms - 1) * math.log(stay)
 
 
 def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from twostate import average_and_normalize
+from twostate import STATE_A, average_and_normalize
 from twostate.cli import simulated_histograms
 from twostate.runs import log_run_frequencies
 
 
 def run_frequencies(params, n, ms, state):
-    """Model run-length frequencies at lengths `ms`, normalized over the
-    full domain 1..n-2."""
-    return np.exp(log_run_frequencies(params, n, ms, state))
+    """Model run-length frequencies of one state of the chain at lengths
+    `ms`, normalized over the full domain 1..n-2."""
+    return np.exp(log_run_frequencies(n, ms, params.p if state == STATE_A else params.q))
 
 
 @pytest.fixture

@@ -132,6 +132,15 @@ class TestRuns:
         assert captured.err.count("error:") == 2
         assert not any(path.exists() for path in (on, off, ref))
 
+    def test_unwritable_output_is_named_and_nothing_written(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.txt"
+        seq_file.write_text("0110100\n")
+        on, ref = tmp_path / "on.csv", tmp_path / "nodir" / "ref.csv"
+        assert main(["runs", "--input", str(seq_file), "--out-on", str(on), "--reference", str(ref)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: [Errno 2] No such file or directory: '{ref}'\n"
+        assert not on.exists()
+
     def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.txt"
         seq_file.write_bytes(b"01\xff0\n")
@@ -476,6 +485,10 @@ class TestExitCodeContract:
         "analyze-points-2^63-1": (1, ["analyze", "--studies", FIXTURE, "--points", str(2**63 - 1), "--out", "{out}"]),
         "fit-runs-confirmation-without-runs": (3, ["fit-runs", "--on", "{curve_rare_on}", "--off", "{curve_long_off}",
                                                    "--confirm-seeds", "2", "--seed", "0", "--out", "{out}"]),
+        "runs-unwritable-second-output": (2, ["runs", "--input", "{seq_ok}", "--out-on", "{out}",
+                                              "--out-off", "{unwritable}"]),
+        "runs-unwritable-reference": (2, ["runs", "--input", "{seq_ok}", "--out-on", "{out}", "--out-off", "{out2}",
+                                          "--reference", "{unwritable}"]),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -487,7 +500,8 @@ class TestExitCodeContract:
         paths["on"], paths["off"] = write_model_curves(tmp_path, 0.5, 0.5)
         before = sorted(tmp_path.iterdir())
         code, template = self.CASES[case]
-        names = {**paths, "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt", "missing": tmp_path / "no.txt"}
+        names = {**paths, "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt", "missing": tmp_path / "no.txt",
+                 "unwritable": tmp_path / "nodir" / "out.txt"}
         assert main([arg.format(**names) for arg in template]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -583,13 +597,34 @@ class TestSubprocessEntry:
         assert result.returncode == 1
 
 
+EXIT_CODES = {twostate.ParameterError: 1, twostate.DataFormatError: 2, twostate.InfeasibleParametersError: 3}
+
+
+@pytest.mark.parametrize(
+    "exc_type",
+    [obj for obj in map(twostate.__dict__.get, twostate.__all__) if isinstance(obj, type) and issubclass(obj, Exception)],
+    ids=lambda exc_type: exc_type.__name__,
+)
+def test_each_exception_has_one_exit_code(monkeypatch, capsys, exc_type):
+    codes = [code for base, code in EXIT_CODES.items() if issubclass(exc_type, base)]
+    assert len(codes) == 1
+
+    def fail(*args):
+        raise exc_type("raised by the command")
+
+    monkeypatch.setattr(twostate.cli, "sample_curve", fail)
+    assert main(["funnel", "--pinf", "0.5", "--nu", "1"]) == codes[0]
+    prefix = "infeasible fit: " if codes[0] == 3 else "error: "
+    assert capsys.readouterr() == ("", prefix + "raised by the command\n")
+
+
 def test_public_surface():
     # a name added to or dropped from the package's surface must change this list
     assert sorted(twostate.__all__) == [
-        "BinarySequence", "CurveFileError", "DataFormatError", "DerivedParams",
-        "FunnelSingularityError", "FunnelSpec", "InfeasibleParametersError", "MarkovParams",
+        "BinarySequence", "DataFormatError", "DerivedParams",
+        "FunnelSpec", "InfeasibleParametersError", "MarkovParams",
         "ParameterError", "RunFit", "RunHistogram", "STATE_A", "STATE_B",
-        "ScatterDataset", "ScatterFit", "SequenceFormatError", "StudyFileError",
+        "ScatterDataset", "ScatterFit",
         "average_and_normalize", "child_seed", "coverage", "derive",
         "ensemble", "estimate_center", "estimate_nu",
         "expected_runs_markov", "extract_runs", "fit_runs_mle",

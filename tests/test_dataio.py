@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -10,9 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from twostate import BinarySequence, MarkovParams, ScatterDataset, generate
 from twostate.dataio import (
-    CurveFileError,
-    SequenceFormatError,
-    StudyFileError,
+    DataFormatError,
     curve_text,
     fmt,
     funnel_table_text,
@@ -22,6 +22,7 @@ from twostate.dataio import (
     report_text,
     round9,
     sequence_text,
+    staged_writes,
     write_text_atomic,
 )
 from twostate.estimate import ScatterFit
@@ -44,33 +45,33 @@ class TestParseStudies:
     @pytest.mark.parametrize("column", ["study_id", "n", "successes", "p_bar"])
     def test_repeated_column_rejected(self, column):
         header = ",".join(["study_id", "n", "successes", "p_bar", column])
-        with pytest.raises(StudyFileError, match=f"'{column}' more than once"):
+        with pytest.raises(DataFormatError, match=f"'{column}' more than once"):
             parse_studies(io.StringIO(header + "\ns1,10,5,,5\n"))
 
     def test_zero_n_rejected_with_line_number(self):
-        with pytest.raises(StudyFileError, match="line 2"):
+        with pytest.raises(DataFormatError, match="line 2"):
             parse_studies(io.StringIO("study_id,n,p_bar\ns1,0,0.5\n"))
 
     def test_both_values_rejected(self):
-        with pytest.raises(StudyFileError, match="exactly one"):
+        with pytest.raises(DataFormatError, match="exactly one"):
             parse_studies(io.StringIO("study_id,n,successes,p_bar\ns1,100,58,0.58\n"))
 
     def test_neither_value_rejected(self):
-        with pytest.raises(StudyFileError, match="exactly one"):
+        with pytest.raises(DataFormatError, match="exactly one"):
             parse_studies(io.StringIO("study_id,n,successes,p_bar\ns1,100,,\n"))
 
     def test_out_of_range_p_bar(self):
-        with pytest.raises(StudyFileError, match=r"p_bar must lie in \[0, 1\]"):
+        with pytest.raises(DataFormatError, match=r"p_bar must lie in \[0, 1\]"):
             parse_studies(io.StringIO("study_id,n,p_bar\ns1,100,1.2\n"))
 
     def test_all_problems_reported(self):
         bad = "study_id,n,p_bar\ns1,0,0.5\ns2,100,2.0\ns3,100,0.5\n"
-        with pytest.raises(StudyFileError) as err:
+        with pytest.raises(DataFormatError) as err:
             parse_studies(io.StringIO(bad))
         assert "line 2" in str(err.value) and "line 3" in str(err.value)
 
     def test_missing_column(self):
-        with pytest.raises(StudyFileError, match="header"):
+        with pytest.raises(DataFormatError, match="header"):
             parse_studies(io.StringIO("study_id,size\ns1,100\n"))
 
     def test_bundled_fixture_loads(self):
@@ -98,16 +99,16 @@ def parse_sequence_loop(source):
         elif ch == "0":
             bits.append(0)
         else:
-            raise SequenceFormatError(f"unexpected symbol {ch!r} at position {len(bits) + 1}")
+            raise DataFormatError(f"unexpected symbol {ch!r} at position {len(bits) + 1}")
     if not bits:
-        raise SequenceFormatError("sequence file contains no symbols")
+        raise DataFormatError("sequence file contains no symbols")
     return BinarySequence(np.array(bits, dtype=np.uint8))
 
 
 def outcome(read, source):
     try:
         return read(source).states.tolist()
-    except SequenceFormatError as exc:
+    except DataFormatError as exc:
         return str(exc)
 
 
@@ -145,15 +146,15 @@ class TestParseSequence:
         assert seq.states.tolist() == [1, 0, 1]
 
     def test_third_symbol_position(self):
-        with pytest.raises(SequenceFormatError, match="position 3"):
+        with pytest.raises(DataFormatError, match="position 3"):
             parse_sequence(io.StringIO("012"))
 
     def test_third_token_position(self):
-        with pytest.raises(SequenceFormatError, match="position 2"):
+        with pytest.raises(DataFormatError, match="position 2"):
             parse_sequence(io.StringIO("on maybe off"), alphabet=("on", "off"))
 
     def test_empty_file(self):
-        with pytest.raises(SequenceFormatError):
+        with pytest.raises(DataFormatError):
             parse_sequence(io.StringIO("  \n"))
 
     def test_write_read_round_trip(self, tmp_path):
@@ -179,17 +180,17 @@ class TestCurveIO:
         assert parse_curve(io.StringIO("1 0.75\n2 0.25\n")) == {1: 0.75, 2: 0.25}
 
     def test_duplicate_length_rejected(self):
-        with pytest.raises(CurveFileError, match="duplicate"):
+        with pytest.raises(DataFormatError, match="duplicate"):
             parse_curve(io.StringIO("m,frequency\n1,0.5\n1,0.5\n"))
 
     def test_bad_row(self):
         for row in ("0,0.5", "1,-0.5", "1,nan", "1,inf", "1,-inf"):
-            with pytest.raises(CurveFileError, match="line 2"):
+            with pytest.raises(DataFormatError, match="line 2"):
                 parse_curve(io.StringIO(f"m,frequency\n{row}\n"))
 
     @pytest.mark.parametrize("row", ["1.5,0.3", "1e0,0.5", "-1,0.3"])
     def test_bad_first_row_is_not_a_header(self, row):
-        with pytest.raises(CurveFileError, match="line 1: bad"):
+        with pytest.raises(DataFormatError, match="line 1: bad"):
             parse_curve(io.StringIO(f"{row}\n2,0.25\n"))
 
     def test_canonical_format(self):
@@ -224,7 +225,7 @@ class TestParserFuzz:
     def test_parse_curve(self, text):
         try:
             curve = parse_curve(io.StringIO(text))
-        except CurveFileError:
+        except DataFormatError:
             return
         assert curve and all(type(m) is int and m >= 1 for m in curve)
         assert all(math.isfinite(f) and f >= 0.0 for f in curve.values())
@@ -236,7 +237,7 @@ class TestParserFuzz:
     def test_parse_studies(self, text):
         try:
             dataset = parse_studies(io.StringIO(text))
-        except StudyFileError:
+        except DataFormatError:
             return
         assert len(dataset) >= 1 and dataset.sizes.min() >= 1
         assert np.all((dataset.p_bars >= 0.0) & (dataset.p_bars <= 1.0))
@@ -279,3 +280,34 @@ class TestAtomicWrite:
         write_text_atomic(path, "second\n")
         assert path.read_text() == "second\n"
         assert list(tmp_path.iterdir()) == [path]  # no temp leftovers
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=lambda umask: f"umask-{umask:03o}")
+    def test_new_file_mode_is_what_open_gives(self, tmp_path, umask):
+        # os.replace keeps the temp file's mode, so the temp file must be created as open() would
+        previous = os.umask(umask)
+        try:
+            write_text_atomic(tmp_path / "out.txt", "x\n")
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((tmp_path / "out.txt").stat().st_mode)
+        assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+
+    def test_staged_files_appear_together_or_not_at_all(self, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        with staged_writes() as staged:
+            write_text_atomic(first, "a\n", staged)
+            write_text_atomic(second, "b\n", staged)
+            assert not first.exists() and len(list(tmp_path.iterdir())) == 2  # the two temp files
+        assert first.read_text() == "a\n" and second.read_text() == "b\n"
+        with pytest.raises(FileNotFoundError):
+            with staged_writes() as staged:
+                write_text_atomic(tmp_path / "c.txt", "c\n", staged)
+                write_text_atomic(tmp_path / "nodir" / "d.txt", "d\n", staged)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IsADirectoryError):  # a rename onto it would fail after the first file's
+            with staged_writes() as staged:
+                write_text_atomic(tmp_path / "c.txt", "c\n", staged)
+                write_text_atomic(tmp_path / "dir", "d\n", staged)
+        assert sorted(tmp_path.iterdir()) == [first, second, tmp_path / "dir"]

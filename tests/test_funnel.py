@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from twostate import MarkovParams, ParameterError, ScatterDataset, derive, ensemble
 from twostate.funnel import (
-    FunnelSingularityError,
     FunnelSpec,
     coverage,
     required_n,
@@ -92,7 +91,7 @@ class TestRequiredN:
         assert required_n(FunnelSpec(0.5, 1.0, 1.96), 0.598) == pytest.approx(100.0, rel=1e-9)
 
     def test_singularity(self):
-        with pytest.raises(FunnelSingularityError):
+        with pytest.raises(ParameterError, match="diverges at the funnel center"):
             required_n(FunnelSpec(0.58, 1.15), 0.58)
 
     @given(spec=specs, n=st.integers(1, 10**6))

@@ -304,7 +304,7 @@ class TestModelCurves:
     def test_log_frequencies_stay_finite_past_underflow(self):
         stay, n, ms = 1e-6, 10**4, np.arange(1, 301)
         params = MarkovParams(stay, 0.5)
-        logs = log_run_frequencies(params, n, ms, STATE_A)
+        logs = log_run_frequencies(n, ms, stay)
         freqs = run_frequencies(params, n, ms, STATE_A)
         assert np.all(np.isfinite(logs)) and freqs[-1] == 0.0
         shown = freqs >= np.finfo(float).tiny  # where the frequency is a normal float, the log matches it
