@@ -47,11 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _emit(text: str, out: str | None, staged: list | None = None) -> None:
+def _emit(text: str | np.ndarray, out: str | None, staged: list | None = None) -> None:
+    """Write `text`, a str or the ASCII bytes of `sequence_text`, to the
+    file `out`, or else to stdout."""
     if out:
         write_text_atomic(out, text, staged)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text if isinstance(text, str) else str(text, "ascii"))
 
 
 def _input_digest(**paths) -> dict:

@@ -3,6 +3,11 @@
 A study table is read in one pass straight into a `ScatterDataset`, the
 (n, p_bar) arrays; columns other than the ones it names are ignored.
 
+A sequence file is handled as bytes end to end: `sequence_text` builds it
+as one uint8 buffer, and `parse_sequence` reads its bytes once and turns
+them into the state array, with no `str` built on either side unless the
+file holds more than '0', '1' and ASCII whitespace.
+
 All numeric output uses plain decimal with up to 9 significant digits and a
 '.' separator, independent of locale, so fixed inputs produce byte-identical
 files.  Data files are written atomically (temp file + rename), and a
@@ -78,10 +83,11 @@ def staged_writes():
                 os.unlink(tmp)
 
 
-def write_text_atomic(path, text: str, staged: list | None = None) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partially written file; given the list of a `staged_writes` block, the
-    rename waits for the end of the block.  The temp file gets the mode
+def write_text_atomic(path, text: str | bytes | np.ndarray, staged: list | None = None) -> None:
+    """Write `text`, a str (as UTF-8) or a bytes-like buffer (as it is), via
+    a sibling temp file and rename, so readers never see a partially
+    written file; given the list of a `staged_writes` block, the rename
+    waits for the end of the block.  The temp file gets the mode
     open(path, "w") would give a new file, 0o666 less the umask, and
     os.replace keeps it."""
     if staged is None:
@@ -93,8 +99,8 @@ def write_text_atomic(path, text: str, staged: list | None = None) -> None:
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         staged.append((tmp, path))
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8") if isinstance(text, str) else text)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
@@ -201,29 +207,61 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
     whitespace-separated tokens instead.  Any third symbol is an error
     naming its position (1-based, counted over non-whitespace input).
 
-    The default format is read with no loop per symbol: whitespace is
-    removed, each non-ASCII character left is encoded as one '?' so that
-    positions still count characters, and the bytes are viewed as an
-    array.  ASCII text, the usual case, is stripped with `bytes.translate`,
-    which on a one-line file of 5e6 symbols is 2-3 ms faster than
-    `str.split`; other text needs `str.split` for unicode whitespace.
+    A file in the default format is read as bytes, once, to its end (so a
+    pipe is read in full), and '0' is subtracted from them into the state
+    array, with no loop per symbol (`_ascii_states`).  A file that holds
+    any other byte, such as a stray symbol, a non-ASCII character or
+    invalid UTF-8, is decoded as text and read by `_text_states`, which
+    names the error; so are a text stream and the alphabet format.
     """
-    text = _read_text(source)
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    states = _ascii_states(data) if alphabet is None and isinstance(data, bytes) else None
+    if states is None:
+        if isinstance(data, bytes):  # decoded as a file opened as text would be
+            data = _read_text(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        states = _text_states(data, alphabet)
+    if not states.size:
+        raise DataFormatError("sequence file contains no symbols")
+    states.flags.writeable = False
+    return BinarySequence(states)
+
+
+def _ascii_states(data: bytes) -> np.ndarray | None:
+    """The states of a default-format file's bytes, or None if it holds a
+    byte other than '0', '1' and ASCII whitespace.
+
+    Up to 64 bytes of trailing whitespace, such as the usual final
+    newline, are cut off by length, without a copy; only a file with other
+    whitespace is read again from a copy of its bytes with all whitespace
+    deleted.
+    """
+    tail = data[-64:]
+    end = len(data) - len(tail) + len(tail.rstrip(_ASCII_WHITESPACE))
+    states = np.frombuffer(data, dtype=np.uint8, count=end) - ord("0")
+    if states.size and states.max() > 1:
+        del states  # freed before the copy is made
+        states = np.frombuffer(data.translate(None, _ASCII_WHITESPACE), dtype=np.uint8) - ord("0")
+        if states.size and states.max() > 1:
+            return None
+    return states
+
+
+def _text_states(text: str, alphabet: tuple[str, str] | None) -> np.ndarray:
+    """The states of a sequence file's text.  In the default format,
+    whitespace is removed and each non-ASCII character left is encoded as
+    one '?', so that positions still count characters."""
     if alphabet is None:
-        if text.isascii():
-            symbols = text.encode("ascii").translate(None, _ASCII_WHITESPACE)
-        else:
-            symbols = "".join(text.split()).encode("ascii", "replace")
-        states = np.frombuffer(symbols, dtype=np.uint8) - ord("0")
+        symbols = "".join(text.split())
+        states = np.frombuffer(symbols.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
         bad = np.flatnonzero(states > 1)
         if bad.size:
             pos = int(bad[0])
-            symbol = "".join(text.split())[pos]
-            raise DataFormatError(f"unexpected symbol {symbol!r} at position {pos + 1}")
-        if not states.size:
-            raise DataFormatError("sequence file contains no symbols")
-        states.flags.writeable = False
-        return BinarySequence(states)
+            raise DataFormatError(f"unexpected symbol {symbols[pos]!r} at position {pos + 1}")
+        return states
     bits = []
     sym_a, sym_b = alphabet
     for pos, token in enumerate(text.split(), start=1):
@@ -233,15 +271,16 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
             bits.append(0)
         else:
             raise DataFormatError(f"unexpected symbol {token!r} at position {pos}")
-    if not bits:
-        raise DataFormatError("sequence file contains no symbols")
-    states = np.array(bits, dtype=np.uint8)
-    states.flags.writeable = False
-    return BinarySequence(states)
+    return np.array(bits, dtype=np.uint8)
 
 
-def sequence_text(seq: BinarySequence) -> str:
-    return (seq.states + ord("0")).tobytes().decode("ascii") + "\n"
+def sequence_text(seq: BinarySequence) -> np.ndarray:
+    """The bytes of a sequence file, one uint8 array of n + 1 ASCII bytes:
+    '0' or '1' for each state, then a newline."""
+    text = np.empty(seq.states.size + 1, dtype=np.uint8)
+    np.add(seq.states, ord("0"), out=text[:-1])
+    text[-1] = ord("\n")
+    return text
 
 
 def curve_text(curve: dict) -> str:

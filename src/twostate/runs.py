@@ -66,17 +66,34 @@ class RunHistogram:
 
 
 def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
-    """Histogram the maximal same-state stretches, state A first."""
+    """Histogram the maximal same-state stretches, state A first.
+
+    With `changes` the positions i where x[i + 1] != x[i], run j ends at
+    changes[j] and the last run at n - 1; runs alternate states, the first
+    in the state of x[0].  So an interior run's length is the difference of
+    two adjacent change positions, and one state's interior runs are the
+    differences of alternate ones.  The first and last runs, which meet the
+    ends of the record, are added on their own.
+    """
     x = seq.states
-    # runs alternate states, the first in the state of x[0]
-    ends = np.concatenate(([-1], np.flatnonzero(x[1:] != x[:-1]), [x.size - 1]))
-    lengths = np.diff(ends)
-    first_a = int(x[0] != STATE_A)
+    n = x.size
+    changes = np.flatnonzero(x[1:] != x[:-1])
+    k = changes.size
+    # the end runs of the state of x[0] (group 0) and of the other (group 1)
+    end_runs = ([int(changes[0]) + 1 if k else n], [])
+    if k:
+        end_runs[k % 2].append(n - 1 - int(changes[-1]))
 
-    def hist(state, first):
-        return RunHistogram(state, np.bincount(lengths[first::2])[1:], x.size)
+    def hist(state, group):
+        # runs 2, 4, ... of group 0 and runs 1, 3, ... of group 1, the last run left out
+        interior = changes[2 - group :: 2] - changes[1 - group : k - 1 : 2]
+        counts = np.bincount(interior, minlength=max(end_runs[group], default=0) + 1)
+        for length in end_runs[group]:
+            counts[length] += 1
+        return RunHistogram(state, counts[1:], n)
 
-    return hist(STATE_A, first_a), hist(STATE_B, 1 - first_a)
+    group_a = int(x[0] != STATE_A)
+    return hist(STATE_A, group_a), hist(STATE_B, 1 - group_a)
 
 
 def _check_run_domain(n: int, m) -> None:

@@ -191,7 +191,8 @@ def _scanner(params: MarkovParams, size: int):
         if lo == hi:
             # every step is forced, and the row scan would take 1.3-1.7x as long
             np.less(u[:m], p, out=part)
-            part[starts] = u[starts] < p1
+            if starts.size:
+                part[starts] = u[starts] < p1
             return part[-1]
         code, code0 = codes[:m], codes0[:m]
         np.less(u[:m], lo, out=code)
@@ -199,7 +200,8 @@ def _scanner(params: MarkovParams, size: int):
         np.greater_equal(u[:m], hi, out=code0)
         np.multiply(code0, code_of_0[:m], out=code0)
         code += code0
-        code[starts] = code_of_0[starts] ^ (u[starts] < p1)
+        if starts.size:  # most slices hold no chain start
+            code[starts] = code_of_0[starts] ^ (u[starts] < p1)
         # codes past m, zero or left from an earlier slice, lie after the
         # slice's last step, so they change no state
         rows = -(-m // _ROW)

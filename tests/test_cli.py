@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import twostate
-from twostate import MarkovParams, generate
+from twostate import MarkovParams, generate, simulate
 from twostate.cli import build_parser, main
 from twostate.dataio import parse_curve
 
@@ -64,6 +64,15 @@ class TestSimulate:
         seq = generate(MarkovParams(0.65, 0.25), 30, 9)
         expected = "".join(str(int(s)) for s in seq.states)
         assert capsys.readouterr().out.strip() == expected
+
+    @pytest.mark.parametrize("n", [2 * simulate._SLICE + 3, 1])
+    def test_file_and_stdout_bytes_match(self, tmp_path, capsysbinary, n):
+        out = tmp_path / "seq.txt"
+        argv = ["simulate", "--p", "0.88", "--q", "0.5", "--n", str(n), "--seed", "6"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv) == 0
+        expected = (generate(MarkovParams(0.88, 0.5), n, 6).states + ord("0")).tobytes() + b"\n"
+        assert out.read_bytes() == capsysbinary.readouterr().out == expected
 
     def test_env_var_default_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TWOSTATE_SEED", "777")
@@ -140,6 +149,12 @@ class TestRuns:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: [Errno 2] No such file or directory: '{ref}'\n"
         assert not on.exists()
+
+    def test_whitespace_only_input_is_data_error(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.txt"
+        seq_file.write_bytes(b" \n\t\r\n")
+        assert main(["runs", "--input", str(seq_file)]) == 2
+        assert capsys.readouterr().err == "error: sequence file contains no symbols\n"
 
     def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.txt"

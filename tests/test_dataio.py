@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,7 +168,68 @@ class TestParseSequence:
     def test_text_matches_character_join(self):
         seq = generate(MarkovParams(0.65, 0.25), 10**5, 8)
         joined = "".join("1" if s else "0" for s in seq.states.tolist()) + "\n"
-        assert sequence_text(seq).encode() == joined.encode()
+        assert sequence_text(seq).tobytes() == joined.encode()
+
+    @pytest.mark.parametrize("data, states", [
+        (b"0110\n", [0, 1, 1, 0]),
+        (b"01" + b" \t\r\n\x0b\x0c\x1f" * 20, [0, 1]),  # more than the 64 bytes cut off by length
+        (b"01 1\t0\r\n10\r\n", [0, 1, 1, 0, 1, 0]),
+        ("01\u30000\xa01\n".encode(), [0, 1, 0, 1]),  # unicode whitespace, read as text
+    ], ids=["final-newline", "long-trailing-whitespace", "spaces-tabs-crlf", "unicode-whitespace"])
+    def test_file_bytes(self, tmp_path, data, states):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(data)
+        seq = parse_sequence(path)
+        assert seq.states.tolist() == states
+        assert not seq.states.flags.writeable and seq.states.flags.owndata
+        assert seq == parse_sequence(io.StringIO(data.decode()))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "sequence file contains no symbols"),
+        (b" \n\t\r\n" * 30, "sequence file contains no symbols"),
+        (b"01 1x0\n", "unexpected symbol 'x' at position 4"),
+        ("01\n\xe90\n".encode(), "unexpected symbol '\xe9' at position 3"),
+        (b"0101\xff01\n", "input is not UTF-8 text: invalid start byte at byte offset 4"),
+    ], ids=["empty", "whitespace-only", "ascii-symbol", "non-ascii-symbol", "invalid-utf8"])
+    def test_file_bytes_errors(self, tmp_path, data, message):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError) as err:
+            parse_sequence(path)
+        assert str(err.value) == message
+
+    def test_pipe_read_in_full(self):
+        # a pipe has no size to read by, and 200 kB is more than its buffer holds
+        seq = generate(MarkovParams(0.65, 0.25), 200_000, 5)
+        r, w = os.pipe()
+
+        def feed():
+            with os.fdopen(w, "wb") as fh:
+                fh.write(sequence_text(seq))
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            parsed = parse_sequence(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+            writer.join()
+        assert parsed == seq
+
+    def test_memory_is_the_bytes_and_the_states(self, tmp_path):
+        # the file's bytes and the state array, one byte a symbol each; the
+        # first call imports what the parse needs, so it comes first
+        n = 3 * 10**6
+        path = tmp_path / "seq.txt"
+        write_text_atomic(path, sequence_text(generate(MarkovParams(0.88, 0.5), n, 1)))
+        parse_sequence(path)
+        tracemalloc.start()
+        try:
+            parse_sequence(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * n
 
 
 class TestCurveIO:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -100,6 +101,21 @@ class TestExtractRuns:
         ha, hb = extract_runs(seq_of(bits))
         assert ha.occupied_length + hb.occupied_length == len(bits)
         assert abs(ha.n_runs - hb.n_runs) <= 1
+
+    def test_memory_is_the_change_positions(self):
+        # the n-byte comparison and the int64 change positions (about 0.19 a
+        # step at (0.88, 0.5)), then one state's interior runs beside them;
+        # the first call imports what the histogram needs, so it comes first
+        n = 3 * 10**6
+        seq = generate(MarkovParams(0.88, 0.5), n, 1)
+        extract_runs(seq)
+        tracemalloc.start()
+        try:
+            extract_runs(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * n
 
     def test_memoryfree_counts_match_expectation(self):
         # 10 seeds, n = 10^4: averaged counts inside 3*sqrt(a_m) wherever
