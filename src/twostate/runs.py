@@ -46,9 +46,18 @@ class RunHistogram:
         if self.total_length < 1:
             raise ParameterError("total_length must be positive")
         counts = np.asarray(self.counts)
-        # checked value by value before the cast, which would make 1.5 a count of 1
-        if counts.ndim != 1 or not np.all(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))):
-            raise ParameterError("histogram counts must be a 1-d array of non-negative integers")
+        if counts.dtype == np.uint64:
+            # a count of 2^63 or more, which int64 cannot hold, reads as negative
+            counts = counts.view(np.int64)
+        if counts.dtype.kind == "f":
+            # checked value by value before the cast, which would make 1.5 a
+            # count of 1; nan fails every comparison, and 2^63 is a float64
+            valid = np.all((counts >= 0) & (counts < np.float64(2**63)) & (counts == np.floor(counts)))
+        else:
+            # bools and integers are integral, and int64 holds them
+            valid = counts.dtype.kind in "biu" and (not counts.size or counts.min() >= 0)
+        if counts.ndim != 1 or not valid:
+            raise ParameterError("histogram counts must be a 1-d array of integers in [0, 2^63 - 1]")
         counts = np.array(counts, dtype=np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)

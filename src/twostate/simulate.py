@@ -48,6 +48,16 @@ _SLICE = 1 << 15
 _ROW = 64
 # the parity of each position in a slice, 0101...
 _PARITY = np.arange(_SLICE, dtype=np.uint8) & 1
+# the scan's code of a forced 0 and of a forced 1 at each position of a
+# slice, when the chain copies (row 0) and when it flips (row 1), and 256
+# times the rank of each row of a slice, which exceeds every code; built
+# once, read-only, and shared by every scan, on whichever thread
+_CODE_OF_0 = np.tile(2 * np.arange(1, _ROW + 1, dtype=np.uint8), _SLICE // _ROW)
+_CODE_OF_0 = np.stack((_CODE_OF_0, _CODE_OF_0 + _PARITY))
+_CODE_OF_1 = _CODE_OF_0 ^ 1
+_RANK = 256 * np.arange(1, _SLICE // _ROW + 1)
+for _table in (_PARITY, _CODE_OF_0, _CODE_OF_1, _RANK):
+    _table.flags.writeable = False
 # `ensemble` scans at most one block per usable CPU at a time, and cuts at
 # most one block per _MIN_BLOCK_SLICES slices, so that starting its thread and
 # jumping its generator ahead stay small beside its scan (~0.3 ms a slice)
@@ -152,9 +162,9 @@ class ScatterDataset:
 
 def _scanner(params: MarkovParams, size: int):
     """The slice scan of a chain, with buffers for slices of up to `size`
-    steps allocated once: `fill(rng, part, starts, carry)` draws part.size
-    uniforms u from `rng`, writes the states of that slice into `part` and
-    returns the carry of the slice after it.
+    steps (at most _SLICE) allocated once: `fill(rng, part, starts, carry)`
+    draws part.size uniforms u from `rng`, writes the states of that slice
+    into `part` and returns the carry of the slice after it.
 
     The sequential rule is
         x[i] = u[i] < p1                          at a chain start
@@ -175,15 +185,12 @@ def _scanner(params: MarkovParams, size: int):
     """
     p, p1 = params.p, params.p1
     lo, hi = sorted((p, 1.0 - params.q))
-    flip = p < 1.0 - params.q
+    flip = int(p < 1.0 - params.q)
     max_rows = -(-size // _ROW)
     u = np.empty(max_rows * _ROW)
     codes = np.zeros(max_rows * _ROW, dtype=np.uint8)
     codes0 = np.empty(max_rows * _ROW, dtype=np.uint8)
-    # the code of a forced 0 and of a forced 1 at each step of the rows
-    code_of_0 = np.tile(2 * np.arange(1, _ROW + 1, dtype=np.uint8) + _PARITY[:_ROW] * flip, max_rows)
-    code_of_1 = code_of_0 ^ 1
-    rank = np.arange(1, max_rows + 1)
+    code_of_0, code_of_1 = _CODE_OF_0[flip], _CODE_OF_1[flip]
 
     def fill(rng, part, starts, carry):
         m = part.size
@@ -202,21 +209,27 @@ def _scanner(params: MarkovParams, size: int):
         code += code0
         if starts.size:  # most slices hold no chain start
             code[starts] = code_of_0[starts] ^ (u[starts] < p1)
+        # the carry, 0 or 1, lies below every code, so it is the code of the
+        # slice's first step unless that step is forced
+        codes[0] = max(codes[0], carry)
         # codes past m, zero or left from an earlier slice, lie after the
         # slice's last step, so they change no state
         rows = -(-m // _ROW)
         code = codes[: rows * _ROW].reshape(rows, _ROW)
         np.maximum.accumulate(code, axis=1, out=code)
-        # w after each row is that of the last row so far with a forced
-        # step, or else the carry; each row takes the w after the one before
-        carry = np.uint8(carry)
-        last = code[:, -1]
-        after = np.concatenate(([carry], last & 1))[np.maximum.accumulate((last > 0) * rank[:rows])]
-        np.maximum(code, np.concatenate(([carry], after[:-1]))[:, None], out=code)
+        # w after each row is the low bit of the last code above 0 that a
+        # row so far ends on, else 0: a row ends above 0 when it holds a
+        # forced step or, for the first row, a carry of 1.  256 times a
+        # row's rank, added to such a code, orders them by row and keeps the
+        # low bit.  Each row then takes the w after the one before it.
+        last = code[:-1, -1]
+        after = (last > 0) * _RANK[: rows - 1] + last
+        np.maximum.accumulate(after, out=after)
+        np.maximum(code[1:], (after & 1).astype(np.uint8)[:, None], out=code[1:])
         np.bitwise_and(codes[:m], 1, out=part)
         if flip:
             np.bitwise_xor(part, _PARITY[:m], out=part)
-        return part[-1] ^ np.uint8(flip)
+        return int(part[-1]) ^ flip
 
     return fill
 
@@ -261,8 +274,10 @@ def _count_block(params: MarkovParams, member_starts: np.ndarray, a0: int, a1: i
         first, last = np.searchsorted(member_starts, (a, a + m))
         starts = member_starts[first:last] - a
         carry = fill(rng, cells[1 : m + 1], starts, carry)
+        # a member's share of one slice holds at most _SLICE = 2^15 states,
+        # so its sum fits a uint16, which is cheaper to add in than int64
         counts[first : last + 1] += np.add.reduceat(cells[: m + 1], np.concatenate(([0], starts + 1)),
-                                                    dtype=np.int64)
+                                                    dtype=np.uint16)
 
 
 def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:

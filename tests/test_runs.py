@@ -216,12 +216,23 @@ class TestExpectedRunsMarkov:
 class TestRunHistogram:
     @pytest.mark.parametrize(
         "counts",
-        [[[1, 2], [3, 4]], 5, {1: 3}, [1, -1], [1.5], [2.0, 0.5], [np.nan], [np.inf], [3, -np.inf]],
-        ids=["2-d", "0-d", "dict", "negative", "fraction", "fraction-after-integral", "nan", "inf", "-inf"],
+        [[[1, 2], [3, 4]], 5, {1: 3}, [1, -1], [1.5], [2.0, 0.5], [np.nan], [np.inf], [3, -np.inf],
+         np.array([3, 2**64 - 1], np.uint64), [1.0, 1e19], [1, 2**64]],
+        ids=["2-d", "0-d", "dict", "negative", "fraction", "fraction-after-integral", "nan", "inf", "-inf",
+             "uint64-past-int64", "float-past-int64", "int-past-uint64"],
     )
     def test_rejects_bad_counts(self, counts):
         with pytest.raises(ParameterError):
             RunHistogram(STATE_A, counts, 10)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [np.array([3, 2**63 - 1], np.uint64), np.array([3, 2**63 - 1], np.int64), [3.0, 2.0**63 - 1024],
+         np.array([3, 65504], np.float16), np.array([3, 2**32 - 1], np.uint32), np.array([3, 0], np.int8)],
+        ids=["uint64", "int64", "float64", "float16", "uint32", "int8"],
+    )
+    def test_accepts_every_count_int64_holds(self, counts):
+        assert RunHistogram(STATE_A, counts, 10).counts.tolist() == [int(c) for c in counts]
 
     def test_stores_a_read_only_int64_copy(self):
         given_counts = np.array([2.0, 0.0, 1.0])

@@ -276,6 +276,34 @@ class TestGenerate:
                 assert abs(seq.frequency - derive(params).pinf) < bound, (p, q)
 
 
+class TestScanner:
+    @pytest.mark.parametrize("size", [1, 63, 64, 10**4, _SLICE])
+    @pytest.mark.parametrize("flip", [0, 1])
+    def test_code_tables_match_a_per_call_build(self, flip, size):
+        rows = -(-size // 64)
+        code_of_0 = np.tile(2 * np.arange(1, 65, dtype=np.uint8) + simulate._PARITY[:64] * flip, rows)
+        assert np.array_equal(simulate._CODE_OF_0[flip][: rows * 64], code_of_0)
+        assert np.array_equal(simulate._CODE_OF_1[flip][: rows * 64], code_of_0 ^ 1)
+
+    def test_code_tables_are_read_only(self):
+        # the scans of `ensemble`'s blocks run on threads of their own and share them
+        for table in (simulate._PARITY, simulate._CODE_OF_0, simulate._CODE_OF_1, simulate._RANK):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_allocates_only_its_buffers(self):
+        # one slice of uniforms (8 B a step) and two uint8 code buffers,
+        # 327,680 B; the code tables are module constants, not per call
+        _scanner(MarkovParams(0.88, 0.5), _SLICE)
+        tracemalloc.start()
+        try:
+            fill = _scanner(MarkovParams(0.88, 0.5), _SLICE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert callable(fill) and peak < 340_000
+
+
 class TestEnsemble:
     def test_empty_sizes_rejected(self):
         with pytest.raises(ParameterError):
@@ -390,6 +418,21 @@ class TestEnsemble:
     def test_one_member_is_a_generated_chain(self, n):
         for params in (MarkovParams(0.88, 0.5), MarkovParams(0.12, 0.12), MarkovParams(0.4, 0.6, p1=0.2)):
             assert ensemble(params, [n], 8).p_bars[0] == generate(params, n, 8).frequency
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("sizes", [[_SLICE] * 3, [5, 3 * _SLICE + 5, _SLICE, 2 * _SLICE - 5]],
+                             ids=["whole-slices", "across-slices"])
+    def test_member_sums_reach_a_whole_slice(self, sizes, cpus):
+        # every state is A: a member's share of a slice sums to up to 2^15,
+        # past int16, and a chain restarting from p1 = 1 at a member start
+        # takes the state it had, so the members are stretches of one chain
+        params = MarkovParams(1 - 1e-12, 0.5, p1=1.0)
+        with mock.patch.multiple(simulate, _CPUS=cpus, _MIN_BLOCK_SLICES=1):
+            p_bars = ensemble(params, sizes, 5).p_bars
+        states = generate(params, sum(sizes), 5).states
+        ends = np.cumsum(sizes)
+        counts = [int(states[end - n : end].sum()) for n, end in zip(sizes, ends)]
+        assert counts == sizes and np.array_equal(p_bars, np.array(counts) / sizes)
 
     @staticmethod
     def peak_bytes(sizes):
