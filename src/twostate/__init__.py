@@ -24,7 +24,6 @@ from .runs import (
     STATE_B,
     RunHistogram,
     average_and_normalize,
-    expected_runs_markov,
     extract_runs,
     memoryfree_curve,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "ensemble",
     "estimate_center",
     "estimate_nu",
-    "expected_runs_markov",
     "extract_runs",
     "fit_runs_mle",
     "fit_runs_simulated",

@@ -8,9 +8,11 @@ A histogram is an int64 array of counts indexed by run length, built by one
 `np.bincount` per state; normalized curves, which files and reports carry,
 are dicts from m to frequency.
 
-The memory-free reference is `expected_runs_markov` at (p, q) = (p_bar,
-1-p_bar), and run frequencies divide its counts by their closed-form total
-over m = 1..n-2, so no curve builds an array of length n.
+The run-length model is written once, in (n, s): a state that stays with
+probability s has run-length weights (n-m-1) s^(m-1) on m = 1..n-2, and its
+run frequencies divide them by their closed-form total, so no curve builds
+an array of length n.  The memory-free reference with state-A frequency
+p_bar mixes the two states' curves, at s = p_bar and s = 1-p_bar.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovParams, ParameterError, _check_open_unit, derive
+from .chain import ParameterError, _check_open_unit
 from .simulate import BinarySequence, _value_eq
 
 STATE_A = 1
@@ -113,33 +115,6 @@ def _check_run_domain(n: int, m) -> None:
         raise ParameterError(f"run length {m.max()} outside formula domain (needs m <= n-2 for n={n})")
 
 
-def _state_factors(params: MarkovParams, state: int) -> tuple[float, float, float]:
-    """(enter, stay, other) of a state: the probability of crossing into it,
-    of staying in it, and the stationary frequency of the other state."""
-    pinf = derive(params).pinf
-    if state == STATE_A:
-        return 1.0 - params.q, params.p, 1.0 - pinf
-    if state == STATE_B:
-        return 1.0 - params.p, params.q, pinf
-    raise ParameterError(f"state must be 0 or 1, got {state!r}")
-
-
-def expected_runs_markov(params: MarkovParams, n: int, m, state: int):
-    """Expected number of runs of one state with length exactly m (an int or
-    an array of ints).
-
-    For state A: (n-m-1) * (1-pinf)(1-q) * p^(m-1) * (1-p) -- the stationary
-    probability that a position opens an A-run of exactly m steps, times the
-    number of interior positions.  State B swaps p with q and pinf with
-    1-pinf.  A memory-free sequence with state-A frequency p_bar is the chain
-    at (p, q) = (p_bar, 1-p_bar); there the sum over both states is the
-    paper's (n-m-1) * [p_bar^2 (1-p_bar)^m + (1-p_bar)^2 p_bar^m].
-    """
-    _check_run_domain(n, m)
-    enter, stay, other = _state_factors(params, state)
-    return (n - m - 1) * other * enter * stay ** (m - 1) * (1.0 - stay)
-
-
 def _run_weight_total(n: int, stay: float) -> float:
     """Sum of the run-length weights (n-m-1) s^(m-1) over m = 1..n-2, in
     closed form: with K = n-2, the sum over j < K of (K-j) s^j is
@@ -150,17 +125,11 @@ def _run_weight_total(n: int, stay: float) -> float:
     return k / x - stay * escape / x**2
 
 
-def _expected_runs_total(params: MarkovParams, n: int, state: int) -> float:
-    """Expected number of runs of one state over all lengths m = 1..n-2."""
-    enter, stay, other = _state_factors(params, state)
-    return other * enter * (1.0 - stay) * _run_weight_total(n, stay)
-
-
 def _mean_stays_per_run(n: int, stay: float) -> float:
     """Model mean of m-1 over run lengths m = 1..n-2, in closed form: with
-    the normaliser Z(s) = sum over j < K of (K-j) s^j (K = n-2) written as in
+    the normaliser Z(s) = sum over j < K of (K-j) s^j (K = n-2), which is
     `_run_weight_total`, s Z'(s)/Z(s) = 2s/(1-s) - (K+1) s (1-s^K) /
-    (K(1-s) - s(1-s^K)).  It rises with s from 0 to (K-1)/3.  When K(1-s)
+    ((1-s)^2 Z(s)).  It rises with s from 0 to (K-1)/3.  When K(1-s)
     < 1 the two terms cancel and about 2 log10(1/(K(1-s))) + 1 digits are
     lost, so below K(1-s) = 0.005, where fewer than 10 correct digits would
     remain, the K < 0.005/(1-s) terms are summed one by one instead."""
@@ -170,7 +139,7 @@ def _mean_stays_per_run(n: int, stay: float) -> float:
         weights = (k - j) * stay**j
         return float(weights @ j / weights.sum())
     escape = -math.expm1(k * math.log1p(-x))  # 1 - s^K, accurate for s near 1
-    return 2.0 * stay / x - (k + 1) * stay * escape / (k * x - stay * escape)
+    return 2.0 * stay / x - (k + 1) * stay * escape / (x * x * _run_weight_total(n, stay))
 
 
 def average_and_normalize(histograms) -> dict:
@@ -200,8 +169,9 @@ def log_run_frequencies(n: int, ms, stay: float) -> np.ndarray:
     """Natural log of the model run-length frequencies, at the requested
     lengths, of a state that stays with probability `stay`: the weights
     (n-m-1) stay^(m-1) over their total on the full domain 1..n-2 (the
-    entry factors of `expected_runs_markov` cancel).  It forms no power of
-    `stay`, so it stays finite where the frequency underflows to 0."""
+    chances of entering and of leaving the state scale every count alike and
+    cancel).  It forms no power of `stay`, so it stays finite where the
+    frequency underflows to 0."""
     _check_open_unit("stay", stay)
     ms = np.asarray(ms, dtype=np.int64)
     _check_run_domain(n, ms)
@@ -209,10 +179,17 @@ def log_run_frequencies(n: int, ms, stay: float) -> np.ndarray:
 
 
 def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:
-    """Normalized memory-free run-length curve over lengths 1..max_m: the
-    Markov expectation at (p, q) = (p_bar, 1-p_bar), both states summed."""
-    params = MarkovParams(p_bar, 1.0 - p_bar)
+    """Normalized memory-free run-length curve over lengths 1..max_m, both
+    states together: the paper's counts (n-m-1) [p_bar^2 (1-p_bar)^m +
+    (1-p_bar)^2 p_bar^m] over their total on m = 1..n-2.  Divided by
+    p_bar (1-p_bar), state A's count is 1-p_bar times its run-length weight
+    at s = p_bar and state B's is p_bar times its weight at s = 1-p_bar, so
+    the total mixes the two states' `_run_weight_total`s alike."""
+    _check_open_unit("p_bar", p_bar)
+    a = 1.0 - p_bar
+    _check_open_unit("1 - p_bar", a)
     ms = np.arange(1, max_m + 1)
-    counts = expected_runs_markov(params, n, ms, STATE_A) + expected_runs_markov(params, n, ms, STATE_B)
-    total = _expected_runs_total(params, n, STATE_A) + _expected_runs_total(params, n, STATE_B)
-    return dict(zip(ms.tolist(), (counts / total).tolist()))
+    _check_run_domain(n, ms)
+    total = a * _run_weight_total(n, p_bar) + p_bar * _run_weight_total(n, a)
+    freqs = (n - ms - 1) * (a * p_bar ** (ms - 1) + p_bar * a ** (ms - 1)) / total
+    return dict(zip(ms.tolist(), freqs.tolist()))

@@ -97,6 +97,23 @@ class TestRuns:
         for m in (1, 2, 3):
             assert on_curve[m] == pytest.approx(ref_curve[m], rel=0.1)
 
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            ("--p 0.88 --q 0.5 --n 10000 --seeds 3 --seed 7",
+             "14bb0de999f424a90b695dfe3770105ae6364397ab8434b52cba4a194f183de0"),
+            ("--p 0.93 --q 0.2 --n 100000 --seeds 2 --seed 1",
+             "62926159c67545b0d3861510f585ab202e106d8f45c8845cbc012fa5cda1efd3"),
+            ("--p 0.999 --q 0.1 --n 5000 --seeds 4 --seed 2",
+             "006a81815d03bc280404cafddce53b9bed7bb95820cb3f8c4faeb924af6c0069"),
+        ],
+    )
+    def test_reference_bytes_pinned(self, tmp_path, argv, sha256):
+        on, off, ref = (tmp_path / x for x in ("on.csv", "off.csv", "ref.csv"))
+        outputs = ["--out-on", str(on), "--out-off", str(off), "--reference", str(ref)]
+        assert main(["runs", *argv.split(), *outputs]) == 0
+        assert hashlib.sha256(ref.read_bytes()).hexdigest() == sha256
+
     def test_input_file_roundtrip(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.txt"
         seq_file.write_text("1101000110\n")
@@ -642,7 +659,7 @@ def test_public_surface():
         "ScatterDataset", "ScatterFit",
         "average_and_normalize", "child_seed", "coverage", "derive",
         "ensemble", "estimate_center", "estimate_nu",
-        "expected_runs_markov", "extract_runs", "fit_runs_mle",
+        "extract_runs", "fit_runs_mle",
         "fit_runs_simulated", "fit_scatter", "generate", "invert_to_pq",
         "mean_frequency", "memoryfree_curve", "n_step_self_transitions", "parse_curve", "parse_sequence",
         "parse_studies", "required_n", "run_curve_objective", "sample_curve",

@@ -1,4 +1,4 @@
-"""Run extraction and expected run counts against simulation oracles."""
+"""Run extraction and the run-length model against simulation and exact oracles."""
 
 import itertools
 import math
@@ -10,16 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twostate import BinarySequence, MarkovParams, ParameterError, generate
+from twostate import BinarySequence, MarkovParams, ParameterError, derive, generate
 from twostate.estimate import STAY_BOUND
 from twostate.runs import (
     STATE_A,
     STATE_B,
     RunHistogram,
     average_and_normalize,
-    expected_runs_markov,
-    _expected_runs_total,
     _mean_stays_per_run,
+    _run_weight_total,
     extract_runs,
     log_run_frequencies,
     memoryfree_curve,
@@ -31,7 +30,39 @@ from conftest import run_frequencies
 def expected_runs_memoryfree(n, p_bar, m):
     """Oracle: the paper's expected count of length-m runs (both states) in a
     memory-free sequence of length n with state-A frequency p_bar."""
-    return (n - m - 1) * (p_bar**2 * (1.0 - p_bar) ** m + (1.0 - p_bar) ** 2 * p_bar**m)
+    return (n - m - 1) * (p_bar**2 * (1 - p_bar) ** m + (1 - p_bar) ** 2 * p_bar**m)
+
+
+def memoryfree_frequencies_exact(n, p_bar, max_m):
+    """Oracle: the paper's memory-free counts over their sum on m = 1..n-2,
+    for m = 1..max_m, in exact arithmetic rounded once.  With p_bar = P/D
+    and 1 - p_bar = B/D, D^n times the count of length m is the integer
+    (n-m-1) (P^2 B^m + B^2 P^m) D^(n-2-m)."""
+    P, D = Fraction(p_bar).as_integer_ratio()
+    B = D - P
+    # P^m D^(n-2-m) and B^m D^(n-2-m), from m = 1
+    counts, p_m, b_m = [], P * D ** (n - 3), B * D ** (n - 3)
+    for m in range(1, n - 1):
+        counts.append((n - m - 1) * (P * P * b_m + B * B * p_m))
+        p_m, b_m = p_m * P // D, b_m * B // D
+    total = sum(counts)
+    return [c / total for c in counts[:max_m]]  # int / int rounds once, correctly
+
+
+def expected_runs_markov(params, n, m, state):
+    """Oracle: the expected number of runs of one state with length exactly m.
+
+    For state A: (n-m-1) * (1-pinf)(1-q) * p^(m-1) * (1-p) -- the stationary
+    probability that a position opens an A-run of exactly m steps, times the
+    number of interior positions.  State B swaps p with q and pinf with
+    1-pinf.  At (p, q) = (p_bar, 1-p_bar) the two states sum to the paper's
+    memory-free count."""
+    pinf = derive(params).pinf
+    if state == STATE_A:
+        other, enter, stay = 1.0 - pinf, 1.0 - params.q, params.p
+    else:
+        other, enter, stay = pinf, 1.0 - params.p, params.q
+    return (n - m - 1) * other * enter * stay ** (m - 1) * (1.0 - stay)
 
 
 def seq_of(bits):
@@ -171,14 +202,18 @@ class TestExpectedRunsMemoryfree:
             memoryfree_curve(10, 0.5, 9)
         with pytest.raises(ParameterError):
             memoryfree_curve(10, 0.0, 1)
+        with pytest.raises(ParameterError):
+            memoryfree_curve(10, 1e-17, 1)  # 1 - p_bar rounds to 1
 
 
 class TestExpectedRunsMarkov:
     @given(p=st.floats(0.05, 0.95), n=st.integers(10, 10**4), m=st.integers(1, 7))
+    @example(p=0.5, n=10, m=1)
     def test_reduces_to_memoryfree_at_half(self, p, n, m):
-        params = MarkovParams(0.5, 0.5)
+        # the chain at (p_bar, 1 - p_bar) is memory-free with state-A frequency p_bar
+        params = MarkovParams(p, 1.0 - p)
         both = expected_runs_markov(params, n, m, STATE_A) + expected_runs_markov(params, n, m, STATE_B)
-        assert both == pytest.approx(expected_runs_memoryfree(n, 0.5, m), abs=1e-9)
+        assert both == pytest.approx(expected_runs_memoryfree(n, p, m), abs=1e-9)
 
     def test_monte_carlo_oracle(self):
         params = MarkovParams(0.88, 0.50)
@@ -345,41 +380,45 @@ class TestModelCurves:
         assert all(curve[m] > curve[m + 1] for m in range(1, 30))
 
     @pytest.mark.parametrize("n", [4, 10, 1000, 10**4])
-    @pytest.mark.parametrize("p_bar", [0.001, 0.12, 0.5, 0.88, 0.999])
+    @pytest.mark.parametrize("p_bar", [1e-6, 0.001, 0.12, 0.5, 0.88, 0.999, 1 - 1e-6])
     def test_memoryfree_curve_matches_paper_formula(self, n, p_bar):
-        # the reference curve is the Markov formula at (p_bar, 1 - p_bar);
-        # the oracle normalizes the paper's counts by an explicit sum
+        # the oracle normalizes the paper's counts by their explicit sum, exactly
+        # up to n = 1000; at n = 10^4 the exact sum takes minutes, so in floats
         max_m = min(n - 2, 60)
-        oracle = np.array([expected_runs_memoryfree(n, p_bar, m) for m in range(1, n - 1)])
+        if n <= 1000:
+            oracle = memoryfree_frequencies_exact(n, p_bar, max_m)
+        else:
+            counts = np.array([expected_runs_memoryfree(n, p_bar, m) for m in range(1, n - 1)])
+            oracle = counts[:max_m] / counts.sum()
         curve = memoryfree_curve(n, p_bar, max_m)
         assert list(curve) == list(range(1, max_m + 1))
-        np.testing.assert_allclose(list(curve.values()), oracle[:max_m] / oracle.sum(), rtol=1e-9, atol=0)
+        np.testing.assert_allclose(list(curve.values()), oracle, rtol=1e-13, atol=0)
 
 
 STAYS = np.linspace(0.001, 0.999, 999)
 
 
 class TestExpectedRunsTotal:
-    """The closed-form total against the explicit sum over m = 1..n-2, at a
+    """A state's expected number of runs over all lengths is its entry and
+    exit factors times `_run_weight_total`, the closed-form sum of the weights
+    (n-m-1) s^(m-1) over m = 1..n-2.  Checked against the explicit sum at a
     relative tolerance of 1e-9 (the closed form loses a few digits to
     cancellation as the stay nears 1)."""
 
     @staticmethod
-    def explicit(params, n, state):
-        return float(np.sum(expected_runs_markov(params, n, np.arange(1, n - 1), state)))
+    def explicit(n, stay):
+        m = np.arange(1, n - 1)
+        return float(np.sum((n - m - 1) * stay ** (m - 1.0)))
 
     @pytest.mark.parametrize("n", [4, 10, 10**4])
     def test_matches_explicit_sum(self, n):
         for stay in STAYS:
-            for params, state in ((MarkovParams(stay, 0.37), STATE_A), (MarkovParams(0.61, stay), STATE_B)):
-                expected = self.explicit(params, n, state)
-                assert _expected_runs_total(params, n, state) == pytest.approx(expected, rel=1e-9, abs=0)
+            assert _run_weight_total(n, stay) == pytest.approx(self.explicit(n, stay), rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("stay", [0.001, 0.5, 0.9, 0.999])
     def test_matches_explicit_sum_long_sequence(self, stay):
-        n, params = 5 * 10**6, MarkovParams(stay, 0.5)
-        expected = self.explicit(params, n, STATE_A)
-        assert _expected_runs_total(params, n, STATE_A) == pytest.approx(expected, rel=1e-9, abs=0)
+        n = 5 * 10**6
+        assert _run_weight_total(n, stay) == pytest.approx(self.explicit(n, stay), rel=1e-9, abs=0)
 
     def test_frequencies_sum_to_one_over_the_domain(self):
         params, n = MarkovParams(0.88, 0.5), 500

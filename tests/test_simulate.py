@@ -437,10 +437,12 @@ class TestEnsemble:
     @staticmethod
     def peak_bytes(sizes):
         """tracemalloc's peak over one ensemble at (0.88, 0.5) with two blocks
-        at once, as on a 2-CPU host."""
+        at once, as on a 2-CPU host.  A first, untraced call imports numpy's
+        generators, so the peak is the scan's and not those imports'."""
         if sizes == "criterion-3":
             rng = np.random.default_rng(20_260_811)
             sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 10**4))).astype(int).tolist()
+        ensemble(MarkovParams(0.88, 0.5), [1], 3)
         tracemalloc.start()
         try:
             with mock.patch.object(simulate, "_CPUS", 2):
@@ -457,9 +459,7 @@ class TestEnsemble:
                              ids=["one-long-member", "criterion-3"])
     def test_memory_is_the_scan_buffers(self, sizes, bound):
         # per block, the scan's buffers for one slice, about 13 bytes a draw
-        # (0.41 MiB), besides the count rows and the returned dataset; the
-        # first call imports numpy's generators, so it comes first
-        ensemble(MarkovParams(0.88, 0.5), [1], 3)
+        # (0.41 MiB), besides the count rows and the returned dataset
         assert self.peak_bytes(sizes) < bound
 
     def test_reproducible_and_prefix_stable(self):
