@@ -5,6 +5,12 @@ self-transition probabilities p = P(A -> A) and q = P(B -> B); the cross
 transitions follow as P(B -> A) = 1 - q and P(A -> B) = 1 - p.  Everything
 in this module is exact algebra in these two numbers (plus the initial
 probability p1 of starting in A); no simulation is involved.
+
+Every module checks its arguments with the four rules here:
+`_check_open_unit`, for a probability strictly inside (0, 1); `_is_integer`,
+for an int or numpy integer that is not a bool; `_check_count`, for one such
+integer in [minimum, _INT64_MAX], as counts are held as int64; and
+`_holds_counts`, for an array of counts.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_INT64_MAX = 2**63 - 1
 
 
 class ParameterError(ValueError):
@@ -24,6 +32,25 @@ def _check_open_unit(name: str, value: float) -> None:
         raise ParameterError(
             f"{name} must lie strictly inside (0, 1), got {value!r}"
         )
+
+
+def _is_integer(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _check_count(name: str, n, minimum: int = 1) -> None:
+    if not _is_integer(n) or not minimum <= n <= _INT64_MAX:
+        raise ParameterError(f"{name} must be an integer in [{minimum}, 2^63 - 1], got {n!r}")
+
+
+def _holds_counts(values: np.ndarray, minimum: int) -> bool:
+    """Whether every element of `values` is an integer in [minimum, 2^63 - 1]: floats are checked
+    value by value, so 1.5 and nan fail, and uint64 is read as int64, where 2^63 and up is negative."""
+    if values.dtype == np.uint64:
+        values = values.view(np.int64)
+    if values.dtype.kind == "f":
+        return np.all((values >= minimum) & (values < np.float64(2**63)) & (values == np.floor(values)))
+    return values.dtype.kind in "biu" and (not values.size or values.min() >= minimum)
 
 
 def _stationary_frequency(p: float, q: float) -> float:
@@ -92,18 +119,13 @@ def transition_matrix(params: MarkovParams) -> np.ndarray:
     return np.array([[p, 1.0 - q], [1.0 - p, q]], dtype=float)
 
 
-def _check_step_count(n: int, minimum: int = 1) -> None:
-    if not isinstance(n, (int, np.integer)) or n < minimum:
-        raise ParameterError(f"n must be an integer >= {minimum}, got {n!r}")
-
-
 def state_probability(params: MarkovParams, n: int) -> float:
     """Probability that the n-th measurement (n >= 1) yields state A.
 
     Closed form of the recursion x_n = a * x_(n-1) + (1 - q):
     a^(n-1) * (p1 - pinf) + pinf.
     """
-    _check_step_count(n)
+    _check_count("n", n)
     d = derive(params)
     return d.a ** (n - 1) * (params.p1 - d.pinf) + d.pinf
 
@@ -113,7 +135,7 @@ def mean_frequency(params: MarkovParams, n: int) -> float:
 
     pinf + (p1 - pinf)/n * (1 - a^n)/(1 - a); tends to pinf as n grows.
     """
-    _check_step_count(n)
+    _check_count("n", n)
     d = derive(params)
     return d.pinf + (params.p1 - d.pinf) / n * (1.0 - d.a**n) / (1.0 - d.a)
 
@@ -126,7 +148,7 @@ def n_step_self_transitions(params: MarkovParams, n: int) -> tuple[float, float]
     initial conditions (1, 0) at n = 0 and both components tending to
     pinf.
     """
-    _check_step_count(n, minimum=0)
+    _check_count("n", n, minimum=0)
     d = derive(params)
     an = d.a**n
     return an * (1.0 - d.pinf) + d.pinf, d.pinf * (1.0 - an)
@@ -138,6 +160,6 @@ def std_of_proportion(params: MarkovParams, n: int) -> float:
     Factorizes as sigma0 * nu with sigma0 = sqrt(pinf*(1-pinf)/n), the
     memory-free value.
     """
-    _check_step_count(n)
+    _check_count("n", n)
     d = derive(params)
     return math.sqrt(d.pinf * (1.0 - d.pinf) / n) * d.nu

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .chain import MarkovParams, ParameterError
+from .chain import MarkovParams, ParameterError, _check_count
 from .dataio import (
     DataFormatError,
+    _read_all,
     curve_text,
     funnel_table_text,
     parse_curve,
@@ -33,6 +35,7 @@ from .dataio import (
 )
 from .estimate import (
     InfeasibleParametersError,
+    _check_fit_options,
     fit_runs_mle,
     fit_runs_simulated,
     fit_scatter,
@@ -56,8 +59,16 @@ def _emit(text: str | np.ndarray, out: str | None, staged: list | None = None) -
         sys.stdout.write(text if isinstance(text, str) else str(text, "ascii"))
 
 
-def _input_digest(**paths) -> dict:
-    return {name: {"path": str(path), "sha256": sha256_of(path)} for name, path in paths.items()}
+def _read_inputs(**paths) -> tuple[dict, list]:
+    """The report's record of each input file, its path and the SHA-256 of
+    its bytes, and a stream of those bytes to parse.  Each file is read
+    once, so the digest is of what is parsed, a pipe's included."""
+    inputs, streams = {}, []
+    for name, path in paths.items():
+        data = _read_all(path)
+        inputs[name] = {"path": str(path), "sha256": sha256_of(data)}
+        streams.append(io.BytesIO(data))
+    return inputs, streams
 
 
 def _indexed_path(path: str, index: int) -> str:
@@ -76,8 +87,7 @@ def simulated_histograms(params: MarkovParams, n: int, count: int, seed: int) ->
 
 def cmd_simulate(args) -> int:
     params = MarkovParams(args.p, args.q, p1=args.p1)
-    if args.count < 1:
-        raise ParameterError("--count must be >= 1")
+    _check_count("--count", args.count)
     with staged_writes() as staged:
         for i in range(args.count):
             seed_i = args.seed if args.count == 1 else child_seed(args.seed, i)
@@ -109,8 +119,7 @@ def cmd_runs(args) -> int:
         if args.alphabet is not None:
             raise ParameterError("--alphabet applies only to an --input file, not when simulating")
         seeds = 10 if args.seeds is None else args.seeds
-        if seeds < 1:
-            raise ParameterError(f"--seeds must be >= 1, got {seeds}")
+        _check_count("--seeds", seeds)
         hists = simulated_histograms(MarkovParams(args.p, args.q), args.n, seeds, args.seed)
     else:
         raise ParameterError("give --input FILE or --p/--q/--n to simulate")
@@ -146,11 +155,8 @@ def cmd_funnel(args) -> int:
 
 
 def _fit_scatter_checked(dataset, args):
-    # checked here, so that a bad --level is a usage error (exit 1), not a data error
-    z_from_level(args.level)
-    for flag, bound in (("--min-p", args.min_p), ("--min-q", args.min_q)):
-        if bound is not None and not 0.0 <= bound < 1.0:  # nan fails too
-            raise ParameterError(f"{flag} must lie in [0, 1), got {bound}")
+    # checked here, so that a bad flag is a usage error (exit 1), not a data error
+    _check_fit_options(args.level, args.min_p, args.min_q)
     # the dataset is already well-formed here, so any parameter complaint
     # (e.g. too few points for the quantile) is a shortcoming of the data
     try:
@@ -160,21 +166,19 @@ def _fit_scatter_checked(dataset, args):
 
 
 def cmd_fit_scatter(args) -> int:
-    dataset = parse_studies(args.studies)
-    fit = _fit_scatter_checked(dataset, args)
+    inputs, (studies,) = _read_inputs(studies=args.studies)
+    fit = _fit_scatter_checked(parse_studies(studies), args)
     details = {"level": args.level, "min_p": args.min_p, "min_q": args.min_q}
-    _emit(report_text("fit-scatter", __version__, None, _input_digest(studies=args.studies),
-                      scatter_fit=fit, details=details), args.out)
+    _emit(report_text("fit-scatter", __version__, None, inputs, scatter_fit=fit, details=details), args.out)
     return 0
 
 
 def cmd_fit_runs(args) -> int:
-    on_curve = parse_curve(args.on)
-    off_curve = parse_curve(args.off)
-    if not 4 <= args.length <= 2**63 - 1:  # the model counts n-m-1 in int64
-        raise ParameterError(f"--length must be an integer in [4, 2^63 - 1], got {args.length}")
-    if args.confirm_seeds < 0:
-        raise ParameterError(f"--confirm-seeds must be >= 0, got {args.confirm_seeds}")
+    inputs, (on, off) = _read_inputs(on=args.on, off=args.off)
+    on_curve = parse_curve(on)
+    off_curve = parse_curve(off)
+    _check_count("--length", args.length, minimum=4)
+    _check_count("--confirm-seeds", args.confirm_seeds, minimum=0)
     longest = max(max(on_curve), max(off_curve))
     if longest > args.length - 2:
         raise DataFormatError(
@@ -197,14 +201,14 @@ def cmd_fit_runs(args) -> int:
                     f"no Monte Carlo confirmation chain holds a run of the {name} state"
                 ) from None
         details["mc_confirmation"] = confirmation
-    _emit(report_text("fit-runs", __version__, seed, _input_digest(on=args.on, off=args.off), run_fit=fit,
+    _emit(report_text("fit-runs", __version__, seed, inputs, run_fit=fit,
                       run_curves={"on": on_curve, "off": off_curve}, details=details), args.out)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    dataset = parse_studies(args.studies)
-    fit = _fit_scatter_checked(dataset, args)
+    inputs, (studies,) = _read_inputs(studies=args.studies)
+    fit = _fit_scatter_checked(parse_studies(studies), args)
     spec = FunnelSpec(fit.pinf_hat, fit.nu_hat, z_from_level(args.level))
     ns, lower, upper = sample_curve(spec, args.n_min, args.n_max, args.points)
     funnel_curve = {
@@ -213,7 +217,7 @@ def cmd_analyze(args) -> int:
         "upper": np.clip(upper, 0.0, 1.0).tolist(),
     }
     details = {"level": args.level, "min_p": args.min_p, "min_q": args.min_q}
-    _emit(report_text("analyze", __version__, None, _input_digest(studies=args.studies), scatter_fit=fit,
+    _emit(report_text("analyze", __version__, None, inputs, scatter_fit=fit,
                       funnel_curve=funnel_curve, details=details), args.out)
     return 0
 

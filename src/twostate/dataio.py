@@ -6,7 +6,8 @@ A study table is read in one pass straight into a `ScatterDataset`, the
 A sequence file is handled as bytes end to end: `sequence_text` builds it
 as one uint8 buffer, and `parse_sequence` reads its bytes once and turns
 them into the state array, with no `str` built on either side unless the
-file holds more than '0', '1' and ASCII whitespace.
+file holds more than '0', '1' and ASCII whitespace.  Every input is
+decoded at one point, `_decode`, which drops a leading byte-order mark.
 
 All numeric output uses plain decimal with up to 9 significant digits and a
 '.' separator, independent of locale, so fixed inputs produce byte-identical
@@ -28,6 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .chain import _INT64_MAX
 from .estimate import RunFit, ScatterFit
 from .simulate import BinarySequence, ScatterDataset
 
@@ -35,8 +37,6 @@ from .simulate import BinarySequence, ScatterDataset
 class DataFormatError(ValueError):
     """An input file does not match its declared format."""
 
-
-_MAX_STUDY_SIZE = 2**63 - 1  # study sizes are held as int64
 
 # the ASCII characters str.isspace() accepts, which the sequence format skips
 _ASCII_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
@@ -52,16 +52,25 @@ def round9(x: float) -> float:
     return float(fmt(x))
 
 
-def _read_text(source) -> str:
-    """The whole text of a path or text stream; bytes that are not UTF-8
-    raise `DataFormatError`."""
-    try:
-        if hasattr(source, "read"):
-            return source.read()
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"input is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+def _read_all(source) -> bytes | str:
+    """All of a path's bytes, or all that a stream reads."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, "rb") as fh:
+        return fh.read()
+
+
+def _decode(data: bytes | str) -> str:
+    """The text of an input.  Bytes are decoded as a file opened as UTF-8
+    text would be, and bytes that are not UTF-8 raise `DataFormatError`.
+    Then one leading byte-order mark U+FEFF, which spreadsheets write, is
+    dropped: after decoding, so the error's byte offsets stay the file's."""
+    if isinstance(data, bytes):
+        try:
+            data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"input is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+    return data.removeprefix("\ufeff")
 
 
 @contextlib.contextmanager
@@ -105,12 +114,8 @@ def write_text_atomic(path, text: str | bytes | np.ndarray, staged: list | None 
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
-def sha256_of(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def sha256_of(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _detect_delimiter(header_line: str) -> str:
@@ -129,7 +134,7 @@ def parse_studies(source) -> ScatterDataset:
     per-row record is kept.  All malformed rows are collected and reported
     together with their line numbers.
     """
-    text = _read_text(source)
+    text = _decode(_read_all(source))
     if not text:
         raise DataFormatError("empty study file")
     delim = _detect_delimiter(text.partition("\n")[0])
@@ -161,7 +166,7 @@ def parse_studies(source) -> ScatterDataset:
         raw_pbar = "" if i_pbar is None else row[i_pbar].strip()
         try:
             n = int(raw_n)
-            if not 0 < n <= _MAX_STUDY_SIZE:
+            if not 0 < n <= _INT64_MAX:
                 raise ValueError
         except ValueError:
             problems.append(f"line {lineno}: n must be an integer in [1, 2^63 - 1], got {raw_n!r}")
@@ -214,16 +219,10 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
     invalid UTF-8, is decoded as text and read by `_text_states`, which
     names the error; so are a text stream and the alphabet format.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
+    data = _read_all(source)
     states = _ascii_states(data) if alphabet is None and isinstance(data, bytes) else None
     if states is None:
-        if isinstance(data, bytes):  # decoded as a file opened as text would be
-            data = _read_text(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-        states = _text_states(data, alphabet)
+        states = _text_states(_decode(data), alphabet)
     if not states.size:
         raise DataFormatError("sequence file contains no symbols")
     states.flags.writeable = False
@@ -296,7 +295,7 @@ def parse_curve(source) -> dict:
     The first line is a header, and skipped, when its first cell is not a
     number; any other line must be an (m, frequency) pair.
     """
-    text = _read_text(source)
+    text = _decode(_read_all(source))
     curve = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

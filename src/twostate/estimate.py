@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovParams, ParameterError, derive
+from .chain import MarkovParams, ParameterError, _check_open_unit, derive
 from .funnel import FunnelSpec, coverage, z_from_level
 from .runs import RunHistogram, _check_run_domain, _mean_stays_per_run, log_run_frequencies
 from .simulate import ScatterDataset
@@ -69,12 +69,12 @@ def estimate_nu(dataset: ScatterDataset, pinf: float, level: float = 0.95) -> fl
     """
     if len(dataset) < 20:
         raise ParameterError(f"need at least 20 points for a stable quantile, got {len(dataset)}")
-    if not 0.0 < pinf < 1.0:
-        raise ParameterError(f"pinf must lie strictly inside (0, 1), got {pinf!r}")
+    _check_open_unit("pinf", pinf)
+    z = z_from_level(level)
     devs = np.abs(dataset.p_bars - pinf) * np.sqrt(dataset.sizes / (pinf * (1.0 - pinf)))
     devs = np.sort(devs)
     k = math.ceil(level * len(dataset))
-    return float(devs[k - 1] / z_from_level(level))
+    return float(devs[k - 1] / z)
 
 
 def invert_to_pq(pinf: float, nu: float) -> tuple[float, float]:
@@ -84,8 +84,7 @@ def invert_to_pq(pinf: float, nu: float) -> tuple[float, float]:
     p = s - q.  Raises when the pair is inconsistent with a two-state
     chain, i.e. when either solution leaves (0, 1).
     """
-    if not 0.0 < pinf < 1.0:
-        raise ParameterError(f"pinf must lie strictly inside (0, 1), got {pinf!r}")
+    _check_open_unit("pinf", pinf)
     if nu < 0.0:
         raise ParameterError(f"nu must be nonnegative, got {nu!r}")
     s = 2.0 * nu**2 / (1.0 + nu**2)
@@ -96,6 +95,15 @@ def invert_to_pq(pinf: float, nu: float) -> tuple[float, float]:
             f"(pinf={pinf}, nu={nu}) maps to (p={p:.4f}, q={q:.4f}) outside (0,1)^2"
         )
     return p, q
+
+
+def _check_fit_options(level: float, min_p: float | None, min_q: float | None) -> float:
+    """Check the scatter fit's options; returns the normal quantile of `level`."""
+    z = z_from_level(level)
+    for name, bound in (("min_p", min_p), ("min_q", min_q)):
+        if bound is not None and not 0.0 <= bound < 1.0:  # nan fails too
+            raise ParameterError(f"{name} must lie in [0, 1), got {bound!r}")
+    return z
 
 
 def fit_scatter(
@@ -111,6 +119,7 @@ def fit_scatter(
     are re-derived from the projected pair, so the fit invariants hold
     either way.
     """
+    z = _check_fit_options(level, min_p, min_q)
     center = estimate_center(dataset)
     if not 0.0 < center < 1.0:
         raise InfeasibleParametersError(f"degenerate dataset: weighted mean proportion {center}")
@@ -123,7 +132,7 @@ def fit_scatter(
     if min_q is not None:
         q = max(q, min_q)
     d = derive(MarkovParams(p, q))
-    spec = FunnelSpec(d.pinf, d.nu, z_from_level(level))
+    spec = FunnelSpec(d.pinf, d.nu, z)
     return ScatterFit(
         pinf_hat=d.pinf,
         nu_hat=d.nu,
@@ -156,11 +165,9 @@ def fit_runs_mle(*histograms: RunHistogram) -> float:
 def _curve_arrays(curve: dict, length: int) -> tuple[np.ndarray, np.ndarray]:
     ms = sorted(curve)
     freqs = np.array([curve[m] for m in ms], dtype=float)
-    if not ms or ms[0] < 1 or freqs.min() < 0.0:
-        raise ParameterError("run curve must map positive lengths to nonnegative frequencies")
-    # before the int64 cast, which a run length past 2^63 - 1 would overflow
-    _check_run_domain(length, ms[-1:])
-    return np.array(ms, dtype=np.int64), freqs
+    if not ms or freqs.min() < 0.0:
+        raise ParameterError("run curve must map run lengths to nonnegative frequencies")
+    return _check_run_domain(length, ms), freqs
 
 
 def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float, length: int = 10_000) -> float:

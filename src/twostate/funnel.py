@@ -16,8 +16,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .chain import ParameterError
-from .simulate import _INT64_MAX, ScatterDataset
+from .chain import _INT64_MAX, ParameterError, _check_count, _check_open_unit
+from .simulate import ScatterDataset
 
 BOUNDARY_RTOL = 1e-12  # relative slack at the bound in `coverage`
 
@@ -43,13 +43,10 @@ class FunnelSpec:
     z: float = 1.96
 
     def __post_init__(self):
-        if not 0.0 < self.pinf < 1.0:
-            raise ParameterError(f"pinf must lie strictly inside (0, 1), got {self.pinf!r}")
-        # written so that nan fails too
-        if not 0.0 < self.nu < math.inf:
-            raise ParameterError(f"nu must be finite and positive, got {self.nu!r}")
-        if not 0.0 < self.z < math.inf:
-            raise ParameterError(f"z must be finite and positive, got {self.z!r}")
+        _check_open_unit("pinf", self.pinf)
+        for name, value in (("nu", self.nu), ("z", self.z)):
+            if not 0.0 < value < math.inf:  # nan fails too
+                raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
     def half_width(self, n) -> float:
         return self.z * np.sqrt(self.pinf * (1.0 - self.pinf) / np.asarray(n, dtype=float)) * self.nu
@@ -78,8 +75,9 @@ def coverage(dataset: ScatterDataset, spec: FunnelSpec) -> float:
 
 def sample_curve(spec: FunnelSpec, n_min: float = 10.0, n_max: float = 1e5, points: int = 200):
     """(n, lower, upper) samples over a log-spaced grid of study sizes."""
-    if not (1 <= n_min < n_max < math.inf) or not 2 <= points <= _INT64_MAX:
-        raise ParameterError("need finite 1 <= n_min < n_max and 2 <= points <= 2^63 - 1")
+    if not 1 <= n_min < n_max < math.inf:
+        raise ParameterError("need finite 1 <= n_min < n_max")
+    _check_count("points", points, minimum=2)
     # numpy sizes the grid from float(points), and past 2^63 - 1 bytes it
     # raises ValueError or IndexError where a smaller grid raises MemoryError
     if 8.0 * points > _INT64_MAX:

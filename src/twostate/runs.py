@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ParameterError, _check_open_unit
-from .simulate import BinarySequence, _value_eq
+from .chain import ParameterError, _check_count, _check_open_unit, _holds_counts
+from .simulate import BinarySequence, _store, _value_eq
 
 STATE_A = 1
 STATE_B = 0
@@ -32,7 +32,7 @@ STATE_B = 0
 @dataclass(frozen=True)
 class RunHistogram:
     """Counts of runs of one state: `counts[m-1]` is the number of runs of
-    length m, held as a read-only 1-D int64 array.
+    length m, held as a read-only 1-D int64 array stored by `_store`.
 
     Boundary runs (first and last) are counted at their observed length;
     no censoring correction is applied.
@@ -45,24 +45,11 @@ class RunHistogram:
     def __post_init__(self):
         if self.state not in (STATE_A, STATE_B):
             raise ParameterError(f"state must be 0 or 1, got {self.state!r}")
-        if self.total_length < 1:
-            raise ParameterError("total_length must be positive")
+        _check_count("total_length", self.total_length)
         counts = np.asarray(self.counts)
-        if counts.dtype == np.uint64:
-            # a count of 2^63 or more, which int64 cannot hold, reads as negative
-            counts = counts.view(np.int64)
-        if counts.dtype.kind == "f":
-            # checked value by value before the cast, which would make 1.5 a
-            # count of 1; nan fails every comparison, and 2^63 is a float64
-            valid = np.all((counts >= 0) & (counts < np.float64(2**63)) & (counts == np.floor(counts)))
-        else:
-            # bools and integers are integral, and int64 holds them
-            valid = counts.dtype.kind in "biu" and (not counts.size or counts.min() >= 0)
-        if counts.ndim != 1 or not valid:
+        if counts.ndim != 1 or not _holds_counts(counts, 0):
             raise ParameterError("histogram counts must be a 1-d array of integers in [0, 2^63 - 1]")
-        counts = np.array(counts, dtype=np.int64)
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
+        _store(self, "counts", counts, np.int64)
 
     __eq__ = _value_eq
 
@@ -107,12 +94,15 @@ def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
     return hist(STATE_A, group_a), hist(STATE_B, 1 - group_a)
 
 
-def _check_run_domain(n: int, m) -> None:
+def _check_run_domain(n: int, m) -> np.ndarray:
+    """`m` as int64, once checked against the run model's domain 1 <= m <= n-2."""
+    _check_count("n", n)
     m = np.asarray(m)
     if m.size and m.min() < 1:
         raise ParameterError(f"run length must be >= 1, got {m.min()!r}")
     if m.size and m.max() > n - 2:
         raise ParameterError(f"run length {m.max()} outside formula domain (needs m <= n-2 for n={n})")
+    return np.asarray(m, dtype=np.int64)
 
 
 def _run_weight_total(n: int, stay: float) -> float:
@@ -173,8 +163,7 @@ def log_run_frequencies(n: int, ms, stay: float) -> np.ndarray:
     cancel).  It forms no power of `stay`, so it stays finite where the
     frequency underflows to 0."""
     _check_open_unit("stay", stay)
-    ms = np.asarray(ms, dtype=np.int64)
-    _check_run_domain(n, ms)
+    ms = _check_run_domain(n, ms)
     return np.log((n - ms - 1) / _run_weight_total(n, stay)) + (ms - 1) * math.log(stay)
 
 
@@ -188,8 +177,7 @@ def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:
     _check_open_unit("p_bar", p_bar)
     a = 1.0 - p_bar
     _check_open_unit("1 - p_bar", a)
-    ms = np.arange(1, max_m + 1)
-    _check_run_domain(n, ms)
+    ms = _check_run_domain(n, np.arange(1, max_m + 1))
     total = a * _run_weight_total(n, p_bar) + p_bar * _run_weight_total(n, a)
     freqs = (n - ms - 1) * (a * p_bar ** (ms - 1) + p_bar * a ** (ms - 1)) / total
     return dict(zip(ms.tolist(), freqs.tolist()))

@@ -32,10 +32,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chain import MarkovParams, ParameterError
+from .chain import MarkovParams, ParameterError, _check_count, _holds_counts, _is_integer
 
 _SEED_MASK = (1 << 64) - 1
-_INT64_MAX = 2**63 - 1
 
 # uniforms drawn and scanned per slice by `_scanner`.  A scan holds about
 # 13 bytes per uniform, about 0.4 MB: 12 in the kernel's buffers, which it
@@ -66,7 +65,7 @@ _MIN_BLOCK_SLICES = 8
 
 
 def _entropy(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
+    if not _is_integer(seed):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     # negative seeds are folded into the unsigned 64-bit range
     return int(seed) & _SEED_MASK
@@ -74,8 +73,19 @@ def _entropy(seed: int) -> int:
 
 def child_seed(seed: int, index: int) -> int:
     """Deterministic 64-bit sub-seed for the `index`-th of several sequences."""
+    _check_count("index", index, minimum=0)
     ss = np.random.SeedSequence([_entropy(seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _store(record, name: str, values: np.ndarray, dtype) -> None:
+    """Set the field `name` of `record` to `values` as a read-only `dtype` array.
+    An array the caller may still write to, itself or through its base, is copied;
+    a read-only array that owns its data is kept, so a long array is held once,
+    and whoever sets its `writeable` flag again can still change it."""
+    values = values.astype(dtype, copy=values.flags.writeable or not values.flags.owndata)
+    values.flags.writeable = False
+    object.__setattr__(record, name, values)
 
 
 def _value_eq(self, other):
@@ -91,10 +101,7 @@ def _value_eq(self, other):
 class BinarySequence:
     """A finite record of binary state measurements (A=1, B=0).
 
-    `states` is read-only.  An array the caller can still write to is
-    copied; a read-only array that owns its data is kept, not copied, so a
-    long sequence is held once, and whoever sets its `writeable` flag again
-    can still change it.
+    `states` is a read-only uint8 array, stored by `_store`.
     """
 
     states: np.ndarray
@@ -107,11 +114,7 @@ class BinarySequence:
         binary = states.max() <= 1 if states.dtype == np.uint8 else np.isin(states, (0, 1)).all()
         if not binary:
             raise ParameterError("sequence elements must be 0 or 1")
-        # an array the caller may still write to, itself or through the array
-        # it is a view of, is copied, not frozen
-        states = states.astype(np.uint8, copy=states.flags.writeable or not states.flags.owndata)
-        states.flags.writeable = False
-        object.__setattr__(self, "states", states)
+        _store(self, "states", states, np.uint8)
 
     __eq__ = _value_eq
 
@@ -128,9 +131,7 @@ class BinarySequence:
 class ScatterDataset:
     """Study points (n, p_bar): per study, its size and the observed
     proportion of state A, held as two equal-length read-only arrays
-    (int64 sizes, float p_bars).  As in `BinarySequence`, a read-only array
-    that owns its data is kept, not copied, and can still change if its
-    holder makes it writeable again."""
+    (int64 sizes, float p_bars) stored by `_store`."""
 
     sizes: np.ndarray
     p_bars: np.ndarray
@@ -140,19 +141,13 @@ class ScatterDataset:
         p_bars = np.asarray(self.p_bars, dtype=float)
         if sizes.ndim != 1 or sizes.size < 1 or p_bars.shape != sizes.shape:
             raise ParameterError("sizes and p_bars must be equal-length non-empty 1-d arrays")
-        # checked value by value before the cast, which would make 10.7 a size of 10
-        if not np.all((sizes >= 1) & (sizes < 2**63) & (sizes == np.floor(sizes))):
+        if not _holds_counts(sizes, 1):
             raise ParameterError("every study size must be an integer in [1, 2^63 - 1]")
         # min/max are nan when any p_bar is, and then the test fails
         if not (p_bars.min() >= 0.0 and p_bars.max() <= 1.0):
             raise ParameterError("every p_bar must lie in [0, 1]")
-        # an array the caller may still write to, itself or through the array
-        # it is a view of, is copied, not frozen
-        sizes = sizes.astype(np.int64, copy=sizes.flags.writeable or not sizes.flags.owndata)
-        p_bars = p_bars.astype(float, copy=p_bars.flags.writeable or not p_bars.flags.owndata)
-        sizes.flags.writeable = p_bars.flags.writeable = False
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "p_bars", p_bars)
+        _store(self, "sizes", sizes, np.int64)
+        _store(self, "p_bars", p_bars, float)
 
     __eq__ = _value_eq
 
@@ -241,8 +236,7 @@ def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
     time.  Memory is the n-byte state array plus the scan's buffers for
     min(n, _SLICE) draws, allocated once per call.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= _INT64_MAX:
-        raise ParameterError(f"sequence length must be an integer in [1, 2^63 - 1], got {n!r}")
+    _check_count("sequence length", n)
     n = int(n)
     rng = np.random.default_rng(_entropy(seed))
     states = np.empty(n, dtype=np.uint8)
@@ -298,11 +292,9 @@ def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     if not sizes:
         raise ParameterError("ensemble requires at least one study size")
     for n in sizes:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= _INT64_MAX:
-            raise ParameterError(f"study sizes must be integers in [1, 2^63 - 1], got {n!r}")
+        _check_count("study size", n)
     total = sum(map(int, sizes))
-    if total > _INT64_MAX:
-        raise ParameterError(f"study sizes must sum to at most 2^63 - 1, got {total}")
+    _check_count("the sum of the study sizes", total)
     seed = _entropy(seed)
     sizes = np.array(sizes, dtype=np.int64)
     member_starts = np.cumsum(sizes) - sizes

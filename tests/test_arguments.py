@@ -1,0 +1,67 @@
+"""Library arguments outside their domain: every public call raises
+`ParameterError`, never another exception or a confident wrong answer."""
+
+import math
+
+import numpy as np
+import pytest
+
+from twostate import (
+    FunnelSpec,
+    MarkovParams,
+    ParameterError,
+    RunHistogram,
+    ScatterDataset,
+    child_seed,
+    estimate_nu,
+    fit_runs_simulated,
+    fit_scatter,
+    generate,
+    memoryfree_curve,
+    n_step_self_transitions,
+    run_curve_objective,
+    sample_curve,
+    state_probability,
+)
+from twostate.runs import log_run_frequencies
+
+P = MarkovParams(0.7, 0.4)
+CURVE = {1: 0.5, 2: 0.3, 3: 0.2}
+SPEC = FunnelSpec(0.5, 1.0)
+
+
+def scatter(n_points=40):
+    rng = np.random.default_rng(3)
+    sizes = rng.integers(50, 500, n_points)
+    return ScatterDataset(sizes, rng.binomial(sizes, 0.6) / sizes)
+
+
+CASES = {
+    "state_probability-bool-n": lambda: state_probability(P, True),
+    "n_step_self_transitions-bool-n": lambda: n_step_self_transitions(P, False),
+    "generate-bool-seed": lambda: generate(P, 3, True),
+    "child_seed-negative-index": lambda: child_seed(1, -1),
+    "fit_runs_simulated-length-past-int64": lambda: fit_runs_simulated(CURVE, CURVE, 2**70),
+    "fit_runs_simulated-fractional-length": lambda: fit_runs_simulated(CURVE, CURVE, 10.5),
+    "run_curve_objective-length-past-int64": lambda: run_curve_objective(CURVE, CURVE, 0.5, 0.5, 2**70),
+    "memoryfree_curve-fractional-n": lambda: memoryfree_curve(10.5, 0.5, 3),
+    "memoryfree_curve-n-past-int64": lambda: memoryfree_curve(2**70, 0.5, 3),
+    "log_run_frequencies-n-past-int64": lambda: log_run_frequencies(2**64, [2**63], 0.5),
+    "sample_curve-fractional-points": lambda: sample_curve(SPEC, 10, 100, 2.5),
+    "estimate_nu-level-above-one": lambda: estimate_nu(scatter(), 0.5, 2.0),
+    "fit_scatter-nan-min_p": lambda: fit_scatter(scatter(), min_p=math.nan),
+    "RunHistogram-bool-total_length": lambda: RunHistogram(1, [1], True),
+    "RunHistogram-fractional-total_length": lambda: RunHistogram(1, [1], 2.5),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_out_of_domain_argument_raises_parameter_error(case):
+    with pytest.raises(ParameterError):
+        CASES[case]()
+
+
+def test_bool_study_sizes_are_counts():
+    # as `RunHistogram` takes bool counts
+    dataset = ScatterDataset([True, True], [0.5, 0.5])
+    assert dataset.sizes.dtype == np.int64 and dataset.sizes.tolist() == [1, 1]

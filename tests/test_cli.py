@@ -620,6 +620,22 @@ class TestSubprocessEntry:
         assert simulate.returncode == 1
         assert simulate.stderr.splitlines() == ["error: TWOSTATE_SEED must be an integer, got 'abc'"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("command", ["fit-scatter", "analyze", "fit-runs"])
+    def test_piped_input_digest_is_of_the_parsed_bytes(self, tmp_path, command):
+        # the report hashes the bytes it parsed: a pipe cannot be read a second time
+        on, off = write_model_curves(tmp_path, 0.60, 0.65)
+        source, argv = {
+            "fit-scatter": (FIXTURE, ["--studies", "/dev/stdin"]),
+            "analyze": (FIXTURE, ["--studies", "/dev/stdin", "--points", "5"]),
+            "fit-runs": (on, ["--on", "/dev/stdin", "--off", off]),
+        }[command]
+        data = pathlib.Path(source).read_bytes()
+        result = subprocess.run([sys.executable, "-m", "twostate", command, *argv], input=data, capture_output=True)
+        assert result.returncode == 0, result.stderr
+        digest = json.loads(result.stdout)["inputs"]["on" if command == "fit-runs" else "studies"]["sha256"]
+        assert digest == hashlib.sha256(data).hexdigest()
+
     def test_module_usage_error_code(self):
         result = subprocess.run(
             [sys.executable, "-m", "twostate", "funnel", "--pinf", "0.58"],

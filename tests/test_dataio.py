@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import stat
 import threading
 import tracemalloc
@@ -27,7 +28,9 @@ from twostate.dataio import (
     staged_writes,
     write_text_atomic,
 )
-from twostate.estimate import ScatterFit
+from twostate.estimate import ScatterFit, fit_scatter
+
+FIXTURE = pathlib.Path(__file__).parent / "data" / "handedness_synthetic.csv"
 
 
 class TestParseStudies:
@@ -75,6 +78,13 @@ class TestParseStudies:
     def test_missing_column(self):
         with pytest.raises(DataFormatError, match="header"):
             parse_studies(io.StringIO("study_id,size\ns1,100\n"))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheets save UTF-8 tables with a leading U+FEFF
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + FIXTURE.read_bytes())
+        assert parse_studies(marked) == parse_studies(FIXTURE)
+        assert fit_scatter(parse_studies(marked)) == fit_scatter(parse_studies(FIXTURE))
 
     def test_bundled_fixture_loads(self):
         import pathlib
@@ -198,6 +208,16 @@ class TestParseSequence:
             parse_sequence(path)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, alphabet, states", [
+        ("0110\n", None, [0, 1, 1, 0]),
+        ("A B B A\n", ("A", "B"), [1, 0, 0, 1]),
+    ], ids=["default", "alphabet"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text, alphabet, states):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_sequence(path, alphabet).states.tolist() == states
+        assert parse_sequence(io.StringIO("\ufeff" + text), alphabet) == parse_sequence(path, alphabet)
+
     def test_pipe_read_in_full(self):
         # a pipe has no size to read by, and 200 kB is more than its buffer holds
         seq = generate(MarkovParams(0.65, 0.25), 200_000, 5)
@@ -238,6 +258,12 @@ class TestCurveIO:
         path = tmp_path / "curve.csv"
         write_text_atomic(path, curve_text(curve))
         assert parse_curve(path) == curve
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a marked first row is data, not a header to skip
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,0.75\n2,0.25\n")
+        assert parse_curve(path) == {1: 0.75, 2: 0.25}
 
     def test_headerless_and_whitespace(self):
         assert parse_curve(io.StringIO("1 0.75\n2 0.25\n")) == {1: 0.75, 2: 0.25}
