@@ -85,7 +85,7 @@ def invert_to_pq(pinf: float, nu: float) -> tuple[float, float]:
     chain, i.e. when either solution leaves (0, 1).
     """
     _check_open_unit("pinf", pinf)
-    if nu < 0.0:
+    if not nu >= 0.0:  # nan fails too
         raise ParameterError(f"nu must be nonnegative, got {nu!r}")
     s = 2.0 * nu**2 / (1.0 + nu**2)
     q = 1.0 - pinf * (2.0 - s)

@@ -27,6 +27,9 @@ from .simulate import BinarySequence, _store, _value_eq
 
 STATE_A = 1
 STATE_B = 0
+# symbols compared per chunk by `extract_runs`; a chunk's run starts take
+# at most 8 bytes a symbol (0.5 MiB), and one state's run lengths half that
+_RUN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,42 +69,55 @@ class RunHistogram:
 def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
     """Histogram the maximal same-state stretches, state A first.
 
-    With `changes` the positions i where x[i + 1] != x[i], run j ends at
-    changes[j] and the last run at n - 1; runs alternate states, the first
-    in the state of x[0].  So an interior run's length is the difference of
-    two adjacent change positions, and one state's interior runs are the
-    differences of alternate ones.  The first and last runs, which meet the
-    ends of the record, are added on their own.
+    With `starts` the positions i where x[i] != x[i - 1], led by 0 and
+    followed by n, run j spans starts[j] to starts[j + 1], so its length is
+    the difference of the two; runs alternate states, the first in the state
+    of x[0].  The run starts are found _RUN_CHUNK symbols at a time, carrying
+    the start of the run in progress and the number of runs before it, so
+    memory stays bounded however often the chain switches.
     """
     x = seq.states
     n = x.size
-    changes = np.flatnonzero(x[1:] != x[:-1])
-    k = changes.size
-    # the end runs of the state of x[0] (group 0) and of the other (group 1)
-    end_runs = ([int(changes[0]) + 1 if k else n], [])
-    if k:
-        end_runs[k % 2].append(n - 1 - int(changes[-1]))
-
-    def hist(state, group):
-        # runs 2, 4, ... of group 0 and runs 1, 3, ... of group 1, the last run left out
-        interior = changes[2 - group :: 2] - changes[1 - group : k - 1 : 2]
-        counts = np.bincount(interior, minlength=max(end_runs[group], default=0) + 1)
-        for length in end_runs[group]:
-            counts[length] += 1
-        return RunHistogram(state, counts[1:], n)
-
+    # counts by run length of the runs in the state of x[0] (group 0) and the other
+    counts = [None, None]
+    # changed[k] is whether a chunk's symbol k starts a run; changed[0],
+    # the chunk's first symbol, stands for the run in progress
+    changed = np.ones(min(_RUN_CHUNK, n - 1) + 2, dtype=bool)
+    last, runs = 0, 0
+    # n = 1 has no pair to compare, but its one run is still counted
+    for a in range(0, max(n - 1, 1), _RUN_CHUNK):
+        b = min(a + _RUN_CHUNK, n - 1)
+        np.not_equal(x[a + 1 : b + 1], x[a:b], out=changed[1 : b - a + 1])
+        # at the record's end, n closes the last run
+        changed[b - a + 1] = b == n - 1
+        starts = np.nonzero(changed[: b - a + 2])[0]
+        if a:
+            starts += a
+            starts[0] = last
+        for group in (0, 1):
+            # run t of this chunk is run runs + t of the record
+            t = (group - runs) % 2
+            lengths = np.bincount(starts[t + 1 :: 2] - starts[t:-1:2])
+            if a:  # add in the counts of the chunks before, into the longer array
+                lengths, before = sorted((lengths, counts[group]), key=len, reverse=True)
+                lengths[: before.size] += before
+            counts[group] = lengths
+        last, runs = int(starts[-1]), runs + starts.size - 1
     group_a = int(x[0] != STATE_A)
-    return hist(STATE_A, group_a), hist(STATE_B, 1 - group_a)
+    return RunHistogram(STATE_A, counts[group_a][1:], n), RunHistogram(STATE_B, counts[1 - group_a][1:], n)
 
 
 def _check_run_domain(n: int, m) -> np.ndarray:
-    """`m` as int64, once checked against the run model's domain 1 <= m <= n-2."""
+    """`m` as int64, once checked against the run model's domain 1 <= m <= n-2
+    and checked to hold integers, so that 1.5 or nan is rejected, not cast."""
     _check_count("n", n)
     m = np.asarray(m)
     if m.size and m.min() < 1:
         raise ParameterError(f"run length must be >= 1, got {m.min()!r}")
     if m.size and m.max() > n - 2:
         raise ParameterError(f"run length {m.max()} outside formula domain (needs m <= n-2 for n={n})")
+    if not _holds_counts(m, 1):
+        raise ParameterError("every run length must be an integer")
     return np.asarray(m, dtype=np.int64)
 
 
@@ -177,6 +193,7 @@ def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:
     _check_open_unit("p_bar", p_bar)
     a = 1.0 - p_bar
     _check_open_unit("1 - p_bar", a)
+    _check_count("max_m", max_m)
     ms = _check_run_domain(n, np.arange(1, max_m + 1))
     total = a * _run_weight_total(n, p_bar) + p_bar * _run_weight_total(n, a)
     freqs = (n - ms - 1) * (a * p_bar ** (ms - 1) + p_bar * a ** (ms - 1)) / total

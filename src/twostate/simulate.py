@@ -8,9 +8,15 @@ result is the same as from a single scan, while working memory is
 O(_SLICE) plus the output.
 
 One kernel, `_scanner`, scans every slice: it draws the slice's uniforms
-and writes its states into a uint8 array.  `generate` hands it the slices
-of its output; `ensemble` hands it one buffer it reuses and sums each
-member's states in it to count them.
+and returns the slice's states as bits, 64 steps to a uint64 word.  A step
+either is forced to a state by its uniform or copies (or flips) the state
+before it, so the kernel packs the forced steps into words and resolves
+every copy step with integer arithmetic, not step by step: within a word,
+the steps before a run's first forced 1 are those an add's carry clears,
+and across words, a word's last forced step is a 1 exactly when its
+forced-1 word exceeds its forced-0 word as an unsigned integer.
+`generate` unpacks each slice's words into its output; `ensemble` counts
+each member's A states in them by popcount.
 
 An ensemble lays its members end to end on that one stream: member i is
 the chain scanned from the uniforms after those of members 0..i-1.  Only
@@ -37,26 +43,17 @@ from .chain import MarkovParams, ParameterError, _check_count, _holds_counts, _i
 _SEED_MASK = (1 << 64) - 1
 
 # uniforms drawn and scanned per slice by `_scanner`.  A scan holds about
-# 13 bytes per uniform, about 0.4 MB: 12 in the kernel's buffers, which it
-# reuses, and the state byte it writes.  This is a memory limit, not a speed
-# one: 2^18 raised the funnel benchmark's peak RSS from 62.5 to 74 MB and was
-# no faster.
+# 10 bytes per uniform, about 0.33 MB, in buffers it reuses: 8 for the
+# uniform and one for each of its two forced-step masks.  This is a memory
+# limit, not a speed one: 2^18 raised the funnel benchmark's peak RSS from
+# 62.5 to 74 MB and was no faster.
 _SLICE = 1 << 15
-# steps per row of the scan: its codes 2(j + 1) + w stay below 256,
-# and since the row is even, a step's parity is its column's
-_ROW = 64
-# the parity of each position in a slice, 0101...
-_PARITY = np.arange(_SLICE, dtype=np.uint8) & 1
-# the scan's code of a forced 0 and of a forced 1 at each position of a
-# slice, when the chain copies (row 0) and when it flips (row 1), and 256
-# times the rank of each row of a slice, which exceeds every code; built
-# once, read-only, and shared by every scan, on whichever thread
-_CODE_OF_0 = np.tile(2 * np.arange(1, _ROW + 1, dtype=np.uint8), _SLICE // _ROW)
-_CODE_OF_0 = np.stack((_CODE_OF_0, _CODE_OF_0 + _PARITY))
-_CODE_OF_1 = _CODE_OF_0 ^ 1
-_RANK = 256 * np.arange(1, _SLICE // _ROW + 1)
-for _table in (_PARITY, _CODE_OF_0, _CODE_OF_1, _RANK):
-    _table.flags.writeable = False
+# the bits of a uint64 word at odd positions; since a word holds an even
+# number of steps, a step's parity in its slice is its bit's
+_ODD = np.uint64(0xAAAA_AAAA_AAAA_AAAA)
+# the bits of a word below bit j, for j = 0..63
+_BELOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
+_BELOW.flags.writeable = False
 # `ensemble` scans at most one block per usable CPU at a time, and cuts at
 # most one block per _MIN_BLOCK_SLICES slices, so that starting its thread and
 # jumping its generator ahead stay small beside its scan (~0.3 ms a slice)
@@ -157,9 +154,10 @@ class ScatterDataset:
 
 def _scanner(params: MarkovParams, size: int):
     """The slice scan of a chain, with buffers for slices of up to `size`
-    steps (at most _SLICE) allocated once: `fill(rng, part, starts, carry)`
-    draws part.size uniforms u from `rng`, writes the states of that slice
-    into `part` and returns the carry of the slice after it.
+    steps (at most _SLICE) allocated once: `fill(rng, m, starts, carry)`
+    draws m uniforms u from `rng` and returns `(words, carry)`: the states of
+    that slice as bits, bit i of uint64 word k being step 64k + i and every
+    bit past the slice 0, and the carry of the slice after it.
 
     The sequential rule is
         x[i] = u[i] < p1                          at a chain start
@@ -171,60 +169,77 @@ def _scanner(params: MarkovParams, size: int):
     flips it when p < 1-q, so the scan works on w, the state or, when the
     chain flips, the state XOR the step's parity in its slice; every unforced
     step copies w from the step before.  `carry` is the w before the slice,
-    at its position -1.  Each slice is cut into rows of _ROW steps, and a
-    forced step at column j gets the uint8 code 2(j + 1) + w, every other
-    step 0.  A running max along each row then leaves each step the code of
-    its row's last forced step so far, whose low bit is its w.  Steps before
-    a row's first forced step take the w carried into the row, 0 or 1, which
-    lies below every code.
+    at its position -1.
+
+    The forced 1s and forced 0s of w are packed into words A and B, and X =
+    ~B holds the steps whose w may be 1.  Within a run of X, w is 1 from the
+    run's first forced 1 on, and before it w is the w the run was entered
+    at.  R0 = X & ~((X << 1) | cin) marks the first step of each run entered
+    at w = 0, after a forced 0 or, at bit 0, after a word entered at cin = 0.
+    With M = X & ~A the copy steps, adding R0 to M carries each of its bits
+    along the copy steps that follow it up to the run's first forced step,
+    clearing them, so P = ((M + R0) ^ M) & M is the copy steps of such a run
+    before its first forced 1; they and the forced 0s have w = 0, so w =
+    X ^ P.  No add loops over steps, and runs do not interact: a carry stops
+    at a forced step, which is never the first bit of another run.
+
+    cin of word k is the w after the last forced step in words 0..k-1, or
+    `carry` when they hold none.  A and B share no bit, so the highest set
+    bit of A | B, a word's last forced step, is in A exactly when A > B as
+    unsigned integers.  Each word with a forced step gets the code 2(k + 1)
+    + (A > B), every other word 0, and a running max over the words leaves
+    each the code of the last such word so far, whose low bit is the w after
+    it.  The carry, 0 or 1, lies below every code.  Steps past the slice's
+    end are forced 0s, so they change no earlier state and leave no bit set.
     """
     p, p1 = params.p, params.p1
     lo, hi = sorted((p, 1.0 - params.q))
     flip = int(p < 1.0 - params.q)
-    max_rows = -(-size // _ROW)
-    u = np.empty(max_rows * _ROW)
-    codes = np.zeros(max_rows * _ROW, dtype=np.uint8)
-    codes0 = np.empty(max_rows * _ROW, dtype=np.uint8)
-    code_of_0, code_of_1 = _CODE_OF_0[flip], _CODE_OF_1[flip]
+    max_words = -(-size // 64)
+    u = np.empty(size)
+    # the forced-1 and forced-0 steps of a slice, padded to whole words
+    forced1 = np.empty(max_words * 64, dtype=bool)
+    forced0 = np.empty(max_words * 64, dtype=bool)
+    # 2(k + 1) for word k, which ranks the words' codes
+    rank = np.arange(2, 2 * max_words + 2, 2, dtype=np.uint64)
 
-    def fill(rng, part, starts, carry):
-        m = part.size
+    def fill(rng, m, starts, carry):
+        words = -(-m // 64)
         rng.random(out=u[:m])
-        if lo == hi:
-            # every step is forced, and the row scan would take 1.3-1.7x as long
-            np.less(u[:m], p, out=part)
-            if starts.size:
-                part[starts] = u[starts] < p1
-            return part[-1]
-        code, code0 = codes[:m], codes0[:m]
-        np.less(u[:m], lo, out=code)
-        np.multiply(code, code_of_1[:m], out=code)
-        np.greater_equal(u[:m], hi, out=code0)
-        np.multiply(code0, code_of_0[:m], out=code0)
-        code += code0
+        ones, zeros = forced1[: words * 64], forced0[: words * 64]
+        np.less(u[:m], lo, out=ones[:m])
+        ones[m:] = False
         if starts.size:  # most slices hold no chain start
-            code[starts] = code_of_0[starts] ^ (u[starts] < p1)
-        # the carry, 0 or 1, lies below every code, so it is the code of the
-        # slice's first step unless that step is forced
-        codes[0] = max(codes[0], carry)
-        # codes past m, zero or left from an earlier slice, lie after the
-        # slice's last step, so they change no state
-        rows = -(-m // _ROW)
-        code = codes[: rows * _ROW].reshape(rows, _ROW)
-        np.maximum.accumulate(code, axis=1, out=code)
-        # w after each row is the low bit of the last code above 0 that a
-        # row so far ends on, else 0: a row ends above 0 when it holds a
-        # forced step or, for the first row, a carry of 1.  256 times a
-        # row's rank, added to such a code, orders them by row and keeps the
-        # low bit.  Each row then takes the w after the one before it.
-        last = code[:-1, -1]
-        after = (last > 0) * _RANK[: rows - 1] + last
-        np.maximum.accumulate(after, out=after)
-        np.maximum(code[1:], (after & 1).astype(np.uint8)[:, None], out=code[1:])
-        np.bitwise_and(codes[:m], 1, out=part)
+            ones[starts] = first = u[starts] < p1
+        if lo == hi:
+            # every step is forced, so the forced 1s are the states and no
+            # word needs resolving
+            return np.packbits(ones, bitorder="little").view("<u8"), int(ones[m - 1])
+        np.greater_equal(u[:m], hi, out=zeros[:m])
+        zeros[m:] = True
+        if starts.size:
+            zeros[starts] = ~first
+        a = np.packbits(ones, bitorder="little").view("<u8")
+        b = np.packbits(zeros, bitorder="little").view("<u8")
         if flip:
-            np.bitwise_xor(part, _PARITY[:m], out=part)
-        return int(part[-1]) ^ flip
+            # at odd steps a forced state 1 is a forced w = 0, and back
+            d = (a ^ b) & _ODD
+            a ^= d
+            b ^= d
+        code = ((a | b) != 0) * rank[:words]
+        code += a > b
+        code[0] = max(code[0], carry)
+        np.maximum.accumulate(code, out=code)
+        x = np.invert(b, out=b)
+        entered = x << 1
+        entered[0] |= carry
+        entered[1:] |= code[:-1] & 1
+        r0 = x & ~entered
+        copies = np.bitwise_and(x, ~a, out=a)
+        w = x ^ (((copies + r0) ^ copies) & copies)
+        if flip:
+            w ^= _ODD
+        return w, (int(w[-1]) >> ((m - 1) & 63) & 1) ^ flip
 
     return fill
 
@@ -233,8 +248,9 @@ def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
     """Simulate a chain of n measurements; same inputs, same sequence.
 
     The chain starts at step 0 and is scanned by `_scanner` one slice at a
-    time.  Memory is the n-byte state array plus the scan's buffers for
-    min(n, _SLICE) draws, allocated once per call.
+    time, and each slice's bits are unpacked into its states.  Memory is the
+    n-byte state array plus the scan's buffers for min(n, _SLICE) draws,
+    allocated once per call.
     """
     _check_count("sequence length", n)
     n = int(n)
@@ -244,7 +260,9 @@ def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
     starts = np.zeros(1, dtype=np.intp)
     carry = 0
     for a in range(0, n, _SLICE):
-        carry = fill(rng, states[a : a + _SLICE], starts if a == 0 else starts[:0], carry)
+        m = min(_SLICE, n - a)
+        words, carry = fill(rng, m, starts if a == 0 else starts[:0], carry)
+        states[a : a + m] = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
     states.flags.writeable = False
     return BinarySequence(states)
 
@@ -254,12 +272,13 @@ def _count_block(params: MarkovParams, member_starts: np.ndarray, a0: int, a1: i
     """Scan draws a0..a1-1 of the seed's stream, adding each member's number
     of A states into `counts` (counts[i + 1] for member i).  a0 is a member
     start, where a chain starts afresh, so the scan needs no state from
-    before it."""
+    before it.  A member's count in a slice is the difference of the A
+    states before its bounds there: the popcounts of the whole words before
+    a bound plus that of the bits before it in its own word."""
     size = min(_SLICE, a1 - a0)
     fill = _scanner(params, size)
-    # a slice's states go to cells[1:]; cells[0] stays 0, so the first sum,
-    # up to the slice's first member start, is only the member carried in
-    cells = np.zeros(size + 1, dtype=np.uint8)
+    # below[k + 1] is the A states of a slice's words 0..k; below[0] stays 0
+    below = np.zeros(-(-size // 64) + 1, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(seed))
     rng.bit_generator.advance(a0)
     carry = 0
@@ -267,11 +286,17 @@ def _count_block(params: MarkovParams, member_starts: np.ndarray, a0: int, a1: i
         m = min(_SLICE, a1 - a)
         first, last = np.searchsorted(member_starts, (a, a + m))
         starts = member_starts[first:last] - a
-        carry = fill(rng, cells[1 : m + 1], starts, carry)
-        # a member's share of one slice holds at most _SLICE = 2^15 states,
-        # so its sum fits a uint16, which is cheaper to add in than int64
-        counts[first : last + 1] += np.add.reduceat(cells[: m + 1], np.concatenate(([0], starts + 1)),
-                                                    dtype=np.uint16)
+        words, carry = fill(rng, m, starts, carry)
+        ones = below[1 : words.size + 1]
+        np.bitwise_count(words, out=ones)
+        np.add.accumulate(ones, out=ones)
+        # the first count, up to the slice's first member start, is the
+        # member carried in; a bound of m may fall in the word past the
+        # last, where no bit lies below it
+        bounds = np.concatenate(([0], starts, [m]))
+        word = bounds >> 6
+        before = below[word] + np.bitwise_count(words.take(word, mode="clip") & _BELOW[bounds & 63])
+        counts[first : last + 1] += before[1:] - before[:-1]
 
 
 def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
@@ -281,8 +306,8 @@ def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     is scanned from the sizes[i] uniforms after those of members 0..i-1.
     So it depends only on `seed` and sizes[:i+1], and a one-member ensemble
     gives `generate(params, n, seed).frequency`.  Each slice is scanned by
-    `_scanner`, as in `generate`, into one buffer per block, and each
-    member's count of A states is the sum of its states there.  The stream
+    `_scanner`, as in `generate`, and each member's count of A states is a
+    popcount of its bits in the slice's words.  The stream
     is cut at member starts into at most one block per usable CPU and per
     _MIN_BLOCK_SLICES slices, and the blocks are scanned at the same time,
     each from its own generator jumped ahead with `PCG64.advance`.  The

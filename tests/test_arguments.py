@@ -17,6 +17,7 @@ from twostate import (
     fit_runs_simulated,
     fit_scatter,
     generate,
+    invert_to_pq,
     memoryfree_curve,
     n_step_self_transitions,
     run_curve_objective,
@@ -47,6 +48,13 @@ CASES = {
     "memoryfree_curve-fractional-n": lambda: memoryfree_curve(10.5, 0.5, 3),
     "memoryfree_curve-n-past-int64": lambda: memoryfree_curve(2**70, 0.5, 3),
     "log_run_frequencies-n-past-int64": lambda: log_run_frequencies(2**64, [2**63], 0.5),
+    # a run length is an integer: 1.5 must not be read as 1, nor nan cast
+    "log_run_frequencies-fractional-run-length": lambda: log_run_frequencies(100, [1.5], 0.5),
+    "log_run_frequencies-nan-run-length": lambda: log_run_frequencies(100, [math.nan], 0.5),
+    "run_curve_objective-fractional-run-length": lambda: run_curve_objective({1.5: 1.0}, CURVE, 0.5, 0.5),
+    "fit_runs_simulated-fractional-run-length": lambda: fit_runs_simulated({1.5: 0.5, 2: 0.5}, CURVE),
+    "memoryfree_curve-fractional-max_m": lambda: memoryfree_curve(10, 0.5, 2.5),
+    "invert_to_pq-nan-nu": lambda: invert_to_pq(0.5, math.nan),
     "sample_curve-fractional-points": lambda: sample_curve(SPEC, 10, 100, 2.5),
     "estimate_nu-level-above-one": lambda: estimate_nu(scatter(), 0.5, 2.0),
     "fit_scatter-nan-min_p": lambda: fit_scatter(scatter(), min_p=math.nan),

@@ -5,12 +5,14 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twostate import BinarySequence, MarkovParams, ParameterError, derive, generate
+from twostate import runs
 from twostate.estimate import STAY_BOUND
 from twostate.runs import (
     STATE_A,
@@ -110,16 +112,21 @@ class TestExtractRuns:
         assert ha.counts.tolist() == [0, 0, 0, 0, 1]
         assert hb.counts.tolist() == []
 
-    @given(stretches)
-    @example([(1, 1)])
-    @example([(0, 7)])
-    @example([(1, 3), (1, 2)])
-    def test_matches_groupby(self, pairs):
+    @given(stretches, st.sampled_from([1, 2, 3, 7, runs._RUN_CHUNK]))
+    @example([(1, 1)], runs._RUN_CHUNK)
+    @example([(0, 7)], runs._RUN_CHUNK)
+    @example([(1, 3), (1, 2)], runs._RUN_CHUNK)
+    @example([(0, 2)], 1)
+    @example([(1, 3), (0, 4)], 3)
+    def test_matches_groupby(self, pairs, chunk):
         # an empty sequence cannot be built, so the empty case is the absent
-        # state of a single-state sequence: an empty count array
+        # state of a single-state sequence: an empty count array.  Small
+        # chunks put runs that end at, start at and span chunk edges
         bits = [state for state, length in pairs for _ in range(length)]
         oracle = runs_by_groupby(bits)
-        for h, state in zip(extract_runs(seq_of(bits)), (STATE_A, STATE_B)):
+        with mock.patch.object(runs, "_RUN_CHUNK", chunk):
+            histograms = extract_runs(seq_of(bits))
+        for h, state in zip(histograms, (STATE_A, STATE_B)):
             assert h.state == state and h.total_length == len(bits)
             assert h.counts.dtype == np.int64 and not h.counts.flags.writeable
             assert h.counts.size == max(oracle[state], default=0)  # no trailing zero bin
@@ -134,9 +141,8 @@ class TestExtractRuns:
         assert abs(ha.n_runs - hb.n_runs) <= 1
 
     def test_memory_is_the_change_positions(self):
-        # the n-byte comparison and the int64 change positions (about 0.19 a
-        # step at (0.88, 0.5)), then one state's interior runs beside them;
-        # the first call imports what the histogram needs, so it comes first
+        # one chunk's comparison, run starts and run lengths; the first call
+        # imports what the histogram needs, so it comes first
         n = 3 * 10**6
         seq = generate(MarkovParams(0.88, 0.5), n, 1)
         extract_runs(seq)
@@ -147,6 +153,22 @@ class TestExtractRuns:
         finally:
             tracemalloc.stop()
         assert peak < 3.2 * n
+
+    @pytest.mark.parametrize("p, q", [(0.5, 0.5), (0.1, 0.1)])
+    def test_memory_bounded_however_often_the_chain_switches(self, p, q):
+        # one chunk's run starts and run lengths, not the record's: about
+        # 0.6 and 1.0 MiB at a switching rate of 0.5 and 0.9, where all the
+        # change positions would take 17 and 31 MiB
+        n = 3 * 10**6
+        seq = generate(MarkovParams(p, q), n, 1)
+        extract_runs(seq)
+        tracemalloc.start()
+        try:
+            extract_runs(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_memoryfree_counts_match_expectation(self):
         # 10 seeds, n = 10^4: averaged counts inside 3*sqrt(a_m) wherever

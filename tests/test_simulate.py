@@ -46,9 +46,8 @@ def scan_states(params, u, prev=None):
     # the carry is w at position -1, whose parity is odd
     carry = (prev or 0) ^ (params.p < 1.0 - params.q)
     replay = SimpleNamespace(random=lambda out: np.copyto(out, u))
-    x = np.empty(u.size, dtype=np.uint8)
-    _scanner(params, u.size)(replay, x, starts, carry)
-    return x
+    words, _ = _scanner(params, u.size)(replay, u.size, starts, carry)
+    return np.unpackbits(words.view(np.uint8), count=u.size, bitorder="little")
 
 
 def empirical_autocorrelation(seq, m):
@@ -277,23 +276,24 @@ class TestGenerate:
 
 
 class TestScanner:
-    @pytest.mark.parametrize("size", [1, 63, 64, 10**4, _SLICE])
-    @pytest.mark.parametrize("flip", [0, 1])
-    def test_code_tables_match_a_per_call_build(self, flip, size):
-        rows = -(-size // 64)
-        code_of_0 = np.tile(2 * np.arange(1, 65, dtype=np.uint8) + simulate._PARITY[:64] * flip, rows)
-        assert np.array_equal(simulate._CODE_OF_0[flip][: rows * 64], code_of_0)
-        assert np.array_equal(simulate._CODE_OF_1[flip][: rows * 64], code_of_0 ^ 1)
-
-    def test_code_tables_are_read_only(self):
-        # the scans of `ensemble`'s blocks run on threads of their own and share them
-        for table in (simulate._PARITY, simulate._CODE_OF_0, simulate._CODE_OF_1, simulate._RANK):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, _SLICE])
+    @pytest.mark.parametrize("p, q", [(0.88, 0.5), (0.12, 0.12), (0.12, 0.88)], ids=["copy", "flip", "every-step-forced"])
+    def test_words_hold_the_slice_and_its_carry(self, p, q, size):
+        # bit i of word k is step 64k + i, no bit past the slice is set, so a
+        # popcount counts the slice's A states, and the carry is the w of the
+        # last step seen from the next slice, at its odd position -1
+        params = MarkovParams(p, q)
+        u = np.random.default_rng(size).random(size)
+        replay = SimpleNamespace(random=lambda out: np.copyto(out, u))
+        words, carry = _scanner(params, size)(replay, size, np.array([0], dtype=np.intp), 0)
+        states = naive_states(params, u)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert words.size == -(-size // 64) and np.array_equal(bits[:size], states) and not bits[size:].any()
+        assert carry == states[-1] ^ (p < 1.0 - q)
 
     def test_allocates_only_its_buffers(self):
-        # one slice of uniforms (8 B a step) and two uint8 code buffers,
-        # 327,680 B; the code tables are module constants, not per call
+        # one slice of uniforms (8 B a step), two bool masks of forced steps
+        # and the words' ranks, 331,776 B
         _scanner(MarkovParams(0.88, 0.5), _SLICE)
         tracemalloc.start()
         try:
@@ -458,9 +458,28 @@ class TestEnsemble:
     @pytest.mark.parametrize("sizes, bound", [([3 * 10**6], 0.9 * 2**20), ("criterion-3", 2 * 2**20)],
                              ids=["one-long-member", "criterion-3"])
     def test_memory_is_the_scan_buffers(self, sizes, bound):
-        # per block, the scan's buffers for one slice, about 13 bytes a draw
-        # (0.41 MiB), besides the count rows and the returned dataset
+        # per block, the scan's buffers for one slice, about 10 bytes a draw
+        # (0.32 MiB), besides the count rows and the returned dataset
         assert self.peak_bytes(sizes) < bound
+
+    # sha256 of p_bars.tobytes() for 1000 log-uniform study sizes in [20, 10^4]
+    # (1,462,216 draws, so two blocks on two CPUs), keyed by (p, q): a copy, a
+    # flip and a p = 1 - q cell of the funnel grid.  Taken before the slice
+    # scan packed steps into words; ensemble output must not change.
+    PINNED = {
+        (0.88, 0.5): "33533c824ec2c74fb8fabc45a60ab0b30ad9cae5603cd88642834eec129e8881",
+        (0.12, 0.12): "a26d450d35432afaf0ac6ce35115ae8ab0bc2773eb7f3ab7c0d633bbfbfca7bb",
+        (0.12, 0.88): "a238b4f25912b1fffe6a8e7081a6f7337bdb0c8f7a22f4b4f9e4b045fa53e335",
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("key", PINNED, ids=["copy", "flip", "p-is-1-minus-q"])
+    def test_output_pinned(self, key, cpus):
+        rng = np.random.default_rng(20_260_811)
+        sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 1000))).astype(int).tolist()
+        with mock.patch.object(simulate, "_CPUS", cpus):
+            p_bars = ensemble(MarkovParams(*key), sizes, 2026).p_bars
+        assert hashlib.sha256(p_bars.tobytes()).hexdigest() == self.PINNED[key]
 
     def test_reproducible_and_prefix_stable(self):
         params = MarkovParams(0.88, 0.50)
