@@ -40,7 +40,6 @@ from .estimate import (
     ScatterFit,
     estimate_center,
     estimate_nu,
-    fit_runs_mle,
     fit_runs_simulated,
     fit_scatter,
     invert_to_pq,
@@ -53,7 +52,7 @@ from .dataio import (
     parse_studies,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BinarySequence",
@@ -77,7 +76,6 @@ __all__ = [
     "estimate_center",
     "estimate_nu",
     "extract_runs",
-    "fit_runs_mle",
     "fit_runs_simulated",
     "fit_scatter",
     "generate",

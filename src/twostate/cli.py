@@ -36,7 +36,6 @@ from .dataio import (
 from .estimate import (
     InfeasibleParametersError,
     _check_fit_options,
-    fit_runs_mle,
     fit_runs_simulated,
     fit_scatter,
 )
@@ -179,28 +178,24 @@ def cmd_fit_runs(args) -> int:
     off_curve = parse_curve(off)
     _check_count("--length", args.length, minimum=4)
     _check_count("--confirm-seeds", args.confirm_seeds, minimum=0)
-    longest = max(max(on_curve), max(off_curve))
-    if longest > args.length - 2:
-        raise DataFormatError(
-            f"longest run {longest} outside the formula domain of --length {args.length} (needs m <= length-2)"
-        )
-    fit = fit_runs_simulated(on_curve, off_curve, args.length)
+    # the flags are checked, so a parameter complaint is about the curves
+    try:
+        fit = fit_runs_simulated(on_curve, off_curve, args.length)
+    except ParameterError as exc:
+        raise DataFormatError(f"cannot fit the run curves at --length {args.length}: {exc}") from exc
     details = {"length": args.length}
     seed = None
     if args.confirm_seeds > 0:
         # Monte Carlo confirmation: simulate at the fitted parameters and
-        # re-estimate by per-state run-length MLE
+        # re-estimate from the chains' averaged curves, as the input was
         seed = args.seed
         hists = simulated_histograms(MarkovParams(fit.p11_hat, fit.p22_hat), args.length, args.confirm_seeds, seed)
-        confirmation = {"seeds": args.confirm_seeds}
-        for key, name, index in (("mle_p11", "on", 0), ("mle_p22", "off", 1)):
-            try:
-                confirmation[key] = fit_runs_mle(*(pair[index] for pair in hists))
-            except ParameterError:  # no chain ever entered this state
-                raise InfeasibleParametersError(
-                    f"no Monte Carlo confirmation chain holds a run of the {name} state"
-                ) from None
-        details["mc_confirmation"] = confirmation
+        try:
+            refit = fit_runs_simulated(average_and_normalize(a for a, _ in hists),
+                                       average_and_normalize(b for _, b in hists), args.length)
+        except (ParameterError, InfeasibleParametersError) as exc:
+            raise InfeasibleParametersError(f"Monte Carlo confirmation: {exc}") from None
+        details["mc_confirmation"] = {"seeds": args.confirm_seeds, "mle_p11": refit.p11_hat, "mle_p22": refit.p22_hat}
     _emit(report_text("fit-runs", __version__, seed, inputs, run_fit=fit,
                       run_curves={"on": on_curve, "off": off_curve}, details=details), args.out)
     return 0
@@ -279,7 +274,9 @@ def build_parser() -> _Parser:
     p_frn.add_argument("--on", required=True, help="state-A (on) curve file")
     p_frn.add_argument("--off", required=True, help="state-B (off) curve file")
     p_frn.add_argument("--length", type=int, default=10_000, help="model sequence length, >= longest run + 2")
-    p_frn.add_argument("--confirm-seeds", type=int, default=0, help="Monte Carlo confirmation sequences")
+    p_frn.add_argument("--confirm-seeds", type=int, default=0,
+                       help="Monte Carlo confirmation chains, simulated at the fit and fitted again from their "
+                       "averaged curves (default 0: none)")
     p_frn.add_argument("--seed", type=int, default=None, help="default: $TWOSTATE_SEED, else 0")
     p_frn.add_argument("--out", default=None)
     p_frn.set_defaults(func=cmd_fit_runs)

@@ -5,9 +5,7 @@ the width factor as an empirical quantile of standardized deviations, then
 inverts the (pinf, nu) pair algebraically to (p, q).  The run route fits
 the two self-transition probabilities to normalized run-length curves by
 maximum likelihood: per state, the self-transition probability whose model
-mean run length equals the curve's, found by bisection.  `fit_runs_mle` is
-the closed-form geometric maximum likelihood per state, pooled over that
-state's histograms.
+mean run length equals the curve's, found by bisection.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 
 from .chain import MarkovParams, ParameterError, _check_open_unit, derive
 from .funnel import FunnelSpec, coverage, z_from_level
-from .runs import RunHistogram, _check_run_domain, _mean_stays_per_run, log_run_frequencies
+from .runs import _check_run_domain, _mean_stays_per_run, log_run_frequencies
 from .simulate import ScatterDataset
 
 # the run-curve fit bisects log(stay) over [log(STAY_BOUND), log(1 - STAY_BOUND)] to LOG_STAY_TOLERANCE
@@ -141,25 +139,6 @@ def fit_scatter(
         coverage_achieved=coverage(dataset, spec),
         n_points=len(dataset),
     )
-
-
-def fit_runs_mle(*histograms: RunHistogram) -> float:
-    """Maximum-likelihood continuation probability of geometric run lengths,
-    pooled over one or more histograms of one state:
-    sum (m-1) * count / sum m * count.
-
-    Returns 0.0 when no run exceeds length one (boundary-degenerate: a
-    valid chain needs a strictly positive self-transition probability).
-    This is the n -> infinity limit of the mean-run-length equation that
-    `fit_runs_simulated` solves, E[m] = 1/(1-s); at the bounds it returns
-    0.0 where that fit raises `InfeasibleParametersError`.
-    """
-    if any(h.state != histograms[0].state for h in histograms):
-        raise ParameterError("histograms must all describe the same state")
-    total = sum(h.occupied_length for h in histograms)
-    if total == 0:
-        raise ParameterError("histogram contains no runs")
-    return (total - sum(h.n_runs for h in histograms)) / total
 
 
 def _curve_arrays(curve: dict, length: int) -> tuple[np.ndarray, np.ndarray]:

@@ -115,7 +115,7 @@ def _check_run_domain(n: int, m) -> np.ndarray:
     if m.size and m.min() < 1:
         raise ParameterError(f"run length must be >= 1, got {m.min()!r}")
     if m.size and m.max() > n - 2:
-        raise ParameterError(f"run length {m.max()} outside formula domain (needs m <= n-2 for n={n})")
+        raise ParameterError(f"longest run {m.max()} outside formula domain (needs m <= n-2 for n={n})")
     if not _holds_counts(m, 1):
         raise ParameterError("every run length must be an integer")
     return np.asarray(m, dtype=np.int64)
@@ -166,7 +166,7 @@ def average_and_normalize(histograms) -> dict:
         total[: h.counts.size] += h.counts
     total = np.trim_zeros(total, "b")
     if not total.size:
-        raise ParameterError("histograms contain no runs to normalize")
+        raise ParameterError(f"the state-{'A' if state == STATE_A else 'B'} histograms contain no runs to normalize")
     avg = total / len(histograms)
     return dict(zip(range(1, total.size + 1), (avg / avg.sum()).tolist()))
 

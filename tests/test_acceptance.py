@@ -15,7 +15,6 @@ from twostate import (
     derive,
     ensemble,
     extract_runs,
-    fit_runs_mle,
     fit_runs_simulated,
     fit_scatter,
     generate,

@@ -322,9 +322,9 @@ class TestReportBytes:
         "fit-runs": ["fit-runs", "--on", "on.csv", "--off", "off.csv", "--confirm-seeds", "3", "--seed", "11"],
     }
     SHA256 = {
-        "fit-scatter": "58c772dd7205db28fe18b18bf19b840836cf2ed7fce13477c16be24de7dafba1",
-        "analyze": "6a245c496aaf1173f76412e4bf7069bee26ac0fc78915515ddf735dd1c197459",
-        "fit-runs": "cb752ee2ddd34d5dd390f55d75b0cafafdadad52283934097a4e63178e9da941",
+        "fit-scatter": "607f5ed9fc7d4501fd4c67ebe49e04fc2e5c47b39bd504d2a1fa915dfcf2d9d0",
+        "analyze": "15afd86e1f0556c5072adea7d1223ea49c7c076495db8a5a95320fc0115592cc",
+        "fit-runs": "e92daa2b400d13a84ae5a146a3bdeae451a35b19e5202b6db0688cd4c7bb431f",
     }
     ABSENT = {
         "fit-scatter": {"run_fit", "funnel_curve", "run_curves"},
@@ -454,6 +454,9 @@ class TestExitCodeContract:
         # fits p11 ~ 1e-6 and p22 ~ 0.9999976: short confirmation chains never enter state A
         "curve_rare_on": "m,frequency\n1,0.999999\n2,0.000001\n",
         "curve_long_off": "m,frequency\n3320,1\n",
+        # fits p11 ~ 1e-5: the confirmation chains enter state A, but its runs all have length 1
+        "curve_single_steps_on": "m,frequency\n1,0.99999\n2,0.00001\n",
+        "curve_short_off": "m,frequency\n1,0.5\n2,0.25\n3,0.25\n",
     }
     CASES = {
         "simulate-p-out-of-range": (1, ["simulate", "--p", "1.5", "--q", "0.5", "--n", "10", "--out", "{out}"]),
@@ -517,6 +520,9 @@ class TestExitCodeContract:
         "analyze-points-2^63-1": (1, ["analyze", "--studies", FIXTURE, "--points", str(2**63 - 1), "--out", "{out}"]),
         "fit-runs-confirmation-without-runs": (3, ["fit-runs", "--on", "{curve_rare_on}", "--off", "{curve_long_off}",
                                                    "--confirm-seeds", "2", "--seed", "0", "--out", "{out}"]),
+        "fit-runs-confirmation-single-steps": (3, ["fit-runs", "--on", "{curve_single_steps_on}",
+                                                   "--off", "{curve_short_off}", "--confirm-seeds", "2",
+                                                   "--seed", "0", "--out", "{out}"]),
         "runs-unwritable-second-output": (2, ["runs", "--input", "{seq_ok}", "--out-on", "{out}",
                                               "--out-off", "{unwritable}"]),
         "runs-unwritable-reference": (2, ["runs", "--input", "{seq_ok}", "--out-on", "{out}", "--out-off", "{out2}",
@@ -675,8 +681,7 @@ def test_public_surface():
         "ScatterDataset", "ScatterFit",
         "average_and_normalize", "child_seed", "coverage", "derive",
         "ensemble", "estimate_center", "estimate_nu",
-        "extract_runs", "fit_runs_mle",
-        "fit_runs_simulated", "fit_scatter", "generate", "invert_to_pq",
+        "extract_runs", "fit_runs_simulated", "fit_scatter", "generate", "invert_to_pq",
         "mean_frequency", "memoryfree_curve", "n_step_self_transitions", "parse_curve", "parse_sequence",
         "parse_studies", "required_n", "run_curve_objective", "sample_curve",
         "state_probability", "std_of_proportion",

@@ -12,7 +12,6 @@ from twostate.estimate import (
     InfeasibleParametersError,
     estimate_center,
     estimate_nu,
-    fit_runs_mle,
     fit_runs_simulated,
     fit_scatter,
     invert_to_pq,
@@ -21,7 +20,6 @@ from twostate.estimate import (
 from twostate.runs import (
     STATE_A,
     STATE_B,
-    RunHistogram,
     _mean_stays_per_run,
     extract_runs,
 )
@@ -155,33 +153,6 @@ class TestFitScatter:
             fit_scatter(ds)
 
 
-class TestFitRunsMle:
-    def test_no_continuations(self):
-        assert fit_runs_mle(RunHistogram(STATE_A, [100], 200)) == 0.0
-
-    def test_all_pairs(self):
-        assert fit_runs_mle(RunHistogram(STATE_A, [0, 50], 200)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_empty_histogram(self):
-        with pytest.raises(ParameterError):
-            fit_runs_mle(RunHistogram(STATE_A, [], 10))
-
-    def test_pools_histograms(self):
-        # (3 + 2) continuations over (4 + 4) occupied positions
-        h1 = RunHistogram(STATE_A, [0, 0, 0, 1], 10)
-        h2 = RunHistogram(STATE_A, [1, 0, 1], 10)
-        assert fit_runs_mle(h1, h2) == pytest.approx(5 / 8, abs=1e-12)
-        with pytest.raises(ParameterError):
-            fit_runs_mle(h1, RunHistogram(STATE_B, [0, 1], 10))
-        with pytest.raises(ParameterError):
-            fit_runs_mle()
-
-    def test_monte_carlo(self):
-        ha, hb = extract_runs(generate(MarkovParams(0.65, 0.25), 10**6, 4))
-        assert fit_runs_mle(ha) == pytest.approx(0.65, abs=0.01)
-        assert fit_runs_mle(hb) == pytest.approx(0.25, abs=0.01)
-
-
 class TestFitRunsSimulated:
     @pytest.mark.parametrize("p11,p22", [(0.25, 0.65), (0.80, 0.55), (0.60, 0.65)])
     def test_round_trip_on_synthetic_curves(self, p11, p22):
@@ -271,9 +242,10 @@ class TestFitRunsSimulated:
         params = MarkovParams(0.80, 0.55)
         on_curve, off_curve = simulate_run_curves(params, 10**4, 10, 555)
         curve_fit = fit_runs_simulated(on_curve, off_curve)
+        # the geometric MLE per state, (occupied - runs) / occupied, of one long chain
         ha, hb = extract_runs(generate(params, 10**5, 8))
-        assert curve_fit.p11_hat == pytest.approx(fit_runs_mle(ha), abs=0.02)
-        assert curve_fit.p22_hat == pytest.approx(fit_runs_mle(hb), abs=0.02)
+        assert curve_fit.p11_hat == pytest.approx(1 - ha.n_runs / ha.occupied_length, abs=0.02)
+        assert curve_fit.p22_hat == pytest.approx(1 - hb.n_runs / hb.occupied_length, abs=0.02)
 
     def test_objective_smallest_at_truth(self):
         on, off = model_curves(0.42, 0.77)
