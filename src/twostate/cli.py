@@ -35,7 +35,6 @@ from .dataio import (
 )
 from .estimate import (
     InfeasibleParametersError,
-    _check_fit_options,
     fit_runs_simulated,
     fit_scatter,
 )
@@ -153,20 +152,9 @@ def cmd_funnel(args) -> int:
     return 0
 
 
-def _fit_scatter_checked(dataset, args):
-    # checked here, so that a bad flag is a usage error (exit 1), not a data error
-    _check_fit_options(args.level, args.min_p, args.min_q)
-    # the dataset is already well-formed here, so any parameter complaint
-    # (e.g. too few points for the quantile) is a shortcoming of the data
-    try:
-        return fit_scatter(dataset, level=args.level, min_p=args.min_p, min_q=args.min_q)
-    except ParameterError as exc:
-        raise DataFormatError(str(exc)) from exc
-
-
 def cmd_fit_scatter(args) -> int:
     inputs, (studies,) = _read_inputs(studies=args.studies)
-    fit = _fit_scatter_checked(parse_studies(studies), args)
+    fit = fit_scatter(parse_studies(studies), level=args.level, min_p=args.min_p, min_q=args.min_q)
     details = {"level": args.level, "min_p": args.min_p, "min_q": args.min_q}
     _emit(report_text("fit-scatter", __version__, None, inputs, scatter_fit=fit, details=details), args.out)
     return 0
@@ -203,7 +191,7 @@ def cmd_fit_runs(args) -> int:
 
 def cmd_analyze(args) -> int:
     inputs, (studies,) = _read_inputs(studies=args.studies)
-    fit = _fit_scatter_checked(parse_studies(studies), args)
+    fit = fit_scatter(parse_studies(studies), level=args.level, min_p=args.min_p, min_q=args.min_q)
     spec = FunnelSpec(fit.pinf_hat, fit.nu_hat, z_from_level(args.level))
     ns, lower, upper = sample_curve(spec, args.n_min, args.n_max, args.points)
     funnel_curve = {
@@ -219,7 +207,8 @@ def cmd_analyze(args) -> int:
 
 def _add_scatter_fit_flags(sub):
     sub.add_argument("--studies", required=True, help="study table (study_id, n, successes|p_bar[, group])")
-    sub.add_argument("--level", type=float, default=0.95)
+    sub.add_argument("--level", type=float, default=0.95,
+                     help="coverage level of the funnel band and of coverage_achieved")
     sub.add_argument("--min-p", type=float, default=None, help="lower bound projected onto p")
     sub.add_argument("--min-q", type=float, default=None, help="lower bound projected onto q")
     sub.add_argument("--out", default=None, help="report path (stdout when omitted)")

@@ -1,8 +1,11 @@
 """Inverse problems: recover chain parameters from scatter data and runs.
 
-The scatter route estimates the funnel center as a size-weighted mean and
-the width factor as an empirical quantile of standardized deviations, then
-inverts the (pinf, nu) pair algebraically to (p, q).  The run route fits
+The scatter route rests on Var(p_bar) = pinf(1-pinf) nu^2 / n.  Both of
+its estimates come from one weighted sum, sum n_i (p_bar_i - c)^2: the
+funnel center pinf is the size-weighted mean of the proportions, the c
+that minimises it, and the width factor solves the moment equation
+mean(n_i (p_bar_i - pinf)^2) = pinf(1-pinf) nu^2 at that c.  The
+(pinf, nu) pair is then inverted algebraically to (p, q).  The run route fits
 the two self-transition probabilities to normalized run-length curves by
 maximum likelihood: per state, the self-transition probability whose model
 mean run length equals the curve's, found by bisection.
@@ -31,7 +34,9 @@ class InfeasibleParametersError(ValueError):
 
 @dataclass(frozen=True)
 class ScatterFit:
-    """Result of fitting a scatter dataset."""
+    """Result of fitting a scatter dataset.  `coverage_achieved` is the
+    share of points inside the fitted funnel at the fit's `level`; it is
+    measured, not at least `level` by construction."""
 
     pinf_hat: float
     nu_hat: float
@@ -57,22 +62,16 @@ def estimate_center(dataset: ScatterDataset) -> float:
     return float(np.average(dataset.p_bars, weights=dataset.sizes))
 
 
-def estimate_nu(dataset: ScatterDataset, pinf: float, level: float = 0.95) -> float:
-    """Smallest width factor whose funnel covers `level` of the points.
-
-    Computed as the level-quantile of the standardized deviations
-    |p_bar - pinf| * sqrt(n / (pinf(1-pinf))) divided by the normal
-    quantile for `level`.  Returns 0.0 for the degenerate dataset whose
-    points all sit exactly on the center.
+def estimate_nu(dataset: ScatterDataset, pinf: float) -> float:
+    """Moment estimate of the width factor about the center `pinf`:
+    sqrt(sum n_i (p_bar_i - pinf)^2 / (N pinf(1-pinf))) over the N points,
+    the solution of mean(n_i (p_bar_i - pinf)^2) = pinf(1-pinf) nu^2.  At
+    the weighted center this is the least value of the sum.  Returns 0.0
+    for the degenerate dataset whose points all sit exactly on the center.
     """
-    if len(dataset) < 20:
-        raise ParameterError(f"need at least 20 points for a stable quantile, got {len(dataset)}")
     _check_open_unit("pinf", pinf)
-    z = z_from_level(level)
-    devs = np.abs(dataset.p_bars - pinf) * np.sqrt(dataset.sizes / (pinf * (1.0 - pinf)))
-    devs = np.sort(devs)
-    k = math.ceil(level * len(dataset))
-    return float(devs[k - 1] / z)
+    moment = np.mean(dataset.sizes * (dataset.p_bars - pinf) ** 2)
+    return math.sqrt(moment / (pinf * (1.0 - pinf)))
 
 
 def invert_to_pq(pinf: float, nu: float) -> tuple[float, float]:
@@ -95,33 +94,28 @@ def invert_to_pq(pinf: float, nu: float) -> tuple[float, float]:
     return p, q
 
 
-def _check_fit_options(level: float, min_p: float | None, min_q: float | None) -> float:
-    """Check the scatter fit's options; returns the normal quantile of `level`."""
-    z = z_from_level(level)
-    for name, bound in (("min_p", min_p), ("min_q", min_q)):
-        if bound is not None and not 0.0 <= bound < 1.0:  # nan fails too
-            raise ParameterError(f"{name} must lie in [0, 1), got {bound!r}")
-    return z
-
-
 def fit_scatter(
     dataset: ScatterDataset,
     level: float = 0.95,
     min_p: float | None = None,
     min_q: float | None = None,
 ) -> ScatterFit:
-    """Full scatter pipeline: center, width factor, algebraic inversion.
+    """Full scatter pipeline: center, moment width factor, algebraic inversion.
 
-    Optional lower bounds on p and q project the inverted solution into
-    the constraint region; the reported (pinf_hat, nu_hat) and coverage
-    are re-derived from the projected pair, so the fit invariants hold
-    either way.
+    `level` sets only the normal quantile of the funnel whose coverage is
+    reported.  Optional lower bounds on p and q project the inverted
+    solution into the constraint region; the reported (pinf_hat, nu_hat)
+    and coverage are re-derived from the projected pair, so the fit
+    invariants hold either way.
     """
-    z = _check_fit_options(level, min_p, min_q)
+    z = z_from_level(level)
+    for name, bound in (("min_p", min_p), ("min_q", min_q)):
+        if bound is not None and not 0.0 <= bound < 1.0:  # nan fails too
+            raise ParameterError(f"{name} must lie in [0, 1), got {bound!r}")
     center = estimate_center(dataset)
     if not 0.0 < center < 1.0:
         raise InfeasibleParametersError(f"degenerate dataset: weighted mean proportion {center}")
-    nu = estimate_nu(dataset, center, level)
+    nu = estimate_nu(dataset, center)
     if nu == 0.0:
         raise InfeasibleParametersError("degenerate dataset: every point sits on the center")
     p, q = invert_to_pq(center, nu)

@@ -19,9 +19,6 @@ import numpy as np
 from .chain import _INT64_MAX, ParameterError, _check_count, _check_open_unit
 from .simulate import ScatterDataset
 
-BOUNDARY_RTOL = 1e-12  # relative slack at the bound in `coverage`
-
-
 def z_from_level(level: float) -> float:
     """Two-sided normal quantile for a coverage level in (0, 1)."""
     tail = 0.5 + level / 2.0
@@ -63,13 +60,9 @@ def required_n(spec: FunnelSpec, p_bar: float) -> float:
 
 
 def coverage(dataset: ScatterDataset, spec: FunnelSpec) -> float:
-    """Fraction of study points inside the funnel (bounds inclusive).
-
-    A point at most BOUNDARY_RTOL (relative) past the bound counts as on it:
-    `estimate_nu` puts one point exactly there, and rounding must not decide.
-    """
+    """Fraction of study points inside the funnel, bounds inclusive."""
     half = spec.half_width(dataset.sizes)
-    inside = np.abs(dataset.p_bars - spec.pinf) <= half * (1.0 + BOUNDARY_RTOL)
+    inside = np.abs(dataset.p_bars - spec.pinf) <= half
     return float(inside.mean())
 
 

@@ -56,7 +56,7 @@ CASES = {
     "memoryfree_curve-fractional-max_m": lambda: memoryfree_curve(10, 0.5, 2.5),
     "invert_to_pq-nan-nu": lambda: invert_to_pq(0.5, math.nan),
     "sample_curve-fractional-points": lambda: sample_curve(SPEC, 10, 100, 2.5),
-    "estimate_nu-level-above-one": lambda: estimate_nu(scatter(), 0.5, 2.0),
+    "estimate_nu-pinf-out-of-range": lambda: estimate_nu(scatter(), 1.5),
     "fit_scatter-nan-min_p": lambda: fit_scatter(scatter(), min_p=math.nan),
     "RunHistogram-bool-total_length": lambda: RunHistogram(1, [1], True),
     "RunHistogram-fractional-total_length": lambda: RunHistogram(1, [1], 2.5),

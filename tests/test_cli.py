@@ -223,11 +223,6 @@ class TestFitScatter:
     def test_missing_file_is_data_error(self):
         assert main(["fit-scatter", "--studies", "/no/such/file.csv"]) == 2
 
-    def test_too_small_dataset_is_data_error(self, tmp_path):
-        small = tmp_path / "small.csv"
-        small.write_text("study_id,n,p_bar\ns1,100,0.5\n")
-        assert main(["fit-scatter", "--studies", str(small)]) == 2
-
     @pytest.mark.parametrize("command", ["fit-scatter", "analyze"])
     def test_non_utf8_studies_is_data_error(self, tmp_path, capsys, command):
         studies = tmp_path / "studies.csv"
@@ -322,9 +317,9 @@ class TestReportBytes:
         "fit-runs": ["fit-runs", "--on", "on.csv", "--off", "off.csv", "--confirm-seeds", "3", "--seed", "11"],
     }
     SHA256 = {
-        "fit-scatter": "607f5ed9fc7d4501fd4c67ebe49e04fc2e5c47b39bd504d2a1fa915dfcf2d9d0",
-        "analyze": "15afd86e1f0556c5072adea7d1223ea49c7c076495db8a5a95320fc0115592cc",
-        "fit-runs": "e92daa2b400d13a84ae5a146a3bdeae451a35b19e5202b6db0688cd4c7bb431f",
+        "fit-scatter": "52823e6d13f8059bffa552358bb6da5956b332d5f8b7632590480fe879385b96",
+        "analyze": "7caf26c83df75cdd8e864e91cf4103cf86c2ce8c7e18ac5f561e4c02f4254387",
+        "fit-runs": "ed8a1ae9b6ff5eaa30f2890b876fc0c28b70c2571e1d72020855cd173c5864b5",
     }
     ABSENT = {
         "fit-scatter": {"run_fit", "funnel_curve", "run_curves"},
@@ -446,6 +441,7 @@ class TestExitCodeContract:
         "studies_long_cell": "study_id,n,p_bar\ns1,10," + "0" * 131_073 + "\n",
         "studies_repeated_n": "study_id,n,n,successes\n" + "".join(f"s{i},100,50,{35 + i}\n" for i in range(30)),
         "studies_flat": "study_id,n,p_bar\n" + "".join(f"s{i},100,0.5\n" for i in range(25)),
+        "studies_single": "study_id,n,p_bar\ns1,100,0.5\n",
         "curve_bad": "m,frequency\nx,y\n",
         "curve_float_first_row": "1.5,0.3\n2,0.25\n",
         "curve_single_steps": "m,frequency\n1,1.0\n",
@@ -480,6 +476,8 @@ class TestExitCodeContract:
         "fit-scatter-repeated-column": (2, ["fit-scatter", "--studies", "{studies_repeated_n}", "--out", "{out}"]),
         "fit-scatter-missing-file": (2, ["fit-scatter", "--studies", "{missing}", "--out", "{out}"]),
         "fit-scatter-flat": (3, ["fit-scatter", "--studies", "{studies_flat}", "--out", "{out}"]),
+        # one study sits on its own center, so its scatter has no width
+        "fit-scatter-single-study": (3, ["fit-scatter", "--studies", "{studies_single}", "--out", "{out}"]),
         "analyze-bad-row": (2, ["analyze", "--studies", "{studies_bad}", "--out", "{out}"]),
         "analyze-huge-n": (2, ["analyze", "--studies", "{studies_huge_n}", "--out", "{out}"]),
         "analyze-flat": (3, ["analyze", "--studies", "{studies_flat}", "--out", "{out}"]),
