@@ -21,6 +21,7 @@ from . import __version__
 from .chain import MarkovParams, ParameterError, _check_count
 from .dataio import (
     DataFormatError,
+    _check_alphabet,
     _read_all,
     curve_text,
     funnel_table_text,
@@ -105,11 +106,8 @@ def cmd_runs(args) -> int:
         if args.seeds is not None:
             raise ParameterError("--seeds applies only when simulating, not with --input")
         alphabet = None if args.alphabet is None else tuple(args.alphabet.split(","))
-        # each symbol is matched against one whitespace-separated token, so it must be one
-        if alphabet is not None and (
-            len(alphabet) != 2 or alphabet[0] == alphabet[1] or any(sym.split() != [sym] for sym in alphabet)
-        ):
-            raise ParameterError("--alphabet needs exactly two different comma-separated symbols without whitespace")
+        if alphabet is not None:
+            _check_alphabet(alphabet, "--alphabet")
         hists = [extract_runs(parse_sequence(args.input, alphabet=alphabet))]
     elif simulated:
         if args.p is None or args.q is None or args.n is None:
@@ -184,8 +182,7 @@ def cmd_fit_runs(args) -> int:
         except (ParameterError, InfeasibleParametersError) as exc:
             raise InfeasibleParametersError(f"Monte Carlo confirmation: {exc}") from None
         details["mc_confirmation"] = {"seeds": args.confirm_seeds, "mle_p11": refit.p11_hat, "mle_p22": refit.p22_hat}
-    _emit(report_text("fit-runs", __version__, seed, inputs, run_fit=fit,
-                      run_curves={"on": on_curve, "off": off_curve}, details=details), args.out)
+    _emit(report_text("fit-runs", __version__, seed, inputs, run_fit=fit, details=details), args.out)
     return 0
 
 

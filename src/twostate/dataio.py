@@ -29,7 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .chain import _INT64_MAX
+from .chain import _INT64_MAX, ParameterError
 from .estimate import RunFit, ScatterFit
 from .simulate import BinarySequence, ScatterDataset
 
@@ -219,6 +219,8 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
     invalid UTF-8, is decoded as text and read by `_text_states`, which
     names the error; so are a text stream and the alphabet format.
     """
+    if alphabet is not None:
+        _check_alphabet(alphabet)
     data = _read_all(source)
     states = _ascii_states(data) if alphabet is None and isinstance(data, bytes) else None
     if states is None:
@@ -227,6 +229,15 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
         raise DataFormatError("sequence file contains no symbols")
     states.flags.writeable = False
     return BinarySequence(states)
+
+
+def _check_alphabet(alphabet, name: str = "alphabet") -> None:
+    """Each symbol is matched against one whitespace-separated token, so an
+    alphabet is two different strings, each one token without whitespace."""
+    if len(alphabet) != 2 or alphabet[0] == alphabet[1] or any(
+        not isinstance(sym, str) or sym.split() != [sym] for sym in alphabet
+    ):
+        raise ParameterError(f"{name} needs exactly two different symbols, each without whitespace, got {alphabet!r}")
 
 
 def _ascii_states(data: bytes) -> np.ndarray | None:
@@ -344,8 +355,7 @@ def _round_nested(value):
 
 def report_text(command: str, version: str, seed: int | None, inputs: dict, *,
                 scatter_fit: ScatterFit | None = None, run_fit: RunFit | None = None,
-                funnel_curve: dict | None = None, run_curves: dict | None = None,
-                details: dict | None = None) -> str:
+                funnel_curve: dict | None = None, details: dict | None = None) -> str:
     """The self-describing JSON report of one CLI invocation.
 
     Every float is rounded to the canonical 9 significant digits.  Every
@@ -362,7 +372,6 @@ def report_text(command: str, version: str, seed: int | None, inputs: dict, *,
         "scatter_fit": None if scatter_fit is None else asdict(scatter_fit),
         "run_fit": None if run_fit is None else asdict(run_fit),
         "funnel_curve": funnel_curve,
-        "run_curves": run_curves,
         "details": details,
     }
     return json.dumps(_round_nested(report), sort_keys=True, indent=2) + "\n"

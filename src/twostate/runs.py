@@ -71,19 +71,20 @@ def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
 
     With `starts` the positions i where x[i] != x[i - 1], led by 0 and
     followed by n, run j spans starts[j] to starts[j + 1], so its length is
-    the difference of the two; runs alternate states, the first in the state
-    of x[0].  The run starts are found _RUN_CHUNK symbols at a time, carrying
-    the start of the run in progress and the number of runs before it, so
-    memory stays bounded however often the chain switches.
+    the difference of the two.  The run starts are found _RUN_CHUNK symbols
+    at a time, carrying the start of the run in progress, so memory stays
+    bounded however often the chain switches.  A chunk's first run is that
+    run, whose state is read from the record at its start, and runs
+    alternate states from it.
     """
     x = seq.states
     n = x.size
-    # counts by run length of the runs in the state of x[0] (group 0) and the other
+    # counts by run length of the runs of each state, indexed by the state
     counts = [None, None]
     # changed[k] is whether a chunk's symbol k starts a run; changed[0],
     # the chunk's first symbol, stands for the run in progress
     changed = np.ones(min(_RUN_CHUNK, n - 1) + 2, dtype=bool)
-    last, runs = 0, 0
+    last = 0
     # n = 1 has no pair to compare, but its one run is still counted
     for a in range(0, max(n - 1, 1), _RUN_CHUNK):
         b = min(a + _RUN_CHUNK, n - 1)
@@ -94,17 +95,16 @@ def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
         if a:
             starts += a
             starts[0] = last
-        for group in (0, 1):
-            # run t of this chunk is run runs + t of the record
-            t = (group - runs) % 2
+        for t in (0, 1):
+            # the chunk's runs t, t + 2, ...; at t = 0 they start with the run in progress
+            state = int(x[last]) ^ t
             lengths = np.bincount(starts[t + 1 :: 2] - starts[t:-1:2])
             if a:  # add in the counts of the chunks before, into the longer array
-                lengths, before = sorted((lengths, counts[group]), key=len, reverse=True)
+                lengths, before = sorted((lengths, counts[state]), key=len, reverse=True)
                 lengths[: before.size] += before
-            counts[group] = lengths
-        last, runs = int(starts[-1]), runs + starts.size - 1
-    group_a = int(x[0] != STATE_A)
-    return RunHistogram(STATE_A, counts[group_a][1:], n), RunHistogram(STATE_B, counts[1 - group_a][1:], n)
+            counts[state] = lengths
+        last = int(starts[-1])
+    return RunHistogram(STATE_A, counts[STATE_A][1:], n), RunHistogram(STATE_B, counts[STATE_B][1:], n)
 
 
 def _check_run_domain(n: int, m) -> np.ndarray:

@@ -62,8 +62,9 @@ _MIN_BLOCK_SLICES = 8
 
 
 def _entropy(seed: int) -> int:
-    if not _is_integer(seed):
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
+    # a seed past 64 bits would alias the seed its low bits give
+    if not _is_integer(seed) or not -(1 << 63) <= seed <= _SEED_MASK:
+        raise ParameterError(f"seed must be an integer in [-2^63, 2^64 - 1], got {seed!r}")
     # negative seeds are folded into the unsigned 64-bit range
     return int(seed) & _SEED_MASK
 

@@ -1,7 +1,9 @@
 """Library arguments outside their domain: every public call raises
 `ParameterError`, never another exception or a confident wrong answer."""
 
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from twostate import (
     RunHistogram,
     ScatterDataset,
     child_seed,
+    ensemble,
     estimate_nu,
     fit_runs_simulated,
     fit_scatter,
@@ -24,6 +27,7 @@ from twostate import (
     sample_curve,
     state_probability,
 )
+from twostate.dataio import parse_sequence
 from twostate.runs import log_run_frequencies
 
 P = MarkovParams(0.7, 0.4)
@@ -73,3 +77,39 @@ def test_bool_study_sizes_are_counts():
     # as `RunHistogram` takes bool counts
     dataset = ScatterDataset([True, True], [0.5, 0.5])
     assert dataset.sizes.dtype == np.int64 and dataset.sizes.tolist() == [1, 1]
+
+
+def read_tokens(alphabet):
+    return parse_sequence(io.StringIO("a a a b c"), alphabet=alphabet)
+
+
+# each call with the start of the message that names the broken rule
+MESSAGES = {
+    # a repeated symbol would read every token as A; a symbol with whitespace,
+    # or an empty one, can never match a token
+    "parse_sequence-repeated-symbol": (lambda: read_tokens(("a", "a")), "alphabet needs exactly two"),
+    "parse_sequence-one-symbol": (lambda: read_tokens(("a",)), "alphabet needs exactly two"),
+    "parse_sequence-three-symbols": (lambda: read_tokens(("a", "b", "c")), "alphabet needs exactly two"),
+    "parse_sequence-symbol-with-space": (lambda: read_tokens(("a b", "c")), "alphabet needs exactly two"),
+    "parse_sequence-empty-symbol": (lambda: read_tokens(("", "a")), "alphabet needs exactly two"),
+    # masked to 64 bits, 2^64 + 5 would give seed 5's stream
+    "generate-seed-past-64-bits": (lambda: generate(P, 50, 2**64 + 5), "seed must be an integer in [-2^63"),
+    "generate-seed-below-minus-2^63": (lambda: generate(P, 50, -(2**63) - 1), "seed must be an integer in [-2^63"),
+    "child_seed-seed-past-64-bits": (lambda: child_seed(2**64 + 5, 0), "seed must be an integer in [-2^63"),
+    "ensemble-seed-past-64-bits": (lambda: ensemble(P, [10, 20], 2**64 + 5), "seed must be an integer in [-2^63"),
+    "fit_runs_simulated-negative-frequency": (lambda: fit_runs_simulated({1: 0.5, 2: -0.1}, CURVE),
+                                              "run curve must map run lengths to nonnegative frequencies"),
+    "fit_runs_simulated-empty-curve": (lambda: fit_runs_simulated(CURVE, {}),
+                                       "run curve must map run lengths to nonnegative frequencies"),
+    "RunHistogram-state-2": (lambda: RunHistogram(2, [1], 5), "state must be 0 or 1, got 2"),
+    "log_run_frequencies-zero-run-length": (lambda: log_run_frequencies(10, [0], 0.5), "run length must be >= 1"),
+    "ScatterDataset-unequal-lengths": (lambda: ScatterDataset([1, 2], [0.5]),
+                                       "sizes and p_bars must be equal-length"),
+}
+
+
+@pytest.mark.parametrize("case", MESSAGES)
+def test_parameter_error_names_the_rule(case):
+    call, message = MESSAGES[case]
+    with pytest.raises(ParameterError, match="^" + re.escape(message)):
+        call()

@@ -317,13 +317,13 @@ class TestReportBytes:
         "fit-runs": ["fit-runs", "--on", "on.csv", "--off", "off.csv", "--confirm-seeds", "3", "--seed", "11"],
     }
     SHA256 = {
-        "fit-scatter": "52823e6d13f8059bffa552358bb6da5956b332d5f8b7632590480fe879385b96",
-        "analyze": "7caf26c83df75cdd8e864e91cf4103cf86c2ce8c7e18ac5f561e4c02f4254387",
-        "fit-runs": "ed8a1ae9b6ff5eaa30f2890b876fc0c28b70c2571e1d72020855cd173c5864b5",
+        "fit-scatter": "413e624d1260b804dbe7fc72b567700fb130f836d2854c5b6be772fa03590756",
+        "analyze": "900b182cbc99f1b04938ae68464b626c23e62872f2c4faca875a8f1a85cc4a24",
+        "fit-runs": "4555c98a46dea902da94949ee75dbe6b6bc8a2b6bb2e21f4fcf4aea809011ce1",
     }
     ABSENT = {
-        "fit-scatter": {"run_fit", "funnel_curve", "run_curves"},
-        "analyze": {"run_fit", "run_curves"},
+        "fit-scatter": {"run_fit", "funnel_curve"},
+        "analyze": {"run_fit"},
         "fit-runs": {"scatter_fit", "funnel_curve"},
     }
 
@@ -355,7 +355,7 @@ class TestReportBytes:
             report = json.loads(text)
             floats = [x for x in leaves(report) if isinstance(x, float)]
             assert floats and all(x == float(f"{x:.9g}") for x in floats), command
-            sections = {"scatter_fit", "run_fit", "funnel_curve", "run_curves", "details"}
+            sections = {"scatter_fit", "run_fit", "funnel_curve", "details"}
             assert {name for name in sections if report[name] is None} == self.ABSENT[command]
 
 
@@ -459,6 +459,9 @@ class TestExitCodeContract:
         "simulate-n-zero": (1, ["simulate", "--p", "0.5", "--q", "0.5", "--n", "0", "--out", "{out}"]),
         "simulate-count-zero": (1, ["simulate", "--p", "0.5", "--q", "0.5", "--n", "9", "--count", "0",
                                     "--out", "{out}"]),
+        # masked to 64 bits, it would print the --seed 5 sequence
+        "simulate-seed-past-64-bits": (1, ["simulate", "--p", "0.7", "--q", "0.4", "--n", "50",
+                                           "--seed", str(2**64 + 5), "--out", "{out}"]),
         "runs-bad-symbol": (2, ["runs", "--input", "{seq_bad}", "--out-on", "{out}", "--out-off", "{out2}"]),
         "runs-one-state": (2, ["runs", "--input", "{seq_one_state}", "--out-on", "{out}", "--out-off", "{out2}"]),
         "runs-missing-file": (2, ["runs", "--input", "{missing}", "--out-on", "{out}"]),
@@ -546,6 +549,36 @@ class TestExitCodeContract:
         assert lines[0].startswith(prefix)
         assert sum(line.startswith(("error:", "infeasible fit:")) for line in lines) == 1
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestErrorMessages:
+    """Error branches the contract cases above do not reach: the exit code
+    and the one line on stderr."""
+
+    STUDIES = {
+        "studies_successes_past_n": "study_id,n,successes\ns1,10,11\n",
+        "studies_all_zero": "study_id,n,p_bar\n" + "".join(f"s{i},{50 + i},0\n" for i in range(5)),
+    }
+    CASES = {
+        "runs-p-alone": (1, ["runs", "--p", "0.5"], "error: simulation needs all of --p, --q and --n"),
+        "runs-no-source": (1, ["runs"], "error: give --input FILE or --p/--q/--n to simulate"),
+        "fit-scatter-successes-past-n": (2, ["fit-scatter", "--studies", "{studies_successes_past_n}"],
+                                         "error: line 2: successes must be an integer in [0, n], got '11'"),
+        "analyze-every-p-bar-zero": (3, ["analyze", "--studies", "{studies_all_zero}"],
+                                     "infeasible fit: degenerate dataset: weighted mean proportion 0.0"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_and_message(self, tmp_path, capsys, case):
+        paths = {}
+        for name, text in self.STUDIES.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+        code, template, message = self.CASES[case]
+        assert main([arg.format(**paths) for arg in template]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
 
 class TestRepeatedCalls:

@@ -1,5 +1,6 @@
 """File parsing, canonical formatting, and report round-trips."""
 
+import errno
 import io
 import json
 import math
@@ -400,3 +401,15 @@ class TestAtomicWrite:
                 write_text_atomic(tmp_path / "c.txt", "c\n", staged)
                 write_text_atomic(tmp_path / "dir", "d\n", staged)
         assert sorted(tmp_path.iterdir()) == [first, second, tmp_path / "dir"]
+
+    def test_failed_rename_names_the_path_and_removes_the_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        path = tmp_path / "out.txt"
+        with pytest.raises(PermissionError) as info:
+            write_text_atomic(path, "x\n")
+        assert info.value.errno == errno.EACCES and info.value.filename == str(path)
+        assert str(info.value) == f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{path}'"
+        assert list(tmp_path.iterdir()) == []

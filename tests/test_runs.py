@@ -134,6 +134,22 @@ class TestExtractRuns:
             assert h.n_runs == sum(oracle[state].values())
             assert h.occupied_length == sum(m * c for m, c in oracle[state].items())
 
+    def test_every_short_sequence_at_every_chunk_edge(self):
+        # all 2046 sequences of length 1..10; the chunk sizes put a chunk
+        # edge, where the run in progress is read from the record, at every
+        # position of the short records
+        for n in range(1, 11):
+            cases = []
+            for bits in itertools.product((0, 1), repeat=n):
+                oracle = runs_by_groupby(bits)
+                expected = [[lengths[m] for m in range(1, max(lengths, default=0) + 1)]
+                            for lengths in (oracle[STATE_A], oracle[STATE_B])]
+                cases.append((bits, seq_of(bits), expected))
+            for chunk in sorted({1, 2, 3, max(n - 1, 1), runs._RUN_CHUNK}):
+                with mock.patch.object(runs, "_RUN_CHUNK", chunk):
+                    for bits, seq, expected in cases:
+                        assert [h.counts.tolist() for h in extract_runs(seq)] == expected, (bits, chunk)
+
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_length_conserved_and_interleaved(self, bits):
         ha, hb = extract_runs(seq_of(bits))

@@ -495,6 +495,13 @@ class TestEnsemble:
         assert child_seed(42, 3) != child_seed(42, 4)
         assert child_seed(-1, 0) == child_seed(-1, 0)  # negative seeds folded
 
+    def test_seed_range_ends_accepted(self):
+        # -2^63 folds onto 2^63; 2^64 - 1 is the largest unsigned 64-bit seed
+        params = MarkovParams(0.7, 0.4)
+        assert generate(params, 50, -(2**63)) == generate(params, 50, 2**63)
+        assert child_seed(-(2**63), 0) == child_seed(2**63, 0)
+        assert generate(params, 50, 2**64 - 1) == generate(params, 50, np.uint64(2**64 - 1))
+
 
 class TestEmpiricalAutocorrelation:
     def test_persistent_lag1(self):
