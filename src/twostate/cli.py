@@ -4,7 +4,8 @@ fit scatter datasets and run-length curves.
 Exit codes: 0 success, 1 usage error (`ParameterError`, or `MemoryError`
 for a size too large to allocate), 2 data error (`DataFormatError`, or an
 `OSError` reading or writing a file), 3 infeasible fit
-(`InfeasibleParametersError`).  TWOSTATE_SEED supplies the default seed.
+(`InfeasibleParametersError`).  TWOSTATE_SEED supplies the default seed,
+and only a command that draws chains reads it or takes --seed.
 """
 
 from __future__ import annotations
@@ -84,12 +85,24 @@ def simulated_histograms(params: MarkovParams, n: int, count: int, seed: int) ->
     return [extract_runs(generate(params, n, child_seed(seed, i))) for i in range(count)]
 
 
+def _seed(args) -> int:
+    """The seed of the chains a command draws: --seed, else TWOSTATE_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    value = os.environ.get("TWOSTATE_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ParameterError(f"TWOSTATE_SEED must be an integer, got {value!r}") from None
+
+
 def cmd_simulate(args) -> int:
+    seed = _seed(args)
     params = MarkovParams(args.p, args.q, p1=args.p1)
     _check_count("--count", args.count)
     with staged_writes() as staged:
         for i in range(args.count):
-            seed_i = args.seed if args.count == 1 else child_seed(args.seed, i)
+            seed_i = seed if args.count == 1 else child_seed(seed, i)
             seq = generate(params, args.n, seed_i)
             out = None
             if args.out:
@@ -103,8 +116,9 @@ def cmd_runs(args) -> int:
     if args.input and simulated:
         raise ParameterError("give either --input or the --p/--q/--n simulation flags, not both")
     if args.input:
-        if args.seeds is not None:
-            raise ParameterError("--seeds applies only when simulating, not with --input")
+        for flag, value in (("--seeds", args.seeds), ("--seed", args.seed)):
+            if value is not None:
+                raise ParameterError(f"{flag} applies only when simulating, not with --input")
         alphabet = None if args.alphabet is None else tuple(args.alphabet.split(","))
         if alphabet is not None:
             _check_alphabet(alphabet, "--alphabet")
@@ -116,7 +130,7 @@ def cmd_runs(args) -> int:
             raise ParameterError("--alphabet applies only to an --input file, not when simulating")
         seeds = 10 if args.seeds is None else args.seeds
         _check_count("--seeds", seeds)
-        hists = simulated_histograms(MarkovParams(args.p, args.q), args.n, seeds, args.seed)
+        hists = simulated_histograms(MarkovParams(args.p, args.q), args.n, seeds, _seed(args))
     else:
         raise ParameterError("give --input FILE or --p/--q/--n to simulate")
 
@@ -164,17 +178,18 @@ def cmd_fit_runs(args) -> int:
     off_curve = parse_curve(off)
     _check_count("--length", args.length, minimum=4)
     _check_count("--confirm-seeds", args.confirm_seeds, minimum=0)
+    if not args.confirm_seeds and args.seed is not None:
+        raise ParameterError("--seed applies only with --confirm-seeds, which draws the chains it seeds")
+    seed = _seed(args) if args.confirm_seeds else None
     # the flags are checked, so a parameter complaint is about the curves
     try:
         fit = fit_runs_simulated(on_curve, off_curve, args.length)
     except ParameterError as exc:
         raise DataFormatError(f"cannot fit the run curves at --length {args.length}: {exc}") from exc
     details = {"length": args.length}
-    seed = None
     if args.confirm_seeds > 0:
         # Monte Carlo confirmation: simulate at the fitted parameters and
         # re-estimate from the chains' averaged curves, as the input was
-        seed = args.seed
         hists = simulated_histograms(MarkovParams(fit.p11_hat, fit.p22_hat), args.length, args.confirm_seeds, seed)
         try:
             refit = fit_runs_simulated(average_and_normalize(a for a, _ in hists),
@@ -202,8 +217,12 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+_SEED_HELP = "seed of the drawn chains, refused where none are drawn (default: $TWOSTATE_SEED, read only then, else 0)"
+
+
 def _add_scatter_fit_flags(sub):
-    sub.add_argument("--studies", required=True, help="study table (study_id, n, successes|p_bar[, group])")
+    sub.add_argument("--studies", required=True,
+                     help="study table (study_id, n, successes|p_bar); other columns, such as group, are ignored")
     sub.add_argument("--level", type=float, default=0.95,
                      help="coverage level of the funnel band and of coverage_achieved")
     sub.add_argument("--min-p", type=float, default=None, help="lower bound projected onto p")
@@ -214,7 +233,7 @@ def _add_scatter_fit_flags(sub):
 @functools.cache
 def build_parser() -> _Parser:
     """The argument tree, built once per process: parsing leaves it
-    unchanged, and TWOSTATE_SEED is read per call in `main`."""
+    unchanged, and TWOSTATE_SEED is read per call by `_seed`."""
     parser = _Parser(prog="twostate", description=__doc__)
     parser.add_argument("--version", action="version", version=f"twostate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,7 +243,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--q", type=float, required=True)
     p_sim.add_argument("--p1", type=float, default=None, help="initial A probability (default: stationary)")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=None, help="default: $TWOSTATE_SEED, else 0")
+    p_sim.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_sim.add_argument("--count", type=int, default=1, help="number of independent sequences")
     p_sim.add_argument("--out", default=None, help="output path; indexed when --count > 1")
     p_sim.set_defaults(func=cmd_simulate)
@@ -236,7 +255,7 @@ def build_parser() -> _Parser:
     p_runs.add_argument("--q", type=float, default=None)
     p_runs.add_argument("--n", type=int, default=None)
     p_runs.add_argument("--seeds", type=int, default=None, help="sequences to average when simulating (default 10)")
-    p_runs.add_argument("--seed", type=int, default=None, help="default: $TWOSTATE_SEED, else 0")
+    p_runs.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_runs.add_argument("--out-on", default=None, help="state-A curve path")
     p_runs.add_argument("--out-off", default=None, help="state-B curve path")
     p_runs.add_argument("--reference", default=None, help="also write the memory-free expectation curve")
@@ -263,7 +282,7 @@ def build_parser() -> _Parser:
     p_frn.add_argument("--confirm-seeds", type=int, default=0,
                        help="Monte Carlo confirmation chains, simulated at the fit and fitted again from their "
                        "averaged curves (default 0: none)")
-    p_frn.add_argument("--seed", type=int, default=None, help="default: $TWOSTATE_SEED, else 0")
+    p_frn.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_frn.add_argument("--out", default=None)
     p_frn.set_defaults(func=cmd_fit_runs)
 
@@ -280,12 +299,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) is None:  # read here, so a bad value is a usage error
-            value = os.environ.get("TWOSTATE_SEED", "0")
-            try:
-                args.seed = int(value)
-            except ValueError:
-                raise ParameterError(f"TWOSTATE_SEED must be an integer, got {value!r}") from None
         return args.func(args)
     except SystemExit as exc:  # --help / --version
         return exc.code or 0

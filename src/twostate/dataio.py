@@ -261,27 +261,24 @@ def _ascii_states(data: bytes) -> np.ndarray | None:
 
 
 def _text_states(text: str, alphabet: tuple[str, str] | None) -> np.ndarray:
-    """The states of a sequence file's text.  In the default format,
-    whitespace is removed and each non-ASCII character left is encoded as
-    one '?', so that positions still count characters."""
+    """The states of a sequence file's text.  Any symbol outside the format
+    is read as a state of 2 or more, and the one check below names the
+    first.  In the default format, whitespace is removed and each non-ASCII
+    character left is encoded as one '?', so that positions still count
+    characters; in the alphabet format, each whitespace-separated token is
+    one symbol."""
     if alphabet is None:
         symbols = "".join(text.split())
         states = np.frombuffer(symbols.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
-        bad = np.flatnonzero(states > 1)
-        if bad.size:
-            pos = int(bad[0])
-            raise DataFormatError(f"unexpected symbol {symbols[pos]!r} at position {pos + 1}")
-        return states
-    bits = []
-    sym_a, sym_b = alphabet
-    for pos, token in enumerate(text.split(), start=1):
-        if token == sym_a:
-            bits.append(1)
-        elif token == sym_b:
-            bits.append(0)
-        else:
-            raise DataFormatError(f"unexpected symbol {token!r} at position {pos}")
-    return np.array(bits, dtype=np.uint8)
+    else:
+        sym_a, sym_b = alphabet
+        symbols = text.split()
+        states = np.array([1 if s == sym_a else 0 if s == sym_b else 2 for s in symbols], dtype=np.uint8)
+    bad = np.flatnonzero(states > 1)
+    if bad.size:
+        pos = int(bad[0])
+        raise DataFormatError(f"unexpected symbol {symbols[pos]!r} at position {pos + 1}")
+    return states
 
 
 def sequence_text(seq: BinarySequence) -> np.ndarray:

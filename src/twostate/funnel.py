@@ -51,7 +51,10 @@ class FunnelSpec:
 
 def required_n(spec: FunnelSpec, p_bar: float) -> float:
     """Study size at which p_bar sits exactly on the funnel boundary:
-    z^2 * pinf(1-pinf) * nu^2 / (p_bar - pinf)^2."""
+    z^2 * pinf(1-pinf) * nu^2 / (p_bar - pinf)^2.  It inverts the
+    unclamped curves, so a finite p_bar outside [0, 1] has a size too."""
+    if not math.isfinite(p_bar):
+        raise ParameterError(f"p_bar must be finite, got {p_bar!r}")
     if p_bar == spec.pinf:
         raise ParameterError(
             "the boundary curve diverges at the funnel center; plot the two branches separately"

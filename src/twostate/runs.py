@@ -194,7 +194,8 @@ def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:
     a = 1.0 - p_bar
     _check_open_unit("1 - p_bar", a)
     _check_count("max_m", max_m)
-    ms = _check_run_domain(n, np.arange(1, max_m + 1))
+    _check_run_domain(n, max_m)  # before the lengths 1..max_m are built
+    ms = np.arange(1, max_m + 1)
     total = a * _run_weight_total(n, p_bar) + p_bar * _run_weight_total(n, a)
     freqs = (n - ms - 1) * (a * p_bar ** (ms - 1) + p_bar * a ** (ms - 1)) / total
     return dict(zip(ms.tolist(), freqs.tolist()))

@@ -23,6 +23,7 @@ from twostate import (
     invert_to_pq,
     memoryfree_curve,
     n_step_self_transitions,
+    required_n,
     run_curve_objective,
     sample_curve,
     state_probability,
@@ -105,6 +106,16 @@ MESSAGES = {
     "log_run_frequencies-zero-run-length": (lambda: log_run_frequencies(10, [0], 0.5), "run length must be >= 1"),
     "ScatterDataset-unequal-lengths": (lambda: ScatterDataset([1, 2], [0.5]),
                                        "sizes and p_bars must be equal-length"),
+    # checked before the lengths 1..max_m are built: 2^40 of them would ask
+    # for 8 TiB, and 2^62 is more than numpy can size
+    "memoryfree_curve-max_m-2^40": (lambda: memoryfree_curve(10, 0.5, 2**40),
+                                    "longest run 1099511627776 outside formula domain"),
+    "memoryfree_curve-max_m-2^62": (lambda: memoryfree_curve(10, 0.5, 2**62),
+                                    "longest run 4611686018427387904 outside formula domain"),
+    # nan would give a size of nan, and an infinite p_bar a size of 0
+    "required_n-nan-p_bar": (lambda: required_n(SPEC, math.nan), "p_bar must be finite, got nan"),
+    "required_n-infinite-p_bar": (lambda: required_n(SPEC, math.inf), "p_bar must be finite, got inf"),
+    "required_n-minus-infinite-p_bar": (lambda: required_n(SPEC, -math.inf), "p_bar must be finite, got -inf"),
 }
 
 

@@ -470,6 +470,12 @@ class TestExitCodeContract:
         "runs-alphabet-when-simulating": (1, ["runs", "--p", "0.5", "--q", "0.5", "--n", "100", "--alphabet", "A,",
                                               "--out-on", "{out}"]),
         "runs-seeds-with-input": (1, ["runs", "--input", "{seq_ok}", "--seeds", "0", "--out-on", "{out}"]),
+        # no chain is drawn, so a seed would be ignored
+        "runs-seed-with-input": (1, ["runs", "--input", "{seq_ok}", "--seed", "5", "--out-on", "{out}"]),
+        "fit-runs-seed-without-confirmation": (1, ["fit-runs", "--on", "{on}", "--off", "{off}", "--seed", "5",
+                                                   "--out", "{out}"]),
+        "fit-runs-seed-with-zero-confirm-seeds": (1, ["fit-runs", "--on", "{on}", "--off", "{off}",
+                                                      "--confirm-seeds", "0", "--seed", "5", "--out", "{out}"]),
         "funnel-pinf-out-of-range": (1, ["funnel", "--pinf", "1.5", "--nu", "1", "--out", "{out}"]),
         "funnel-missing-nu": (1, ["funnel", "--pinf", "0.5", "--out", "{out}"]),
         "fit-scatter-bad-row": (2, ["fit-scatter", "--studies", "{studies_bad}", "--out", "{out}"]),
@@ -579,6 +585,34 @@ class TestErrorMessages:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
+
+    def test_seed_only_where_chains_are_drawn(self, tmp_path, capsys, monkeypatch):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("0 1 1 0 1 0 0 1\n")
+        on, off = write_model_curves(tmp_path, 0.5, 0.5)
+        runs = ["runs", "--input", str(seq)]
+        fit = ["fit-runs", "--on", on, "--off", off]
+        monkeypatch.delenv("TWOSTATE_SEED", raising=False)
+        outputs = []
+        for argv in (runs, fit):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        # a command that draws nothing does not read TWOSTATE_SEED
+        monkeypatch.setenv("TWOSTATE_SEED", "abc")
+        for argv, out in zip((runs, fit), outputs):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+        # and refuses an explicit --seed, naming the flag
+        for argv, message in [
+            (runs + ["--seed", "5"], "error: --seed applies only when simulating, not with --input"),
+            (fit + ["--seed", "5"], "error: --seed applies only with --confirm-seeds, which draws the chains it seeds"),
+            (fit + ["--confirm-seeds", "0", "--seed", "5"],
+             "error: --seed applies only with --confirm-seeds, which draws the chains it seeds"),
+        ]:
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [message]
 
 
 class TestRepeatedCalls:

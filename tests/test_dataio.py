@@ -219,6 +219,41 @@ class TestParseSequence:
         assert parse_sequence(path, alphabet).states.tolist() == states
         assert parse_sequence(io.StringIO("\ufeff" + text), alphabet) == parse_sequence(path, alphabet)
 
+    @given(states=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=60),
+           alphabet=st.lists(st.text(st.characters(blacklist_categories=("Cc", "Cf", "Cs", "Zl", "Zp", "Zs")),
+                                     min_size=1, max_size=4),
+                             min_size=2, max_size=2, unique=True).filter(lambda syms: all(
+                                 sym.split() == [sym] for sym in syms)))
+    @settings(max_examples=200)
+    def test_alphabet_tokens_match_default_format(self, states, alphabet):
+        sym_a, sym_b = alphabet
+        tokens = " ".join(sym_a if s else sym_b for s in states)
+        digits = "".join(str(s) for s in states)
+        assert parse_sequence(io.StringIO(tokens), (sym_a, sym_b)) == parse_sequence(io.StringIO(digits))
+
+    @pytest.mark.parametrize("text, message", [
+        ("maybe on off on\n", "unexpected symbol 'maybe' at position 1"),
+        ("on off\nmaybe on\n", "unexpected symbol 'maybe' at position 3"),
+        ("on off on maybe\n", "unexpected symbol 'maybe' at position 4"),
+        ("on\toff \xe9t\xe9 on\n", "unexpected symbol '\xe9t\xe9' at position 3"),
+    ], ids=["first", "middle", "last", "non-ascii"])
+    def test_alphabet_stray_token(self, tmp_path, text, message):
+        path = tmp_path / "seq.txt"
+        path.write_text(text, encoding="utf-8")
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(DataFormatError) as err:
+                parse_sequence(source, ("on", "off"))
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["", " \n\t\r\n" * 30], ids=["empty", "whitespace-only"])
+    def test_alphabet_file_without_tokens(self, tmp_path, text):
+        path = tmp_path / "seq.txt"
+        path.write_text(text, encoding="utf-8")
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(DataFormatError) as err:
+                parse_sequence(source, ("on", "off"))
+            assert str(err.value) == "sequence file contains no symbols"
+
     def test_pipe_read_in_full(self):
         # a pipe has no size to read by, and 200 kB is more than its buffer holds
         seq = generate(MarkovParams(0.65, 0.25), 200_000, 5)
