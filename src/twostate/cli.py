@@ -1,5 +1,6 @@
 """Command-line surface: simulate chains, export run and funnel curves,
-fit scatter datasets and run-length curves.
+fit scatter datasets and run-length curves.  A command writes all of its
+files or none: `main` runs it in one `staged_writes` block.
 
 Exit codes: 0 success, 1 usage error (`ParameterError`, or `MemoryError`
 for a size too large to allocate), 2 data error (`DataFormatError`, or an
@@ -50,9 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _emit(text: str | np.ndarray, out: str | None, staged: list | None = None) -> None:
-    """Write `text`, a str or the ASCII bytes of `sequence_text`, to the
-    file `out`, or else to stdout."""
+def _emit(text: str | np.ndarray, out: str | None, staged: list) -> None:
+    """Stage `text`, a str or the ASCII bytes of `sequence_text`, in the
+    command's block for the file `out`, or else write it to stdout."""
     if out:
         write_text_atomic(out, text, staged)
     else:
@@ -96,22 +97,21 @@ def _seed(args) -> int:
         raise ParameterError(f"TWOSTATE_SEED must be an integer, got {value!r}") from None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, staged: list) -> int:
     seed = _seed(args)
     params = MarkovParams(args.p, args.q, p1=args.p1)
     _check_count("--count", args.count)
-    with staged_writes() as staged:
-        for i in range(args.count):
-            seed_i = seed if args.count == 1 else child_seed(seed, i)
-            seq = generate(params, args.n, seed_i)
-            out = None
-            if args.out:
-                out = args.out if args.count == 1 else _indexed_path(args.out, i)
-            _emit(sequence_text(seq), out, staged)
+    for i in range(args.count):
+        seed_i = seed if args.count == 1 else child_seed(seed, i)
+        seq = generate(params, args.n, seed_i)
+        out = None
+        if args.out:
+            out = args.out if args.count == 1 else _indexed_path(args.out, i)
+        _emit(sequence_text(seq), out, staged)
     return 0
 
 
-def cmd_runs(args) -> int:
+def cmd_runs(args, staged: list) -> int:
     simulated = args.p is not None or args.q is not None or args.n is not None
     if args.input and simulated:
         raise ParameterError("give either --input or the --p/--q/--n simulation flags, not both")
@@ -134,7 +134,6 @@ def cmd_runs(args) -> int:
     else:
         raise ParameterError("give --input FILE or --p/--q/--n to simulate")
 
-    # every curve is computed before any is emitted: a data error writes nothing
     try:
         on_curve = average_and_normalize([ha for ha, _ in hists])
         off_curve = average_and_normalize([hb for _, hb in hists])
@@ -147,32 +146,32 @@ def cmd_runs(args) -> int:
     except ParameterError as exc:
         raise DataFormatError(f"cannot build run curves: {exc}") from exc
 
-    with staged_writes() as staged:
-        for path, curve in ((args.out_on, on_curve), (args.out_off, off_curve), (args.reference, reference)):
-            if path:
-                write_text_atomic(path, curve_text(curve), staged)
-    if not (args.out_on or args.out_off):
-        sys.stdout.write("# state A (on) runs\n" + curve_text(on_curve))
-        sys.stdout.write("# state B (off) runs\n" + curve_text(off_curve))
+    # files first, so that a file that cannot be staged leaves stdout empty
+    for path, curve in ((args.out_on, on_curve), (args.out_off, off_curve), (args.reference, reference)):
+        if path:
+            write_text_atomic(path, curve_text(curve), staged)
+    for path, state, curve in ((args.out_on, "A (on)", on_curve), (args.out_off, "B (off)", off_curve)):
+        if not path:
+            sys.stdout.write(f"# state {state} runs\n" + curve_text(curve))
     return 0
 
 
-def cmd_funnel(args) -> int:
+def cmd_funnel(args, staged: list) -> int:
     spec = FunnelSpec(args.pinf, args.nu, args.z)
     ns, lower, upper = sample_curve(spec, args.n_min, args.n_max, args.points)
-    _emit(funnel_table_text(ns, lower, upper), args.out)
+    _emit(funnel_table_text(ns, lower, upper), args.out, staged)
     return 0
 
 
-def cmd_fit_scatter(args) -> int:
+def cmd_fit_scatter(args, staged: list) -> int:
     inputs, (studies,) = _read_inputs(studies=args.studies)
     fit = fit_scatter(parse_studies(studies), level=args.level, min_p=args.min_p, min_q=args.min_q)
     details = {"level": args.level, "min_p": args.min_p, "min_q": args.min_q}
-    _emit(report_text("fit-scatter", __version__, None, inputs, scatter_fit=fit, details=details), args.out)
+    _emit(report_text("fit-scatter", __version__, None, inputs, scatter_fit=fit, details=details), args.out, staged)
     return 0
 
 
-def cmd_fit_runs(args) -> int:
+def cmd_fit_runs(args, staged: list) -> int:
     inputs, (on, off) = _read_inputs(on=args.on, off=args.off)
     on_curve = parse_curve(on)
     off_curve = parse_curve(off)
@@ -197,11 +196,11 @@ def cmd_fit_runs(args) -> int:
         except (ParameterError, InfeasibleParametersError) as exc:
             raise InfeasibleParametersError(f"Monte Carlo confirmation: {exc}") from None
         details["mc_confirmation"] = {"seeds": args.confirm_seeds, "mle_p11": refit.p11_hat, "mle_p22": refit.p22_hat}
-    _emit(report_text("fit-runs", __version__, seed, inputs, run_fit=fit, details=details), args.out)
+    _emit(report_text("fit-runs", __version__, seed, inputs, run_fit=fit, details=details), args.out, staged)
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, staged: list) -> int:
     inputs, (studies,) = _read_inputs(studies=args.studies)
     fit = fit_scatter(parse_studies(studies), level=args.level, min_p=args.min_p, min_q=args.min_q)
     spec = FunnelSpec(fit.pinf_hat, fit.nu_hat, z_from_level(args.level))
@@ -213,7 +212,7 @@ def cmd_analyze(args) -> int:
     }
     details = {"level": args.level, "min_p": args.min_p, "min_q": args.min_q}
     _emit(report_text("analyze", __version__, None, inputs, scatter_fit=fit,
-                      funnel_curve=funnel_curve, details=details), args.out)
+                      funnel_curve=funnel_curve, details=details), args.out, staged)
     return 0
 
 
@@ -256,8 +255,8 @@ def build_parser() -> _Parser:
     p_runs.add_argument("--n", type=int, default=None)
     p_runs.add_argument("--seeds", type=int, default=None, help="sequences to average when simulating (default 10)")
     p_runs.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
-    p_runs.add_argument("--out-on", default=None, help="state-A curve path")
-    p_runs.add_argument("--out-off", default=None, help="state-B curve path")
+    p_runs.add_argument("--out-on", default=None, help="state-A curve path (stdout when omitted)")
+    p_runs.add_argument("--out-off", default=None, help="state-B curve path (stdout when omitted)")
     p_runs.add_argument("--reference", default=None, help="also write the memory-free expectation curve")
     p_runs.set_defaults(func=cmd_runs)
 
@@ -299,7 +298,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with staged_writes() as staged:
+            return args.func(args, staged)
     except SystemExit as exc:  # --help / --version
         return exc.code or 0
     except (ParameterError, MemoryError) as exc:  # MemoryError: a size too large to allocate, e.g. --n 10**15

@@ -12,7 +12,7 @@ decoded at one point, `_decode`, which drops a leading byte-order mark.
 All numeric output uses plain decimal with up to 9 significant digits and a
 '.' separator, independent of locale, so fixed inputs produce byte-identical
 files.  Data files are written atomically (temp file + rename), and a
-command's files all together (`staged_writes`).
+command's files together, in `cli.main`'s one `staged_writes` block.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _decode(data: bytes | str) -> str:
 def staged_writes():
     """A list for `write_text_atomic` to stage files in; they are renamed
     onto their paths when the block ends, after every one is written, and
-    removed if it raises.  So a command writes all of its files or none."""
+    removed if it raises.  `cli.main` runs each command in one block."""
     staged = []
     try:
         yield staged
@@ -92,16 +92,12 @@ def staged_writes():
                 os.unlink(tmp)
 
 
-def write_text_atomic(path, text: str | bytes | np.ndarray, staged: list | None = None) -> None:
-    """Write `text`, a str (as UTF-8) or a bytes-like buffer (as it is), via
-    a sibling temp file and rename, so readers never see a partially
-    written file; given the list of a `staged_writes` block, the rename
-    waits for the end of the block.  The temp file gets the mode
-    open(path, "w") would give a new file, 0o666 less the umask, and
-    os.replace keeps it."""
-    if staged is None:
-        with staged_writes() as staged:
-            return write_text_atomic(path, text, staged)
+def write_text_atomic(path, text: str | bytes | np.ndarray, staged: list) -> None:
+    """Write `text`, a str (as UTF-8) or a bytes-like buffer (as it is), to
+    a sibling temp file staged in the list of a `staged_writes` block, which
+    renames it onto `path` when the block ends, so readers never see a
+    partially written file.  The temp file gets the mode open(path, "w")
+    would give a new file, 0o666 less the umask, and os.replace keeps it."""
     if os.path.isdir(path):  # found here, before any file of the block is renamed
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
@@ -156,8 +152,12 @@ def parse_studies(source) -> ScatterDataset:
     width = len(header)
     i_n, i_succ, i_pbar = (header.index(name) if name in header else None for name in ("n", "successes", "p_bar"))
 
+    linenos = range(2, len(rows) + 1)
+    if reader.line_num != len(rows):  # a quoted cell spans lines: name the line each row starts on
+        reader = csv.reader(io.StringIO(text), delimiter=delim)
+        linenos = [reader.line_num + 1 for _ in reader]
     sizes, p_bars, problems = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in zip(linenos, rows[1:]):
         if not "".join(row).strip():
             continue
         row += [""] * (width - len(row))  # a short row's missing cells are empty

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -166,6 +167,17 @@ class TestRuns:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: [Errno 2] No such file or directory: '{ref}'\n"
         assert not on.exists()
+
+    @pytest.mark.parametrize("flag, printed", [("--out-on", "off"), ("--out-off", "on")])
+    def test_curve_without_a_path_is_printed(self, tmp_path, capsysbinary, flag, printed):
+        argv = ["runs", "--p", "0.8", "--q", "0.5", "--n", "1000", "--seeds", "2", "--seed", "1"]
+        both = {"on": tmp_path / "on.csv", "off": tmp_path / "off.csv"}
+        assert main(argv + ["--out-on", str(both["on"]), "--out-off", str(both["off"])]) == 0
+        written = tmp_path / "written.csv"
+        assert main(argv + [flag, str(written)]) == 0
+        title = {"on": b"# state A (on) runs\n", "off": b"# state B (off) runs\n"}[printed]
+        assert capsysbinary.readouterr().out == title + both[printed].read_bytes()
+        assert written.read_bytes() == both[{"on": "off", "off": "on"}[printed]].read_bytes()
 
     def test_whitespace_only_input_is_data_error(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.txt"
@@ -555,6 +567,48 @@ class TestExitCodeContract:
         assert lines[0].startswith(prefix)
         assert sum(line.startswith(("error:", "infeasible fit:")) for line in lines) == 1
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestStagedOutputs:
+    """Every output flag of every subcommand: a refused rename exits 2 with
+    one line naming the path and leaves neither an output file nor a temp
+    file; a run that succeeds leaves its files and no temp file."""
+
+    CASES = {
+        "simulate": (["simulate", "--p", "0.7", "--q", "0.4", "--n", "50", "--out", "{dir}/seq.txt"],
+                     ["seq.txt"]),
+        "simulate-count": (["simulate", "--p", "0.7", "--q", "0.4", "--n", "50", "--count", "2",
+                            "--out", "{dir}/seq.txt"], ["seq_000.txt", "seq_001.txt"]),
+        "runs": (["runs", "--p", "0.7", "--q", "0.4", "--n", "500", "--seeds", "2", "--out-on", "{dir}/on.csv",
+                  "--out-off", "{dir}/off.csv", "--reference", "{dir}/ref.csv"], ["on.csv", "off.csv", "ref.csv"]),
+        "funnel": (["funnel", "--pinf", "0.5", "--nu", "1", "--points", "5", "--out", "{dir}/funnel.csv"],
+                   ["funnel.csv"]),
+        "fit-scatter": (["fit-scatter", "--studies", FIXTURE, "--out", "{dir}/report.json"], ["report.json"]),
+        "fit-runs": (["fit-runs", "--on", "{on}", "--off", "{off}", "--out", "{dir}/report.json"], ["report.json"]),
+        "analyze": (["analyze", "--studies", FIXTURE, "--points", "5", "--out", "{dir}/report.json"],
+                    ["report.json"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_all_files_or_none_and_no_temp_file(self, tmp_path, capsys, monkeypatch, case):
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src)
+
+        on, off = write_model_curves(tmp_path, 0.6, 0.7)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        template, names = self.CASES[case]
+        argv = [arg.format(dir=out_dir, on=on, off=off) for arg in template]
+        outputs = [out_dir / name for name in names]
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: "
+                                           f"'{outputs[0]}'\n")
+        assert list(out_dir.iterdir()) == []
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        assert sorted(out_dir.iterdir()) == sorted(outputs)
 
 
 class TestErrorMessages:

@@ -76,6 +76,17 @@ class TestParseStudies:
             parse_studies(io.StringIO(bad))
         assert "line 2" in str(err.value) and "line 3" in str(err.value)
 
+    def test_row_after_a_multiline_cell_named_by_its_first_line(self):
+        # the ignored notes cells hold newlines, so csv rows and file lines part
+        text = ('study_id,n,successes,notes\ns1,10,5,"line one\nline two"\ns2,abc,3,x\n'
+                's3,10,5,"a\n\nb"\n\ns4,0,1,\n')
+        with pytest.raises(DataFormatError) as err:
+            parse_studies(io.StringIO(text))
+        assert str(err.value).splitlines() == [
+            "line 4: n must be an integer in [1, 2^63 - 1], got 'abc'",
+            "line 9: n must be an integer in [1, 2^63 - 1], got '0'",
+        ]
+
     def test_missing_column(self):
         with pytest.raises(DataFormatError, match="header"):
             parse_studies(io.StringIO("study_id,size\ns1,100\n"))
@@ -173,7 +184,8 @@ class TestParseSequence:
     def test_write_read_round_trip(self, tmp_path):
         seq = generate(MarkovParams(0.65, 0.25), 500, 3)
         path = tmp_path / "seq.txt"
-        write_text_atomic(path, sequence_text(seq))
+        with staged_writes() as staged:
+            write_text_atomic(path, sequence_text(seq), staged)
         assert np.array_equal(parse_sequence(path).states, seq.states)
 
     def test_text_matches_character_join(self):
@@ -277,7 +289,8 @@ class TestParseSequence:
         # first call imports what the parse needs, so it comes first
         n = 3 * 10**6
         path = tmp_path / "seq.txt"
-        write_text_atomic(path, sequence_text(generate(MarkovParams(0.88, 0.5), n, 1)))
+        with staged_writes() as staged:
+            write_text_atomic(path, sequence_text(generate(MarkovParams(0.88, 0.5), n, 1)), staged)
         parse_sequence(path)
         tracemalloc.start()
         try:
@@ -292,7 +305,8 @@ class TestCurveIO:
     def test_round_trip(self, tmp_path):
         curve = {1: 0.5, 2: 0.25, 3: 0.25}
         path = tmp_path / "curve.csv"
-        write_text_atomic(path, curve_text(curve))
+        with staged_writes() as staged:
+            write_text_atomic(path, curve_text(curve), staged)
         assert parse_curve(path) == curve
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
@@ -401,8 +415,10 @@ class TestAnalysisReport:
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "out.txt"
-        write_text_atomic(path, "first\n")
-        write_text_atomic(path, "second\n")
+        with staged_writes() as staged:
+            write_text_atomic(path, "first\n", staged)
+        with staged_writes() as staged:
+            write_text_atomic(path, "second\n", staged)
         assert path.read_text() == "second\n"
         assert list(tmp_path.iterdir()) == [path]  # no temp leftovers
 
@@ -411,7 +427,8 @@ class TestAtomicWrite:
         # os.replace keeps the temp file's mode, so the temp file must be created as open() would
         previous = os.umask(umask)
         try:
-            write_text_atomic(tmp_path / "out.txt", "x\n")
+            with staged_writes() as staged:
+                write_text_atomic(tmp_path / "out.txt", "x\n", staged)
             with open(tmp_path / "plain.txt", "w"):
                 pass
         finally:
@@ -444,7 +461,8 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "replace", refuse)
         path = tmp_path / "out.txt"
         with pytest.raises(PermissionError) as info:
-            write_text_atomic(path, "x\n")
+            with staged_writes() as staged:
+                write_text_atomic(path, "x\n", staged)
         assert info.value.errno == errno.EACCES and info.value.filename == str(path)
         assert str(info.value) == f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{path}'"
         assert list(tmp_path.iterdir()) == []
