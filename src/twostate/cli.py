@@ -1,6 +1,7 @@
 """Command-line surface: simulate chains, export run and funnel curves,
 fit scatter datasets and run-length curves.  A command writes all of its
-files or none: `main` runs it in one `staged_writes` block.
+files or none: `main` runs it in one `staged_writes` block, and prints what
+it returns only once that block has renamed every file.
 
 Exit codes: 0 success, 1 usage error (`ParameterError`, or `MemoryError`
 for a size too large to allocate), 2 data error (`DataFormatError`, or an
@@ -36,13 +37,9 @@ from .dataio import (
     staged_writes,
     write_text_atomic,
 )
-from .estimate import (
-    InfeasibleParametersError,
-    fit_runs_simulated,
-    fit_scatter,
-)
+from .estimate import InfeasibleParametersError, _fit_stay, fit_runs_simulated, fit_scatter
 from .funnel import FunnelSpec, sample_curve, z_from_level
-from .runs import average_and_normalize, extract_runs, memoryfree_curve
+from .runs import _check_run_domain, average_and_normalize, extract_runs, memoryfree_curve
 from .simulate import child_seed, generate
 
 
@@ -51,13 +48,14 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _emit(text: str | np.ndarray, out: str | None, staged: list) -> None:
+def _emit(text: str | np.ndarray, out: str | None, staged: list) -> str:
     """Stage `text`, a str or the ASCII bytes of `sequence_text`, in the
-    command's block for the file `out`, or else write it to stdout."""
+    command's block for the file `out` and return "", or else return it as
+    the str to print."""
     if out:
         write_text_atomic(out, text, staged)
-    else:
-        sys.stdout.write(text if isinstance(text, str) else str(text, "ascii"))
+        return ""
+    return text if isinstance(text, str) else str(text, "ascii")
 
 
 def _read_inputs(**paths) -> tuple[dict, list]:
@@ -97,7 +95,7 @@ def _seed(args) -> int:
         raise ParameterError(f"TWOSTATE_SEED must be an integer, got {value!r}") from None
 
 
-def cmd_simulate(args, staged: list) -> int:
+def cmd_simulate(args, staged: list) -> str:
     seed = _seed(args)
     params = MarkovParams(args.p, args.q, p1=args.p1)
     _check_count("--count", args.count)
@@ -107,11 +105,13 @@ def cmd_simulate(args, staged: list) -> int:
         out = None
         if args.out:
             out = args.out if args.count == 1 else _indexed_path(args.out, i)
-        _emit(sequence_text(seq), out, staged)
-    return 0
+        # printed as drawn, so that memory does not grow with --count; a
+        # command that prints sequences stages no file
+        sys.stdout.write(_emit(sequence_text(seq), out, staged))
+    return ""
 
 
-def cmd_runs(args, staged: list) -> int:
+def cmd_runs(args, staged: list) -> str:
     simulated = args.p is not None or args.q is not None or args.n is not None
     if args.input and simulated:
         raise ParameterError("give either --input or the --p/--q/--n simulation flags, not both")
@@ -146,32 +146,31 @@ def cmd_runs(args, staged: list) -> int:
     except ParameterError as exc:
         raise DataFormatError(f"cannot build run curves: {exc}") from exc
 
-    # files first, so that a file that cannot be staged leaves stdout empty
     for path, curve in ((args.out_on, on_curve), (args.out_off, off_curve), (args.reference, reference)):
         if path:
             write_text_atomic(path, curve_text(curve), staged)
+    printed = ""
     for path, state, curve in ((args.out_on, "A (on)", on_curve), (args.out_off, "B (off)", off_curve)):
         if not path:
-            sys.stdout.write(f"# state {state} runs\n" + curve_text(curve))
-    return 0
+            printed += f"# state {state} runs\n" + curve_text(curve)
+    return printed
 
 
-def cmd_funnel(args, staged: list) -> int:
+def cmd_funnel(args, staged: list) -> str:
     spec = FunnelSpec(args.pinf, args.nu, args.z)
     ns, lower, upper = sample_curve(spec, args.n_min, args.n_max, args.points)
-    _emit(funnel_table_text(ns, lower, upper), args.out, staged)
-    return 0
+    return _emit(funnel_table_text(ns, lower, upper), args.out, staged)
 
 
-def cmd_fit_scatter(args, staged: list) -> int:
+def cmd_fit_scatter(args, staged: list) -> str:
     inputs, (studies,) = _read_inputs(studies=args.studies)
     fit = fit_scatter(parse_studies(studies), level=args.level, min_p=args.min_p, min_q=args.min_q)
     details = {"level": args.level, "min_p": args.min_p, "min_q": args.min_q}
-    _emit(report_text("fit-scatter", __version__, None, inputs, scatter_fit=fit, details=details), args.out, staged)
-    return 0
+    return _emit(report_text("fit-scatter", __version__, None, inputs, scatter_fit=fit, details=details),
+                 args.out, staged)
 
 
-def cmd_fit_runs(args, staged: list) -> int:
+def cmd_fit_runs(args, staged: list) -> str:
     inputs, (on, off) = _read_inputs(on=args.on, off=args.off)
     on_curve = parse_curve(on)
     off_curve = parse_curve(off)
@@ -187,20 +186,23 @@ def cmd_fit_runs(args, staged: list) -> int:
         raise DataFormatError(f"cannot fit the run curves at --length {args.length}: {exc}") from exc
     details = {"length": args.length}
     if args.confirm_seeds > 0:
-        # Monte Carlo confirmation: simulate at the fitted parameters and
-        # re-estimate from the chains' averaged curves, as the input was
+        # Monte Carlo confirmation: simulate at the fitted parameters and fit again
+        # from each state's pooled runs and summed stays m - 1, all its likelihood reads
         hists = simulated_histograms(MarkovParams(fit.p11_hat, fit.p22_hat), args.length, args.confirm_seeds, seed)
+        pooled = [(sum(h.n_runs for h in hs), sum(h.occupied_length - h.n_runs for h in hs)) for hs in zip(*hists)]
         try:
-            refit = fit_runs_simulated(average_and_normalize(a for a, _ in hists),
-                                       average_and_normalize(b for _, b in hists), args.length)
+            for state, (runs, _) in zip("AB", pooled):
+                if not runs:
+                    raise ParameterError(f"the state-{state} chains contain no runs")
+            _check_run_domain(args.length, max(h.counts.size for pair in hists for h in pair))
+            p11, p22 = (_fit_stay(name, *counts, args.length) for name, counts in zip(("on", "off"), pooled))
         except (ParameterError, InfeasibleParametersError) as exc:
             raise InfeasibleParametersError(f"Monte Carlo confirmation: {exc}") from None
-        details["mc_confirmation"] = {"seeds": args.confirm_seeds, "mle_p11": refit.p11_hat, "mle_p22": refit.p22_hat}
-    _emit(report_text("fit-runs", __version__, seed, inputs, run_fit=fit, details=details), args.out, staged)
-    return 0
+        details["mc_confirmation"] = {"seeds": args.confirm_seeds, "mle_p11": p11, "mle_p22": p22}
+    return _emit(report_text("fit-runs", __version__, seed, inputs, run_fit=fit, details=details), args.out, staged)
 
 
-def cmd_analyze(args, staged: list) -> int:
+def cmd_analyze(args, staged: list) -> str:
     inputs, (studies,) = _read_inputs(studies=args.studies)
     fit = fit_scatter(parse_studies(studies), level=args.level, min_p=args.min_p, min_q=args.min_q)
     spec = FunnelSpec(fit.pinf_hat, fit.nu_hat, z_from_level(args.level))
@@ -211,9 +213,8 @@ def cmd_analyze(args, staged: list) -> int:
         "upper": np.clip(upper, 0.0, 1.0).tolist(),
     }
     details = {"level": args.level, "min_p": args.min_p, "min_q": args.min_q}
-    _emit(report_text("analyze", __version__, None, inputs, scatter_fit=fit,
-                      funnel_curve=funnel_curve, details=details), args.out, staged)
-    return 0
+    return _emit(report_text("analyze", __version__, None, inputs, scatter_fit=fit,
+                             funnel_curve=funnel_curve, details=details), args.out, staged)
 
 
 _SEED_HELP = "seed of the drawn chains, refused where none are drawn (default: $TWOSTATE_SEED, read only then, else 0)"
@@ -280,7 +281,7 @@ def build_parser() -> _Parser:
     p_frn.add_argument("--length", type=int, default=10_000, help="model sequence length, >= longest run + 2")
     p_frn.add_argument("--confirm-seeds", type=int, default=0,
                        help="Monte Carlo confirmation chains, simulated at the fit and fitted again from their "
-                       "averaged curves (default 0: none)")
+                       "pooled run counts (default 0: none)")
     p_frn.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_frn.add_argument("--out", default=None)
     p_frn.set_defaults(func=cmd_fit_runs)
@@ -299,7 +300,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         with staged_writes() as staged:
-            return args.func(args, staged)
+            printed = args.func(args, staged)
+        sys.stdout.write(printed)
+        return 0
     except SystemExit as exc:  # --help / --version
         return exc.code or 0
     except (ParameterError, MemoryError) as exc:  # MemoryError: a size too large to allocate, e.g. --n 10**15

@@ -8,7 +8,7 @@ mean(n_i (p_bar_i - pinf)^2) = pinf(1-pinf) nu^2 at that c.  The
 (pinf, nu) pair is then inverted algebraically to (p, q).  The run route fits
 the two self-transition probabilities to normalized run-length curves by
 maximum likelihood: per state, the self-transition probability whose model
-mean run length equals the curve's, found by bisection.
+mean run length equals the curve's, found by one bisection, `_fit_stay`.
 """
 
 from __future__ import annotations
@@ -156,6 +156,31 @@ def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float,
     return total
 
 
+def _fit_stay(name: str, runs, stays, length: int) -> float:
+    """The likelihood maximum of a state with `runs` runs and `stays` summed
+    stays m-1: the s whose model mean `_mean_stays_per_run(length, s)` equals
+    stays/runs, bisected in theta = log s, in which that mean rises.  No runs,
+    or a mean outside the model means at the search bounds (all runs of
+    length 1 point to s = 0), is infeasible."""
+    def model_mean(theta):
+        return _mean_stays_per_run(length, math.exp(theta))
+
+    target = stays / runs if runs > 0 else math.nan
+    lo, hi = math.log(STAY_BOUND), math.log1p(-STAY_BOUND)
+    if not model_mean(lo) < target < model_mean(hi):  # nan fails too
+        raise InfeasibleParametersError(
+            f"degenerate {name} curve: its likelihood has no maximum inside the search range "
+            f"[{STAY_BOUND:g}, 1 - {STAY_BOUND:g}] of self-transition probabilities"
+        )
+    while hi - lo > LOG_STAY_TOLERANCE:
+        mid = (lo + hi) / 2.0
+        if model_mean(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp((lo + hi) / 2.0)
+
+
 def fit_runs_simulated(on_curve: dict, off_curve: dict, length: int = 10_000) -> RunFit:
     """Maximum-likelihood (p11, p22) for normalized run-length curves.
 
@@ -163,33 +188,13 @@ def fit_runs_simulated(on_curve: dict, off_curve: dict, length: int = 10_000) ->
     the model frequency for sequences of `length` steps, depends only on that
     state's self-transition probability s.  In theta = log s the model is an
     exponential family (statistic m-1, base weight n-m-1), so the curve
-    enters only through sum f and sum f (m-1), and the maximum solves the
-    mean-run-length equation E_s[m-1] = sum f (m-1) / sum f.  The model mean
-    rises with theta, so one bisection per state finds the root.  A curve
-    whose mean lies outside the model means at the search bounds (all mass
-    at m = 1 points to s = 0), or that has no mass, is infeasible.
+    enters only through sum f and sum f (m-1), the runs and stays `_fit_stay`
+    takes.
     """
-    def model_mean(theta):
-        return _mean_stays_per_run(length, math.exp(theta))
-
     estimates = []
     for name, curve in (("on", on_curve), ("off", off_curve)):
         ms, freqs = _curve_arrays(curve, length)
-        mass = freqs.sum()
-        target = float(np.dot(freqs, ms - 1) / mass) if mass > 0.0 else math.nan
-        lo, hi = math.log(STAY_BOUND), math.log1p(-STAY_BOUND)
-        if not model_mean(lo) < target < model_mean(hi):  # nan fails too
-            raise InfeasibleParametersError(
-                f"degenerate {name} curve: its likelihood has no maximum inside the search range "
-                f"[{STAY_BOUND:g}, 1 - {STAY_BOUND:g}] of self-transition probabilities"
-            )
-        while hi - lo > LOG_STAY_TOLERANCE:
-            mid = (lo + hi) / 2.0
-            if model_mean(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        estimates.append(math.exp((lo + hi) / 2.0))
+        estimates.append(_fit_stay(name, freqs.sum(), np.dot(freqs, ms - 1), length))
     p11, p22 = estimates
     return RunFit(
         p11_hat=p11,

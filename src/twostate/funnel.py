@@ -44,22 +44,35 @@ class FunnelSpec:
         for name, value in (("nu", self.nu), ("z", self.z)):
             if not 0.0 < value < math.inf:  # nan fails too
                 raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+        # bounds `half_width` at every n >= 1, and the numerator of `required_n`
+        if (self.z * self.nu) * (self.z * self.nu) == math.inf:
+            raise ParameterError(
+                f"z * nu must be below about 1.3e154, so that its square is finite, got z={self.z!r}, nu={self.nu!r}"
+            )
 
     def half_width(self, n) -> float:
         return self.z * np.sqrt(self.pinf * (1.0 - self.pinf) / np.asarray(n, dtype=float)) * self.nu
 
 
 def required_n(spec: FunnelSpec, p_bar: float) -> float:
-    """Study size at which p_bar sits exactly on the funnel boundary:
-    z^2 * pinf(1-pinf) * nu^2 / (p_bar - pinf)^2.  It inverts the
-    unclamped curves, so a finite p_bar outside [0, 1] has a size too."""
+    """Study size at which the proportion p_bar sits exactly on the funnel
+    boundary: z^2 * pinf(1-pinf) * nu^2 / (p_bar - pinf)^2, formed as the
+    square of the half width at n = 1 over p_bar - pinf, so that no factor
+    overflows or underflows alone.  A p_bar outside [0, 1], which no study
+    shows, has no size, nor has one so near the center that its size passes
+    float64's range."""
     if not math.isfinite(p_bar):
         raise ParameterError(f"p_bar must be finite, got {p_bar!r}")
+    if not 0.0 <= p_bar <= 1.0:
+        raise ParameterError(f"p_bar must be a proportion in [0, 1], got {p_bar!r}")
     if p_bar == spec.pinf:
         raise ParameterError(
             "the boundary curve diverges at the funnel center; plot the two branches separately"
         )
-    return spec.z**2 * spec.pinf * (1.0 - spec.pinf) * spec.nu**2 / (p_bar - spec.pinf) ** 2
+    root = spec.z * spec.nu * math.sqrt(spec.pinf * (1.0 - spec.pinf)) / (p_bar - spec.pinf)
+    if root * root == math.inf:
+        raise ParameterError(f"p_bar = {p_bar!r} is so near the funnel center that its size passes float64's range")
+    return root * root
 
 
 def coverage(dataset: ScatterDataset, spec: FunnelSpec) -> float:

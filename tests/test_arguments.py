@@ -116,6 +116,16 @@ MESSAGES = {
     "required_n-nan-p_bar": (lambda: required_n(SPEC, math.nan), "p_bar must be finite, got nan"),
     "required_n-infinite-p_bar": (lambda: required_n(SPEC, math.inf), "p_bar must be finite, got inf"),
     "required_n-minus-infinite-p_bar": (lambda: required_n(SPEC, -math.inf), "p_bar must be finite, got -inf"),
+    # a study's proportion cannot pass [0, 1], though the unclamped bounds do
+    "required_n-p_bar-above-one": (lambda: required_n(SPEC, 2.0), "p_bar must be a proportion in [0, 1], got 2.0"),
+    "required_n-p_bar-below-zero": (lambda: required_n(SPEC, -1.0), "p_bar must be a proportion in [0, 1], got -1.0"),
+    "required_n-p_bar-one-ulp-from-the-center": (lambda: required_n(FunnelSpec(0.5, 1e150, 1e3),
+                                                                    math.nextafter(0.5, 1.0)),
+                                                 "p_bar = 0.5000000000000001 is so near the funnel center"),
+    # (z nu)^2 would overflow: numpy warns and clamps the band, and Python's z**2 raises OverflowError
+    "FunnelSpec-z-nu-past-1.3e154": (lambda: FunnelSpec(0.3, 1000.0, 1e308), "z * nu must be below about 1.3e154"),
+    "required_n-z-past-1.3e154": (lambda: required_n(FunnelSpec(0.5, 1.0, 1e155), 0.9),
+                                  "z * nu must be below about 1.3e154"),
 }
 
 

@@ -13,9 +13,20 @@ import numpy as np
 import pytest
 
 import twostate
-from twostate import MarkovParams, generate, simulate
+from twostate import (
+    InfeasibleParametersError,
+    MarkovParams,
+    ParameterError,
+    average_and_normalize,
+    cli,
+    estimate,
+    fit_runs_simulated,
+    generate,
+    simulate,
+)
 from twostate.cli import build_parser, main
 from twostate.dataio import parse_curve
+from twostate.estimate import LOG_STAY_TOLERANCE
 
 from conftest import run_frequencies
 
@@ -303,6 +314,75 @@ class TestFitRuns:
         assert not out.exists()
 
 
+class TestConfirmation:
+    """The `--confirm-seeds` refit solves each state's pooled run and stay
+    counts with `_fit_stay`, and builds no curve and no objective."""
+
+    GRID = [(p11, p22, length) for p11, p22 in ((0.2, 0.3), (0.5, 0.5), (0.8, 0.55), (0.93, 0.2), (0.3, 0.9))
+            for length in (20, 200, 10_000)]
+
+    @pytest.mark.parametrize("p11,p22,length", GRID)
+    def test_matches_the_curve_fit_of_the_same_chains(self, tmp_path, capsys, monkeypatch, p11, p22, length):
+        drawn, solved = [], []
+        simulated_histograms = cli.simulated_histograms
+
+        def draw(*args):
+            drawn.append(simulated_histograms(*args))
+            return drawn[-1]
+
+        def solve(*args):
+            solved.append(estimate._fit_stay(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "simulated_histograms", draw)
+        monkeypatch.setattr(cli, "_fit_stay", solve)
+        on, off = write_model_curves(tmp_path, p11, p22, n=length, max_m=min(length - 2, 150))
+        for seed in (1, 2):
+            drawn.clear()
+            solved.clear()
+            code = main(["fit-runs", "--on", on, "--off", off, "--length", str(length),
+                         "--confirm-seeds", "3", "--seed", str(seed)])
+            (hists,) = drawn
+            try:
+                fit = fit_runs_simulated(average_and_normalize(a for a, _ in hists),
+                                         average_and_normalize(b for _, b in hists), length)
+            except (ParameterError, InfeasibleParametersError):
+                assert code == 3  # the two fail alike
+                continue
+            assert code == 0
+            report = json.loads(capsys.readouterr().out)["details"]["mc_confirmation"]
+            assert [report["mle_p11"], report["mle_p22"]] == [float(f"{s:.9g}") for s in solved]
+            assert np.abs(np.log(solved) - np.log([fit.p11_hat, fit.p22_hat])).max() <= LOG_STAY_TOLERANCE
+
+    def test_builds_one_objective_per_command(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        objective = estimate.run_curve_objective
+        monkeypatch.setattr(estimate, "run_curve_objective", lambda *args: calls.append(args) or objective(*args))
+        on, off = write_model_curves(tmp_path, 0.8, 0.55)
+        assert main(["fit-runs", "--on", on, "--off", off, "--confirm-seeds", "3", "--seed", "1"]) == 0
+        assert len(calls) == 1
+
+    def test_run_past_the_model_domain_is_infeasible(self, tmp_path, capsys):
+        # at seed 0 the three 10-step chains hold state-A runs of 9 and 10, and a state-B run each of two
+        on, off = write_model_curves(tmp_path, 0.95, 0.8, n=10, max_m=8)
+        assert main(["fit-runs", "--on", on, "--off", off, "--length", "10", "--confirm-seeds", "3",
+                     "--seed", "0"]) == 3
+        assert capsys.readouterr() == ("", "infeasible fit: Monte Carlo confirmation: longest run 10 outside "
+                                           "formula domain (needs m <= n-2 for n=10)\n")
+
+    @pytest.mark.parametrize("state", ["A", "B"])
+    def test_state_without_runs_is_named(self, tmp_path, capsys, state):
+        # fits s ~ 1e-6 for one state and s ~ 1 - 2.4e-6 for the other, so
+        # the two 10^4-step chains never leave the second
+        rare, long = tmp_path / "rare.csv", tmp_path / "long.csv"
+        rare.write_text("m,frequency\n1,0.999999\n2,0.000001\n")
+        long.write_text("m,frequency\n3320,1\n")
+        on, off = (rare, long) if state == "A" else (long, rare)
+        assert main(["fit-runs", "--on", str(on), "--off", str(off), "--confirm-seeds", "2", "--seed", "0"]) == 3
+        assert capsys.readouterr() == ("", f"infeasible fit: Monte Carlo confirmation: the state-{state} chains "
+                                           "contain no runs\n")
+
+
 class TestAnalyze:
     def test_combined_report(self, capsys):
         assert main(["analyze", "--studies", FIXTURE, "--points", "40"]) == 0
@@ -505,6 +585,8 @@ class TestExitCodeContract:
         "analyze-level": (1, ["analyze", "--studies", "{studies_flat}", "--level", "1", "--out", "{out}"]),
         "analyze-level-rounds-to-zero": (1, ["analyze", "--studies", "{studies_flat}", "--level", "1e-300",
                                              "--out", "{out}"]),
+        # z nu = 1e311 overflows the band, which numpy would clamp to 0 and 1 with a warning
+        "funnel-z-nu-past-1.3e154": (1, ["funnel", "--pinf", "0.3", "--nu", "1000", "--z", "1e308", "--out", "{out}"]),
         "funnel-n-min-below-one": (1, ["funnel", "--pinf", "0.5", "--nu", "1", "--n-min", "0.5", "--out", "{out}"]),
         "fit-runs-bad-curve": (2, ["fit-runs", "--on", "{curve_bad}", "--off", "{off}", "--out", "{out}"]),
         "fit-runs-float-first-row": (2, ["fit-runs", "--on", "{curve_float_first_row}", "--off", "{off}",
@@ -609,6 +691,21 @@ class TestStagedOutputs:
         assert main(argv) == 0
         assert capsys.readouterr() == ("", "")
         assert sorted(out_dir.iterdir()) == sorted(outputs)
+
+    def test_curve_is_printed_only_once_the_file_is_renamed(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src)
+
+        out = tmp_path / "on.csv"
+        argv = ["runs", "--p", "0.8", "--q", "0.5", "--n", "200", "--seeds", "1", "--out-on", str(out)]
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{out}'\n")
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("# state B (off) runs\n")
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestErrorMessages:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from twostate import MarkovParams, ParameterError, ScatterDataset, derive, ensemble
 from twostate.funnel import (
@@ -94,9 +94,19 @@ class TestRequiredN:
         with pytest.raises(ParameterError, match="diverges at the funnel center"):
             required_n(FunnelSpec(0.58, 1.15), 0.58)
 
+    @pytest.mark.parametrize("spec,p_bar,size", [
+        # (z nu)^2 = 1e216 is finite, though z^2 = 1e616 is not
+        (FunnelSpec(0.5, 1e-200, 1e308), 0.9, 1e216 * 0.25 / 0.16),
+        # (p_bar - pinf)^2 = 1e-600 underflows to 0, though the size is finite
+        (FunnelSpec(1e-300, 1.0), 0.0, 1.96**2 * 1e300),
+    ])
+    def test_finite_where_a_factor_alone_leaves_float64(self, spec, p_bar, size):
+        assert required_n(spec, p_bar) == pytest.approx(size, rel=1e-12)
+
     @given(spec=specs, n=st.integers(1, 10**6))
     def test_inverts_upper_bound(self, spec, n):
         _, upper = bounds(spec, n)
+        assume(upper <= 1.0)  # a proportion; past 1 no study sits on the bound
         assert required_n(spec, upper) == pytest.approx(n, rel=1e-9)
 
 
