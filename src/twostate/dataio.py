@@ -114,10 +114,14 @@ def sha256_of(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _detect_delimiter(header_line: str) -> str:
-    for cand in ("\t", ";", ","):
-        if cand in header_line:
-            return cand
+def _detect_delimiter(lines: io.StringIO) -> str:
+    """The first of tab and ';' by which csv splits the header row into
+    cells naming study_id and n, else ','.  It reads `lines` from the start."""
+    for cand in ("\t", ";"):
+        lines.seek(0)
+        with contextlib.suppress(csv.Error):  # e.g. a cell past csv's field size limit
+            if {"study_id", "n"} <= {cell.strip().lower() for cell in next(csv.reader(lines, delimiter=cand))}:
+                return cand
     return ","
 
 
@@ -126,77 +130,71 @@ def parse_studies(source) -> ScatterDataset:
 
     The header must name study_id, n and successes and/or p_bar, each at
     most once; any other column is ignored.  Each data row gives n and
-    exactly one of successes / p_bar, and yields one (n, p_bar) point; no
-    per-row record is kept.  All malformed rows are collected and reported
-    together with their line numbers.
+    exactly one of successes / p_bar, and yields one (n, p_bar) point.  One
+    csv reader reads the text once and each row is checked as it is read;
+    no row is kept.  A row is named by the line it starts on, and every
+    malformed row is named in one message line, joined by '; '.
     """
     text = _decode(_read_all(source))
     if not text:
         raise DataFormatError("empty study file")
-    delim = _detect_delimiter(text.partition("\n")[0])
-    reader = csv.reader(io.StringIO(text), delimiter=delim)
+    lines = io.StringIO(text)
+    delim = _detect_delimiter(lines)
+    lines.seek(0)
+    reader = csv.reader(lines, delimiter=delim)
     try:
-        rows = list(reader)
+        header = [h.strip().lower() for h in next(reader)]
+        if not {"study_id", "n"} <= set(header) or not ({"successes", "p_bar"} & set(header)):
+            raise DataFormatError(f"header must name study_id, n and successes and/or p_bar; got {header}")
+        for name in ("study_id", "n", "successes", "p_bar"):
+            if header.count(name) > 1:
+                raise DataFormatError(f"header names column {name!r} more than once")
+        width = len(header)
+        i_n, i_succ, i_pbar = (header.index(name) if name in header else None for name in ("n", "successes", "p_bar"))
+        sizes, p_bars, problems = [], [], []
+        next_line = reader.line_num + 1
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
+            if len(row) < width:  # a short row's missing cells are empty
+                row += [""] * (width - len(row))
+            raw_n = row[i_n].strip()
+            if not raw_n and not "".join(row).strip():
+                continue
+            raw_succ = "" if i_succ is None else row[i_succ].strip()
+            raw_pbar = "" if i_pbar is None else row[i_pbar].strip()
+            try:
+                n = int(raw_n)
+                if not 0 < n <= _INT64_MAX:
+                    raise ValueError
+            except ValueError:
+                problems.append(f"line {lineno}: n must be an integer in [1, 2^63 - 1], got {raw_n!r}")
+                continue
+            if bool(raw_succ) == bool(raw_pbar):
+                problems.append(f"line {lineno}: exactly one of successes/p_bar must be given")
+                continue
+            if raw_succ:
+                try:
+                    successes = int(raw_succ)
+                    if not 0 <= successes <= n:
+                        raise ValueError
+                except ValueError:
+                    problems.append(f"line {lineno}: successes must be an integer in [0, n], got {raw_succ!r}")
+                    continue
+                p_bar = successes / n
+            else:
+                try:
+                    p_bar = float(raw_pbar)
+                    if not 0.0 <= p_bar <= 1.0:
+                        raise ValueError
+                except ValueError:
+                    problems.append(f"line {lineno}: p_bar must lie in [0, 1], got {raw_pbar!r}")
+                    continue
+            sizes.append(n)
+            p_bars.append(p_bar)
     except csv.Error as exc:  # e.g. a cell longer than csv's field size limit
         raise DataFormatError(f"line {reader.line_num}: {exc}") from None
-    header = [h.strip().lower() for h in rows[0]]
-    required = {"study_id", "n"}
-    missing = required - set(header)
-    if missing or not ({"successes", "p_bar"} & set(header)):
-        raise DataFormatError(
-            f"header must name study_id, n and successes and/or p_bar; got {header}"
-        )
-    for name in ("study_id", "n", "successes", "p_bar"):
-        if header.count(name) > 1:
-            raise DataFormatError(f"header names column {name!r} more than once")
-    width = len(header)
-    i_n, i_succ, i_pbar = (header.index(name) if name in header else None for name in ("n", "successes", "p_bar"))
-
-    linenos = range(2, len(rows) + 1)
-    if reader.line_num != len(rows):  # a quoted cell spans lines: name the line each row starts on
-        reader = csv.reader(io.StringIO(text), delimiter=delim)
-        linenos = [reader.line_num + 1 for _ in reader]
-    sizes, p_bars, problems = [], [], []
-    for lineno, row in zip(linenos, rows[1:]):
-        if not "".join(row).strip():
-            continue
-        row += [""] * (width - len(row))  # a short row's missing cells are empty
-        raw_n = row[i_n].strip()
-        raw_succ = "" if i_succ is None else row[i_succ].strip()
-        raw_pbar = "" if i_pbar is None else row[i_pbar].strip()
-        try:
-            n = int(raw_n)
-            if not 0 < n <= _INT64_MAX:
-                raise ValueError
-        except ValueError:
-            problems.append(f"line {lineno}: n must be an integer in [1, 2^63 - 1], got {raw_n!r}")
-            continue
-        if bool(raw_succ) == bool(raw_pbar):
-            problems.append(
-                f"line {lineno}: exactly one of successes/p_bar must be given"
-            )
-            continue
-        if raw_succ:
-            try:
-                successes = int(raw_succ)
-                if not 0 <= successes <= n:
-                    raise ValueError
-            except ValueError:
-                problems.append(f"line {lineno}: successes must be an integer in [0, n], got {raw_succ!r}")
-                continue
-            p_bar = successes / n
-        else:
-            try:
-                p_bar = float(raw_pbar)
-                if not 0.0 <= p_bar <= 1.0:
-                    raise ValueError
-            except ValueError:
-                problems.append(f"line {lineno}: p_bar must lie in [0, 1], got {raw_pbar!r}")
-                continue
-        sizes.append(n)
-        p_bars.append(p_bar)
     if problems:
-        raise DataFormatError("\n".join(problems))
+        raise DataFormatError("; ".join(problems))
     if not sizes:
         raise DataFormatError("study file contains no data rows")
     sizes, p_bars = np.array(sizes, dtype=np.int64), np.array(p_bars)

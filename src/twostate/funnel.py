@@ -44,10 +44,11 @@ class FunnelSpec:
         for name, value in (("nu", self.nu), ("z", self.z)):
             if not 0.0 < value < math.inf:  # nan fails too
                 raise ParameterError(f"{name} must be finite and positive, got {value!r}")
-        # bounds `half_width` at every n >= 1, and the numerator of `required_n`
-        if (self.z * self.nu) * (self.z * self.nu) == math.inf:
+        # bounds `half_width` at every n >= 1 and the numerator of `required_n`, and keeps both above 0
+        if not 0.0 < (self.z * self.nu) * (self.z * self.nu) < math.inf:
             raise ParameterError(
-                f"z * nu must be below about 1.3e154, so that its square is finite, got z={self.z!r}, nu={self.nu!r}"
+                f"z * nu must be below about 1.3e154 and above about 2.2e-162, so that its square is finite "
+                f"and positive, got z={self.z!r}, nu={self.nu!r}"
             )
 
     def half_width(self, n) -> float:

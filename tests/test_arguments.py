@@ -126,6 +126,11 @@ MESSAGES = {
     "FunnelSpec-z-nu-past-1.3e154": (lambda: FunnelSpec(0.3, 1000.0, 1e308), "z * nu must be below about 1.3e154"),
     "required_n-z-past-1.3e154": (lambda: required_n(FunnelSpec(0.5, 1.0, 1e155), 0.9),
                                   "z * nu must be below about 1.3e154"),
+    # (z nu)^2 would underflow to 0: a band of no width, and a size of 0 at every p_bar
+    "required_n-z-nu-1e-400": (lambda: required_n(FunnelSpec(0.5, 1e-200, 1e-200), 0.9),
+                               "z * nu must be below about 1.3e154 and above about 2.2e-162"),
+    "required_n-z-nu-1e-320": (lambda: required_n(FunnelSpec(0.5, 1e-160, 1e-160), 0.9),
+                               "z * nu must be below about 1.3e154 and above about 2.2e-162"),
 }
 
 
