@@ -52,7 +52,7 @@ from .dataio import (
     parse_studies,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "BinarySequence",

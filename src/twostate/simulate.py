@@ -1,15 +1,19 @@
 """Seeded generation of Markovian binary sequences and study ensembles.
 
-Generation is driven by numpy's PCG64 generator, one stream per seed.  A
-chain is scanned slice by slice: uniforms are drawn from the stream
-`_SLICE` at a time, and each slice's scan starts from the state the
-previous slice ended in.  Consecutive draws equal one large draw, so the
-result is the same as from a single scan, while working memory is
-O(_SLICE) plus the output.
+Generation is driven by numpy's PCG64 bit generator, one stream per seed.
+Each step draws a uint32, half of a 64-bit output: step i reads output
+i >> 1, its low half first, so a chain of n steps takes ceil(n / 2)
+outputs.  A step's state is the comparison of its draw with an integer
+threshold, round(x·2^32) for a transition probability x, so each
+probability is realised to within 2^-33.  A chain is scanned slice by
+slice: the draws come from the stream `_SLICE` at a time, and each slice's
+scan starts from the state the previous slice ended in.  Consecutive draws
+equal one large draw, so the result is the same as from a single scan,
+while working memory is O(_SLICE) plus the output.
 
-One kernel, `_scanner`, scans every slice: it draws the slice's uniforms
-and returns the slice's states as bits, 64 steps to a uint64 word.  A step
-either is forced to a state by its uniform or copies (or flips) the state
+One kernel, `_scanner`, scans every slice: it takes the slice's draws and
+returns the slice's states as bits, 64 steps to a uint64 word.  A step
+either is forced to a state by its draw or copies (or flips) the state
 before it, so the kernel packs the forced steps into words and resolves
 every copy step with integer arithmetic, not step by step: within a word,
 the steps before a run's first forced 1 are those an add's carry clears,
@@ -19,21 +23,13 @@ forced-1 word exceeds its forced-0 word as an unsigned integer.
 each member's A states in them by popcount.
 
 An ensemble lays its members end to end on that one stream: member i is
-the chain scanned from the uniforms after those of members 0..i-1.  Only
-each member's count of A states is kept, so an ensemble never builds a
-state array.  A long ensemble cuts the stream into up to one block per
-usable CPU and scans the blocks at the same time, the first on the calling
-thread and the others on threads of their own.  Every block starts at a
-member start, where a chain starts afresh from p1, so no block needs the
-state before it; each draws from a fresh generator on the seed, jumped
-ahead to its first draw with `PCG64.advance` (O(log n) steps).  The values
-are the same for any number of blocks.
+the chain scanned from the draws after those of members 0..i-1.  Only each
+member's count of A states is kept, so an ensemble never builds a state
+array.  It scans the whole stream once, on the calling thread.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,11 +38,11 @@ from .chain import MarkovParams, ParameterError, _check_count, _holds_counts, _i
 
 _SEED_MASK = (1 << 64) - 1
 
-# uniforms drawn and scanned per slice by `_scanner`.  A scan holds about
-# 10 bytes per uniform, about 0.33 MB, in buffers it reuses: 8 for the
-# uniform and one for each of its two forced-step masks.  This is a memory
-# limit, not a speed one: 2^18 raised the funnel benchmark's peak RSS from
-# 62.5 to 74 MB and was no faster.
+# draws scanned per slice by `_scanner`.  A scan holds about 6 bytes per
+# step, about 0.2 MB: 4 for its uint32 draw and one for each of its two
+# forced-step masks; while the next slice is drawn, the last one's draws
+# are still held.  This is a memory limit, not a speed one: 2^18 raised
+# the funnel benchmark's peak RSS from 62.5 to 74 MB and was no faster.
 _SLICE = 1 << 15
 # the bits of a uint64 word at odd positions; since a word holds an even
 # number of steps, a step's parity in its slice is its bit's
@@ -54,11 +50,6 @@ _ODD = np.uint64(0xAAAA_AAAA_AAAA_AAAA)
 # the bits of a word below bit j, for j = 0..63
 _BELOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 _BELOW.flags.writeable = False
-# `ensemble` scans at most one block per usable CPU at a time, and cuts at
-# most one block per _MIN_BLOCK_SLICES slices, so that starting its thread and
-# jumping its generator ahead stay small beside its scan (~0.3 ms a slice)
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_MIN_BLOCK_SLICES = 8
 
 
 def _entropy(seed: int) -> int:
@@ -153,21 +144,39 @@ class ScatterDataset:
         return self.sizes.size
 
 
+def _draws(seed: int, n: int):
+    """The first n draws of the seed's stream, _SLICE at a time, as pairs of
+    the slice's first step and its uint32 draws: step i reads half i & 1 of
+    PCG64 output i >> 1, the low half first.  A slice that ends mid-output
+    leaves its high half to the next."""
+    bitgen = np.random.PCG64(seed)
+    spare = np.empty(0, dtype="<u4")
+    for a in range(0, n, _SLICE):
+        m = min(_SLICE, n - a)
+        u = bitgen.random_raw((m - spare.size + 1) // 2).astype("<u8", copy=False).view("<u4")
+        if spare.size:
+            u = np.concatenate((spare, u))
+        spare = u[m:].copy()
+        yield a, u[:m]
+
+
 def _scanner(params: MarkovParams, size: int):
     """The slice scan of a chain, with buffers for slices of up to `size`
-    steps (at most _SLICE) allocated once: `fill(rng, m, starts, carry)`
-    draws m uniforms u from `rng` and returns `(words, carry)`: the states of
-    that slice as bits, bit i of uint64 word k being step 64k + i and every
-    bit past the slice 0, and the carry of the slice after it.
+    steps (at most _SLICE) allocated once: `fill(u, starts, carry)` scans
+    the uint32 draws u of one slice and returns `(words, carry)`: the states
+    of that slice as bits, bit i of uint64 word k being step 64k + i and
+    every bit past the slice 0, and the carry of the slice after it.
 
-    The sequential rule is
-        x[i] = u[i] < p1                          at a chain start
-        x[i] = u[i] < (p if x[i-1] else 1 - q)    otherwise,
-    and `starts` are the slice positions where a chain starts.  A step is
-    forced when its state does not depend on x[i-1]: a chain start,
-    u < min(p, 1-q) (state 1) or u >= max(p, 1-q) (state 0).  When p = 1-q
-    every step is.  Otherwise an unforced step copies x[i-1] when p > 1-q and
-    flips it when p < 1-q, so the scan works on w, the state or, when the
+    With t(x) = round(x·2^32), the sequential rule is
+        x[i] = u[i] < t(p1)                          at a chain start
+        x[i] = u[i] < t(p if x[i-1] else 1 - q)      otherwise,
+    and `starts` are the slice positions where a chain starts.  A p below
+    2^-33 gives t = 0, which no draw is below, and one above 1 - 2^-33 gives
+    t = 2^32, which every draw is below.  A step is forced when its state
+    does not depend on x[i-1]: a chain start, u < min(t(p), t(1-q)) (state
+    1) or u >= max(t(p), t(1-q)) (state 0).  When t(p) = t(1-q) every step
+    is.  Otherwise an unforced step copies x[i-1] when t(p) > t(1-q) and
+    flips it when t(p) < t(1-q), so the scan works on w, the state or, when the
     chain flips, the state XOR the step's parity in its slice; every unforced
     step copies w from the step before.  `carry` is the w before the slice,
     at its position -1.
@@ -193,30 +202,29 @@ def _scanner(params: MarkovParams, size: int):
     it.  The carry, 0 or 1, lies below every code.  Steps past the slice's
     end are forced 0s, so they change no earlier state and leave no bit set.
     """
-    p, p1 = params.p, params.p1
-    lo, hi = sorted((p, 1.0 - params.q))
-    flip = int(p < 1.0 - params.q)
+    stay1, enter1, first1 = (round(x * 2**32) for x in (params.p, 1.0 - params.q, params.p1))
+    lo, hi = sorted((stay1, enter1))
+    flip = int(stay1 < enter1)
     max_words = -(-size // 64)
-    u = np.empty(size)
     # the forced-1 and forced-0 steps of a slice, padded to whole words
     forced1 = np.empty(max_words * 64, dtype=bool)
     forced0 = np.empty(max_words * 64, dtype=bool)
     # 2(k + 1) for word k, which ranks the words' codes
     rank = np.arange(2, 2 * max_words + 2, 2, dtype=np.uint64)
 
-    def fill(rng, m, starts, carry):
+    def fill(u, starts, carry):
+        m = u.size
         words = -(-m // 64)
-        rng.random(out=u[:m])
         ones, zeros = forced1[: words * 64], forced0[: words * 64]
-        np.less(u[:m], lo, out=ones[:m])
+        np.less(u, lo, out=ones[:m])
         ones[m:] = False
         if starts.size:  # most slices hold no chain start
-            ones[starts] = first = u[starts] < p1
+            ones[starts] = first = u[starts] < first1
         if lo == hi:
             # every step is forced, so the forced 1s are the states and no
             # word needs resolving
             return np.packbits(ones, bitorder="little").view("<u8"), int(ones[m - 1])
-        np.greater_equal(u[:m], hi, out=zeros[:m])
+        np.greater_equal(u, hi, out=zeros[:m])
         zeros[m:] = True
         if starts.size:
             zeros[starts] = ~first
@@ -248,71 +256,36 @@ def _scanner(params: MarkovParams, size: int):
 def generate(params: MarkovParams, n: int, seed: int) -> BinarySequence:
     """Simulate a chain of n measurements; same inputs, same sequence.
 
-    The chain starts at step 0 and is scanned by `_scanner` one slice at a
-    time, and each slice's bits are unpacked into its states.  Memory is the
-    n-byte state array plus the scan's buffers for min(n, _SLICE) draws,
-    allocated once per call.
+    The chain starts at step 0 and is scanned by `_scanner` one slice of
+    `_draws` at a time, and each slice's bits are unpacked into its states.
+    Memory is the n-byte state array plus the scan's buffers for
+    min(n, _SLICE) draws.
     """
     _check_count("sequence length", n)
     n = int(n)
-    rng = np.random.default_rng(_entropy(seed))
+    seed = _entropy(seed)
     states = np.empty(n, dtype=np.uint8)
     fill = _scanner(params, min(n, _SLICE))
     starts = np.zeros(1, dtype=np.intp)
     carry = 0
-    for a in range(0, n, _SLICE):
-        m = min(_SLICE, n - a)
-        words, carry = fill(rng, m, starts if a == 0 else starts[:0], carry)
-        states[a : a + m] = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
+    for a, u in _draws(seed, n):
+        words, carry = fill(u, starts if a == 0 else starts[:0], carry)
+        states[a : a + u.size] = np.unpackbits(words.view(np.uint8), count=u.size, bitorder="little")
     states.flags.writeable = False
     return BinarySequence(states)
-
-
-def _count_block(params: MarkovParams, member_starts: np.ndarray, a0: int, a1: int, seed: int,
-                 counts: np.ndarray):
-    """Scan draws a0..a1-1 of the seed's stream, adding each member's number
-    of A states into `counts` (counts[i + 1] for member i).  a0 is a member
-    start, where a chain starts afresh, so the scan needs no state from
-    before it.  A member's count in a slice is the difference of the A
-    states before its bounds there: the popcounts of the whole words before
-    a bound plus that of the bits before it in its own word."""
-    size = min(_SLICE, a1 - a0)
-    fill = _scanner(params, size)
-    # below[k + 1] is the A states of a slice's words 0..k; below[0] stays 0
-    below = np.zeros(-(-size // 64) + 1, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rng.bit_generator.advance(a0)
-    carry = 0
-    for a in range(a0, a1, _SLICE):
-        m = min(_SLICE, a1 - a)
-        first, last = np.searchsorted(member_starts, (a, a + m))
-        starts = member_starts[first:last] - a
-        words, carry = fill(rng, m, starts, carry)
-        ones = below[1 : words.size + 1]
-        np.bitwise_count(words, out=ones)
-        np.add.accumulate(ones, out=ones)
-        # the first count, up to the slice's first member start, is the
-        # member carried in; a bound of m may fall in the word past the
-        # last, where no bit lies below it
-        bounds = np.concatenate(([0], starts, [m]))
-        word = bounds >> 6
-        before = below[word] + np.bitwise_count(words.take(word, mode="clip") & _BELOW[bounds & 63])
-        counts[first : last + 1] += before[1:] - before[:-1]
 
 
 def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     """One study per requested size: (n, observed frequency).
 
     The members are consecutive chains on the stream of `generate`: member i
-    is scanned from the sizes[i] uniforms after those of members 0..i-1.
-    So it depends only on `seed` and sizes[:i+1], and a one-member ensemble
-    gives `generate(params, n, seed).frequency`.  Each slice is scanned by
-    `_scanner`, as in `generate`, and each member's count of A states is a
-    popcount of its bits in the slice's words.  The stream
-    is cut at member starts into at most one block per usable CPU and per
-    _MIN_BLOCK_SLICES slices, and the blocks are scanned at the same time,
-    each from its own generator jumped ahead with `PCG64.advance`.  The
-    values do not depend on the number of blocks.
+    is scanned from the sizes[i] draws after those of members 0..i-1.  So it
+    depends only on `seed` and sizes[:i+1], and a one-member ensemble gives
+    `generate(params, n, seed).frequency`.  Each slice is scanned by
+    `_scanner`, as in `generate`, and a member's count of A states in a
+    slice is the difference of the A states before its bounds there: the
+    popcounts of the whole words before a bound plus that of the bits
+    before it in its own word.
     """
     sizes = list(sizes)
     if not sizes:
@@ -324,36 +297,29 @@ def ensemble(params: MarkovParams, sizes, seed: int) -> ScatterDataset:
     seed = _entropy(seed)
     sizes = np.array(sizes, dtype=np.int64)
     member_starts = np.cumsum(sizes) - sizes
-    n_slices = -(-total // _SLICE)
-    n_blocks = max(1, min(_CPUS, n_slices // _MIN_BLOCK_SLICES))
-    # block b starts at the start of the member that holds draw b*total//n_blocks;
-    # a few long members give fewer blocks
-    targets = [b * total // n_blocks for b in range(n_blocks)]
-    # a set, not np.unique: the first np.unique call imports numpy.ma (+1.7 MB RSS)
-    cuts = sorted(set(member_starts[np.searchsorted(member_starts, targets, side="right") - 1].tolist()))
-    cuts.append(total)
-    n_blocks = len(cuts) - 1
-    # one row per block: the blocks on either side of a cut both add into
-    # the slot of the member that ends there (the later block adds 0)
-    counts = np.zeros((n_blocks, sizes.size + 1), dtype=np.int64)
-    errors = [None] * n_blocks
-
-    def scan(b):
-        try:
-            _count_block(params, member_starts, cuts[b], cuts[b + 1], seed, counts[b])
-        except BaseException as exc:  # raised again below, on the calling thread
-            errors[b] = exc
-
-    threads = [threading.Thread(target=scan, args=(b,)) for b in range(1, n_blocks)]
-    for thread in threads:
-        thread.start()
-    scan(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    counts = counts.sum(axis=0)
+    # counts[i + 1] is member i's count; counts[0] takes the first slice's
+    # count before its first member start, which is 0
+    counts = np.zeros(sizes.size + 1, dtype=np.int64)
+    size = min(_SLICE, total)
+    fill = _scanner(params, size)
+    # below[k + 1] is the A states of a slice's words 0..k; below[0] stays 0
+    below = np.zeros(-(-size // 64) + 1, dtype=np.int64)
+    carry = 0
+    for a, u in _draws(seed, total):
+        m = u.size
+        first, last = np.searchsorted(member_starts, (a, a + m))
+        starts = member_starts[first:last] - a
+        words, carry = fill(u, starts, carry)
+        ones = below[1 : words.size + 1]
+        np.bitwise_count(words, out=ones)
+        np.add.accumulate(ones, out=ones)
+        # the first count, up to the slice's first member start, is the
+        # member carried in; a bound of m may fall in the word past the
+        # last, where no bit lies below it
+        bounds = np.concatenate(([0], starts, [m]))
+        word = bounds >> 6
+        before = below[word] + np.bitwise_count(words.take(word, mode="clip") & _BELOW[bounds & 63])
+        counts[first : last + 1] += before[1:] - before[:-1]
     p_bars = counts[1:] / sizes
     sizes.flags.writeable = p_bars.flags.writeable = False
     return ScatterDataset(sizes, p_bars)

@@ -113,11 +113,11 @@ class TestRuns:
         "argv, sha256",
         [
             ("--p 0.88 --q 0.5 --n 10000 --seeds 3 --seed 7",
-             "14bb0de999f424a90b695dfe3770105ae6364397ab8434b52cba4a194f183de0"),
+             "da8c59ae301045af35a0b2a749f8d90d9ebb9db5078565ca339b3ff138f6f3f4"),
             ("--p 0.93 --q 0.2 --n 100000 --seeds 2 --seed 1",
-             "62926159c67545b0d3861510f585ab202e106d8f45c8845cbc012fa5cda1efd3"),
+             "cbf64d6dfc80133f6700796e16ddf7d54b26d48556868f3715c0d0d152c3394a"),
             ("--p 0.999 --q 0.1 --n 5000 --seeds 4 --seed 2",
-             "006a81815d03bc280404cafddce53b9bed7bb95820cb3f8c4faeb924af6c0069"),
+             "fcd51752852639501345d8822a5f6364226994bcb216896dd0d3dd93ee311010"),
         ],
     )
     def test_reference_bytes_pinned(self, tmp_path, argv, sha256):
@@ -409,9 +409,9 @@ class TestReportBytes:
         "fit-runs": ["fit-runs", "--on", "on.csv", "--off", "off.csv", "--confirm-seeds", "3", "--seed", "11"],
     }
     SHA256 = {
-        "fit-scatter": "413e624d1260b804dbe7fc72b567700fb130f836d2854c5b6be772fa03590756",
-        "analyze": "900b182cbc99f1b04938ae68464b626c23e62872f2c4faca875a8f1a85cc4a24",
-        "fit-runs": "4555c98a46dea902da94949ee75dbe6b6bc8a2b6bb2e21f4fcf4aea809011ce1",
+        "fit-scatter": "54d5c740c81eb4ec400a93f780d172d6e7f94e54c49b7e5a9ef245a6499d0403",
+        "analyze": "4b2368bebefeef49c38e61de2238162b4ce131eeaf45c9af22e704211ab6dfbc",
+        "fit-runs": "a9b97a864c6a27a1f5f30347aed4b4dd151d23e2387f7d02d28c6a29c502c351",
     }
     ABSENT = {
         "fit-scatter": {"run_fit", "funnel_curve"},

@@ -1,9 +1,7 @@
 """Simulator contract: exact conditional law, determinism, ensemble spread."""
 
 import hashlib
-import threading
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -30,13 +28,27 @@ probs = st.floats(min_value=0.01, max_value=0.99)
 near_edge = st.sampled_from([0.0001, 0.9999])
 
 
+def stream(seed, n):
+    """The seed's first n uint32 draws: step i reads half i & 1 of PCG64
+    output i >> 1, the low half first."""
+    raw = np.random.PCG64(seed).random_raw(-(-n // 2))
+    return np.stack((raw & 0xFFFF_FFFF, raw >> 32), axis=1).ravel()[:n].astype(np.uint32)
+
+
 def naive_states(params, u):
-    """Sequential reference implementation of the generation rule."""
-    x = [1 if u[0] < params.p1 else 0]
+    """Sequential reference implementation of the generation rule on uint32
+    draws u: a probability x is the threshold round(x * 2**32)."""
+    u = u.tolist()
+    x = [1 if u[0] < round(params.p1 * 2**32) else 0]
     for ui in u[1:]:
         stay = params.p if x[-1] == 1 else 1.0 - params.q
-        x.append(1 if ui < stay else 0)
+        x.append(1 if ui < round(stay * 2**32) else 0)
     return np.array(x, dtype=np.uint8)
+
+
+def flips(params):
+    """Whether an unforced step flips the state: t(p) < t(1 - q)."""
+    return round(params.p * 2**32) < round((1.0 - params.q) * 2**32)
 
 
 def scan_states(params, u, prev=None):
@@ -44,9 +56,8 @@ def scan_states(params, u, prev=None):
     from the state `prev` before it."""
     starts = np.array([0] if prev is None else [], dtype=np.intp)
     # the carry is w at position -1, whose parity is odd
-    carry = (prev or 0) ^ (params.p < 1.0 - params.q)
-    replay = SimpleNamespace(random=lambda out: np.copyto(out, u))
-    words, _ = _scanner(params, u.size)(replay, u.size, starts, carry)
+    carry = (prev or 0) ^ flips(params)
+    words, _ = _scanner(params, u.size)(u, starts, carry)
     return np.unpackbits(words.view(np.uint8), count=u.size, bitorder="little")
 
 
@@ -64,7 +75,7 @@ def empirical_autocorrelation(seq, m):
 
 def member_frequencies(params, sizes, seed):
     """The sequential rule on each member's block of the seed's one stream."""
-    u = np.random.default_rng(seed).random(sum(sizes))
+    u = stream(seed, sum(sizes))
     ends = np.cumsum(sizes)
     return [naive_states(params, u[end - n : end]).mean() for n, end in zip(sizes, ends)]
 
@@ -180,7 +191,7 @@ class TestGenerate:
     @settings(max_examples=150)
     def test_matches_sequential_rule(self, p, q, p1, n, seed, prev):
         params = MarkovParams(p, q, p1=p1)
-        u = np.random.default_rng(seed).random(n)
+        u = stream(seed, n)
         # a carried state makes the first step an ordinary one: p1 = p or 1 - q
         first_step = params if prev is None else MarkovParams(p, q, p1=p if prev else 1.0 - q)
         assert np.array_equal(scan_states(params, u, prev), naive_states(first_step, u))
@@ -189,7 +200,7 @@ class TestGenerate:
     def test_slices_match_one_scan(self, p, q):
         params = MarkovParams(p, q)
         for n in (1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 5):
-            one_scan = naive_states(params, np.random.default_rng(21).random(n))
+            one_scan = naive_states(params, stream(21, n))
             assert np.array_equal(generate(params, n, 21).states, one_scan), n
 
     @given(
@@ -208,7 +219,7 @@ class TestGenerate:
         params = MarkovParams(p, 1.0 - p if q is None else q, p1=p1)
         with mock.patch.object(simulate, "_SLICE", slice_size):
             states = generate(params, n, seed).states
-        assert np.array_equal(states, naive_states(params, np.random.default_rng(seed).random(n)))
+        assert np.array_equal(states, naive_states(params, stream(seed, n)))
 
     @pytest.mark.parametrize("n, bound", [(3 * 10**6, 0.5 * 2**20), (10**4, 0.15 * 2**20)])
     @pytest.mark.parametrize("p, q", [(0.88, 0.5), (0.12, 0.12), (0.5, 0.5)])
@@ -226,28 +237,29 @@ class TestGenerate:
 
     # sha256 of states.tobytes(), keyed by (p, q, seed, n): copy, flip, every
     # step forced, and rarely forced steps of both kinds, at the edges of a
-    # 2^15 slice.  Taken from version 0.2.0, whose generate output must not change.
+    # 2^15 slice.  Taken from version 0.7.0, which moved every simulated value
+    # to uint32 draws; generate output must not change.
     PINNED = {
-        (0.88, 0.5, 2026, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
-        (0.88, 0.5, 2026, 32768): "aa77b2c6b0a9c7fd90d8d7a4c2a8455c7d3d596dbb2e00472de85e345a07a794",
-        (0.88, 0.5, 2026, 32769): "a2d683801759c1b4234a40839a4028dbdd40fc44215a9a25ef3b945298bc6c4e",
-        (0.88, 0.5, 2026, 1000000): "4645c45f723f6b00b3b678f6ca90aea2f2f99b9e24075a1adeae031cbbafd358",
-        (0.12, 0.12, 2027, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
-        (0.12, 0.12, 2027, 32768): "4d10729e4753e1ff8d837159367a8d61f083e42ea4adb1cfedf310d2a38bfcf2",
-        (0.12, 0.12, 2027, 32769): "18e2b38a92da135e8643d5d2b4e49d815943e4ee639b8c07345146a9cd61a030",
-        (0.12, 0.12, 2027, 1000000): "ba32eb51670bdf647ef08fe43198697cd4bb4b00a8049bd2ccb175259837fec2",
-        (0.5, 0.5, 2028, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
-        (0.5, 0.5, 2028, 32768): "fd1fbdb1489494b7b822a2ce68972ffc93c1fcc9d306dbc3e9c1b8c39155d983",
-        (0.5, 0.5, 2028, 32769): "d86560891a7606eccb7ccd24e274a853f3b95b9b8ba2df19a147c9ed56e161b7",
-        (0.5, 0.5, 2028, 1000000): "e8ca35fa6344e20888ffe96daa635d864a11a8f7c09f79c04fcb8ea0a3794007",
-        (0.999, 0.999, 2029, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
-        (0.999, 0.999, 2029, 32768): "f5d0d9d483d4a2cbeb324969aa3d6fe92c07dd152e5291563ac370384a9a50cd",
-        (0.999, 0.999, 2029, 32769): "fb410e8304969dedbd7025531ff689fa2da96d3554183f0677b48cc273249720",
-        (0.999, 0.999, 2029, 1000000): "4bfc32fa7b43bfcdb735c7f47ab2e76ac9469926df6743c14f7845c5b9948a4e",
+        (0.88, 0.5, 2026, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        (0.88, 0.5, 2026, 32768): "063839d0348571169f02f9a3df6c5a472d56a93a5efcd1cae25398d432e65641",
+        (0.88, 0.5, 2026, 32769): "5e908597e51ec661b71c2c7d900a7bfc3d6be2e7e4373e8d2e3d635522adb8dd",
+        (0.88, 0.5, 2026, 1000000): "1c9f65fbb7282cfed588fb90403b6b7b470d083fffda12b14e480109ebc07c71",
+        (0.12, 0.12, 2027, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        (0.12, 0.12, 2027, 32768): "81977eeeb2a59a45c2b4410c684a60681b1fced0e8e7753bf2769d0da7f561f4",
+        (0.12, 0.12, 2027, 32769): "382c3c87d48de87626f6bdeb0c6bd3f9070af5c0de68ffaf37f0139d81e01b54",
+        (0.12, 0.12, 2027, 1000000): "f3df8dc58cc70bdd4c940332329afc7a3e3435e9fb85d6d7e8995cdf53182880",
+        (0.5, 0.5, 2028, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        (0.5, 0.5, 2028, 32768): "a9c651883095b155a29d7c48ae8cb5d2df0f3ed801932b671c5991c15130e6df",
+        (0.5, 0.5, 2028, 32769): "42f2578ead16d55e20770ad0b32ba2e5438eed0bc7dd8bd9f327232da908f033",
+        (0.5, 0.5, 2028, 1000000): "ade40c7d4734dcb460ed6f3ae7c4462805c5743d53add2f6e561e793d4f53e3b",
+        (0.999, 0.999, 2029, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+        (0.999, 0.999, 2029, 32768): "039c2df92fa3480620269e4c1f3c3fbe9d16a58752750b2dc12672b975376f58",
+        (0.999, 0.999, 2029, 32769): "06b787f3d9b172eddba6da4690512600cbcc7596abf63de1ba38a9fa60ee9b2c",
+        (0.999, 0.999, 2029, 1000000): "61a91f2de574a69a3a05ec9d2dd039ecfecfe90051e364ab2138c05f0831c8cd",
         (0.001, 0.002, 2030, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
-        (0.001, 0.002, 2030, 32768): "9be2bd4988f699b1f6185346f6f8ec39b796b556422e7a99c174ba26f4a17263",
-        (0.001, 0.002, 2030, 32769): "88d6c481a8d14efa1336f0d895c41be56cbdc00a6f54ff2681e32753845d7023",
-        (0.001, 0.002, 2030, 1000000): "42c36e7a243e303c6cc511200e65cbe8087e01c732c20794a691f8e4b1ee4279",
+        (0.001, 0.002, 2030, 32768): "8b11f0ec68b3062b4d507b7e42bd609944efea306c60c5e9aba93f9ae792f481",
+        (0.001, 0.002, 2030, 32769): "6b0b3d553e30f3b283e31344c07577ddc6dc01e21faff8c13c305da291947582",
+        (0.001, 0.002, 2030, 1000000): "85c9ab2173fa5584778af30e6558129cdedec5828a78cfef3247b50e5d07c642",
     }
 
     @pytest.mark.parametrize("key", PINNED, ids=lambda key: "-".join(map(str, key)))
@@ -255,6 +267,18 @@ class TestGenerate:
         p, q, seed, n = key
         states = generate(MarkovParams(p, q), n, seed).states
         assert hashlib.sha256(states.tobytes()).hexdigest() == self.PINNED[key]
+
+    @pytest.mark.parametrize("p, q, never", [(1e-12, 0.5, (1, 1)), (0.5, 1e-12, (0, 0))], ids=["p", "q"])
+    def test_probability_below_the_resolution_never_stays(self, p, q, never):
+        # 1e-12 < 2^-33 rounds to the threshold 0, which no draw is below
+        states = generate(MarkovParams(p, q), 10**5, 6).states
+        steps = set(zip(states[:-1].tolist(), states[1:].tolist()))
+        assert never not in steps and never[0] in states
+
+    @pytest.mark.parametrize("p1", [0.0, 1.0])
+    def test_first_state_exact_at_p1_ends(self, p1):
+        # thresholds 0 and 2^32: no draw is below the first, every draw below the second
+        assert ensemble(MarkovParams(0.5, 0.5, p1=p1), [1] * 10**4, 6).p_bars.tolist() == [p1] * 10**4
 
     def test_memoryless_frequency(self):
         seq = generate(MarkovParams(0.5, 0.5), 10**6, 2024)
@@ -283,17 +307,16 @@ class TestScanner:
         # popcount counts the slice's A states, and the carry is the w of the
         # last step seen from the next slice, at its odd position -1
         params = MarkovParams(p, q)
-        u = np.random.default_rng(size).random(size)
-        replay = SimpleNamespace(random=lambda out: np.copyto(out, u))
-        words, carry = _scanner(params, size)(replay, size, np.array([0], dtype=np.intp), 0)
+        u = stream(size, size)
+        words, carry = _scanner(params, size)(u, np.array([0], dtype=np.intp), 0)
         states = naive_states(params, u)
         bits = np.unpackbits(words.view(np.uint8), bitorder="little")
         assert words.size == -(-size // 64) and np.array_equal(bits[:size], states) and not bits[size:].any()
-        assert carry == states[-1] ^ (p < 1.0 - q)
+        assert carry == states[-1] ^ flips(params)
 
     def test_allocates_only_its_buffers(self):
-        # one slice of uniforms (8 B a step), two bool masks of forced steps
-        # and the words' ranks, 331,776 B
+        # two bool masks of forced steps, one byte a step each, and the
+        # words' ranks, 69,632 B; the draws are the caller's
         _scanner(MarkovParams(0.88, 0.5), _SLICE)
         tracemalloc.start()
         try:
@@ -363,72 +386,32 @@ class TestEnsemble:
         p1=st.none() | st.floats(min_value=0.0, max_value=1.0),
         sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
         slice_size=st.sampled_from([1, 2, 7, 64]),
-        cpus=st.integers(1, 5),
-        min_block_slices=st.sampled_from([1, 3, 8]),
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_sequential_rule(self, p, q, p1, sizes, slice_size, cpus, min_block_slices, seed):
-        # q=None is q = 1 - p, where every step is forced (exactly so for p >= 0.5);
-        # small slices make members span several slices, as long studies do, and
-        # small blocks cut the stream into up to `cpus` blocks
+    def test_matches_sequential_rule(self, p, q, p1, sizes, slice_size, seed):
+        # q=None is q = 1 - p, where every step is forced; small slices make
+        # members span several slices, as long studies do, and odd ones end
+        # in the middle of a 64-bit output
         params = MarkovParams(p, 1.0 - p if q is None else q, p1=p1)
-        with mock.patch.multiple(simulate, _SLICE=slice_size, _CPUS=cpus, _MIN_BLOCK_SLICES=min_block_slices):
+        with mock.patch.object(simulate, "_SLICE", slice_size):
             ds = ensemble(params, sizes, seed)
         assert ds.p_bars.tolist() == member_frequencies(params, sizes, seed)
-
-    @pytest.mark.parametrize(
-        "sizes, cpus, n_blocks",
-        [([10] * 200, 1, 1), ([10] * 200, 2, 2), ([10] * 200, 3, 3), ([10] * 200, 5, 5), ([3, 2000], 5, 2),
-         ([2003], 5, 1)],
-        ids=["equal-1-cpu", "equal-2-cpus", "equal-3-cpus", "equal-5-cpus", "two-members-5-cpus", "one-member-5-cpus"],
-    )
-    def test_blocks_start_at_member_starts(self, sizes, cpus, n_blocks):
-        # equal members give one block per CPU; a few long members give fewer
-        real = simulate._count_block
-        block_starts = []
-
-        def count_block(params, member_starts, a0, *rest):
-            block_starts.append(a0)
-            real(params, member_starts, a0, *rest)
-
-        params = MarkovParams(0.9, 0.3)
-        with mock.patch.multiple(simulate, _SLICE=64, _CPUS=cpus, _MIN_BLOCK_SLICES=1, _count_block=count_block):
-            ds = ensemble(params, sizes, 5)
-        assert len(block_starts) == n_blocks
-        assert set(block_starts) <= set((np.cumsum(sizes) - sizes).tolist())
-        assert ds.p_bars.tolist() == member_frequencies(params, sizes, 5)
-
-    def test_worker_error_reaches_caller(self):
-        real = simulate._count_block
-        failed_on = []
-
-        def count_block(params, member_starts, a0, *rest):
-            if a0 > 0:
-                failed_on.append(threading.current_thread())
-                raise MemoryError("block scan failed")
-            return real(params, member_starts, a0, *rest)
-
-        with mock.patch.multiple(simulate, _CPUS=3, _MIN_BLOCK_SLICES=1, _count_block=count_block):
-            with pytest.raises(MemoryError, match="block scan failed"):
-                ensemble(MarkovParams(0.88, 0.5), [_SLICE] * 3, 0)
-        assert len(failed_on) == 2 and threading.main_thread() not in failed_on
 
     @pytest.mark.parametrize("n", [1, 2, _SLICE, _SLICE + 1, 3 * _SLICE + 5])
     def test_one_member_is_a_generated_chain(self, n):
         for params in (MarkovParams(0.88, 0.5), MarkovParams(0.12, 0.12), MarkovParams(0.4, 0.6, p1=0.2)):
             assert ensemble(params, [n], 8).p_bars[0] == generate(params, n, 8).frequency
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("sizes", [[_SLICE] * 3, [5, 3 * _SLICE + 5, _SLICE, 2 * _SLICE - 5]],
                              ids=["whole-slices", "across-slices"])
-    def test_member_sums_reach_a_whole_slice(self, sizes, cpus):
-        # every state is A: a member's share of a slice sums to up to 2^15,
+    def test_member_sums_reach_a_whole_slice(self, sizes):
+        # every state is A: p = 1 - 1e-12 rounds to the threshold 2^32, which
+        # every draw is below; a member's share of a slice sums to up to 2^15,
         # past int16, and a chain restarting from p1 = 1 at a member start
         # takes the state it had, so the members are stretches of one chain
         params = MarkovParams(1 - 1e-12, 0.5, p1=1.0)
-        with mock.patch.multiple(simulate, _CPUS=cpus, _MIN_BLOCK_SLICES=1):
-            p_bars = ensemble(params, sizes, 5).p_bars
+        p_bars = ensemble(params, sizes, 5).p_bars
         states = generate(params, sum(sizes), 5).states
         ends = np.cumsum(sizes)
         counts = [int(states[end - n : end].sum()) for n, end in zip(sizes, ends)]
@@ -436,17 +419,16 @@ class TestEnsemble:
 
     @staticmethod
     def peak_bytes(sizes):
-        """tracemalloc's peak over one ensemble at (0.88, 0.5) with two blocks
-        at once, as on a 2-CPU host.  A first, untraced call imports numpy's
-        generators, so the peak is the scan's and not those imports'."""
+        """tracemalloc's peak over one ensemble at (0.88, 0.5).  A first,
+        untraced call imports numpy's generators, so the peak is the scan's
+        and not those imports'."""
         if sizes == "criterion-3":
             rng = np.random.default_rng(20_260_811)
             sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 10**4))).astype(int).tolist()
         ensemble(MarkovParams(0.88, 0.5), [1], 3)
         tracemalloc.start()
         try:
-            with mock.patch.object(simulate, "_CPUS", 2):
-                ensemble(MarkovParams(0.88, 0.5), sizes, 3)
+            ensemble(MarkovParams(0.88, 0.5), sizes, 3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -458,27 +440,26 @@ class TestEnsemble:
     @pytest.mark.parametrize("sizes, bound", [([3 * 10**6], 0.9 * 2**20), ("criterion-3", 2 * 2**20)],
                              ids=["one-long-member", "criterion-3"])
     def test_memory_is_the_scan_buffers(self, sizes, bound):
-        # per block, the scan's buffers for one slice, about 10 bytes a draw
-        # (0.32 MiB), besides the count rows and the returned dataset
+        # the scan's buffers for one slice, about 6 bytes a draw (0.19 MiB),
+        # and the last slice's draws while the next is drawn (0.125 MiB),
+        # besides the counts and the returned dataset
         assert self.peak_bytes(sizes) < bound
 
     # sha256 of p_bars.tobytes() for 1000 log-uniform study sizes in [20, 10^4]
-    # (1,462,216 draws, so two blocks on two CPUs), keyed by (p, q): a copy, a
-    # flip and a p = 1 - q cell of the funnel grid.  Taken before the slice
-    # scan packed steps into words; ensemble output must not change.
+    # (1,462,216 draws), keyed by (p, q): a copy, a flip and a p = 1 - q cell
+    # of the funnel grid.  Taken from version 0.7.0, which moved every
+    # simulated value to uint32 draws; ensemble output must not change.
     PINNED = {
-        (0.88, 0.5): "33533c824ec2c74fb8fabc45a60ab0b30ad9cae5603cd88642834eec129e8881",
-        (0.12, 0.12): "a26d450d35432afaf0ac6ce35115ae8ab0bc2773eb7f3ab7c0d633bbfbfca7bb",
-        (0.12, 0.88): "a238b4f25912b1fffe6a8e7081a6f7337bdb0c8f7a22f4b4f9e4b045fa53e335",
+        (0.88, 0.5): "9495138533d1b1e2d7cbf132eb3e47df7f3bb913434d15203e004b23db430b79",
+        (0.12, 0.12): "e91bff661feba54364f1727d1dea236f7c0022651d3e7d03240862775e80ead7",
+        (0.12, 0.88): "851609ae735e445b114321839d4f9e464a33d0f28d0217a4a4757c47e8955661",
     }
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("key", PINNED, ids=["copy", "flip", "p-is-1-minus-q"])
-    def test_output_pinned(self, key, cpus):
+    def test_output_pinned(self, key):
         rng = np.random.default_rng(20_260_811)
         sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 1000))).astype(int).tolist()
-        with mock.patch.object(simulate, "_CPUS", cpus):
-            p_bars = ensemble(MarkovParams(*key), sizes, 2026).p_bars
+        p_bars = ensemble(MarkovParams(*key), sizes, 2026).p_bars
         assert hashlib.sha256(p_bars.tobytes()).hexdigest() == self.PINNED[key]
 
     def test_reproducible_and_prefix_stable(self):
