@@ -403,15 +403,18 @@ class TestEnsemble:
         for params in (MarkovParams(0.88, 0.5), MarkovParams(0.12, 0.12), MarkovParams(0.4, 0.6, p1=0.2)):
             assert ensemble(params, [n], 8).p_bars[0] == generate(params, n, 8).frequency
 
+    @pytest.mark.parametrize("slice_parts", [1, 2])
     @pytest.mark.parametrize("sizes", [[_SLICE] * 3, [5, 3 * _SLICE + 5, _SLICE, 2 * _SLICE - 5]],
                              ids=["whole-slices", "across-slices"])
-    def test_member_sums_reach_a_whole_slice(self, sizes):
+    def test_member_sums_reach_a_whole_slice(self, sizes, slice_parts):
         # every state is A: p = 1 - 1e-12 rounds to the threshold 2^32, which
         # every draw is below; a member's share of a slice sums to up to 2^15,
         # past int16, and a chain restarting from p1 = 1 at a member start
-        # takes the state it had, so the members are stretches of one chain
+        # takes the state it had, so the members are stretches of one chain;
+        # a slice cut in two parts makes each whole member span two slices
         params = MarkovParams(1 - 1e-12, 0.5, p1=1.0)
-        p_bars = ensemble(params, sizes, 5).p_bars
+        with mock.patch.object(simulate, "_SLICE", _SLICE // slice_parts):
+            p_bars = ensemble(params, sizes, 5).p_bars
         states = generate(params, sum(sizes), 5).states
         ends = np.cumsum(sizes)
         counts = [int(states[end - n : end].sum()) for n, end in zip(sizes, ends)]
@@ -455,11 +458,14 @@ class TestEnsemble:
         (0.12, 0.88): "851609ae735e445b114321839d4f9e464a33d0f28d0217a4a4757c47e8955661",
     }
 
+    @pytest.mark.parametrize("slice_parts", [1, 2])
     @pytest.mark.parametrize("key", PINNED, ids=["copy", "flip", "p-is-1-minus-q"])
-    def test_output_pinned(self, key):
+    def test_output_pinned(self, key, slice_parts):
+        # the slice the stream is scanned in does not show in the output
         rng = np.random.default_rng(20_260_811)
         sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 1000))).astype(int).tolist()
-        p_bars = ensemble(MarkovParams(*key), sizes, 2026).p_bars
+        with mock.patch.object(simulate, "_SLICE", _SLICE // slice_parts):
+            p_bars = ensemble(MarkovParams(*key), sizes, 2026).p_bars
         assert hashlib.sha256(p_bars.tobytes()).hexdigest() == self.PINNED[key]
 
     def test_reproducible_and_prefix_stable(self):
