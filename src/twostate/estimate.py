@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovParams, ParameterError, _check_open_unit, derive
+from .chain import MarkovParams, ParameterError, _check_open_unit, _is_integer, derive
 from .funnel import FunnelSpec, coverage, z_from_level
 from .runs import _check_run_domain, _mean_stays_per_run, log_run_frequencies
 from .simulate import ScatterDataset
@@ -135,12 +135,18 @@ def fit_scatter(
     )
 
 
-def _curve_arrays(curve: dict, length: int) -> tuple[np.ndarray, np.ndarray]:
-    ms = sorted(curve)
-    freqs = np.array([curve[m] for m in ms], dtype=float)
-    if not ms or freqs.min() < 0.0:
-        raise ParameterError("run curve must map run lengths to nonnegative frequencies")
-    return _check_run_domain(length, ms), freqs
+def _curve_arrays(curve: dict, length: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """A run curve's lengths m and frequencies f, in the dict's order, as every
+    reader is order-free, and its runs sum f and stays sum f (m-1), all finite."""
+    ms, freqs = np.array(list(curve)), np.array(list(curve.values()), dtype=float)
+    numeric = ms.dtype.kind in "biuf" or all(map(_is_integer, curve))  # ints past int64 make an object array
+    if numeric and freqs.size and 0.0 <= freqs.min() <= freqs.max() < math.inf:
+        ms = _check_run_domain(length, ms)
+        with np.errstate(over="ignore"):
+            runs, stays = freqs.sum(), np.dot(freqs, ms - 1)
+        if max(runs, stays) < math.inf:
+            return ms, freqs, runs, stays
+    raise ParameterError("run curve must map run lengths to nonnegative frequencies with finite sums")
 
 
 def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float, length: int = 10_000) -> float:
@@ -148,11 +154,14 @@ def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float,
     (p11, p22): minus the sum over states and bins of f_m log g_m, where g_m
     is the model run-length frequency for sequences of `length` steps; log g_m
     is finite, so empty bins add 0.  Each state's term depends only on its own
-    stay probability."""
+    stay probability.  A sum that passes float64 is refused."""
     total = 0.0
     for curve, stay in ((on_curve, p11), (off_curve, p22)):
-        ms, freqs = _curve_arrays(curve, length)
-        total -= float(np.dot(freqs, log_run_frequencies(length, ms, stay)))
+        ms, freqs, _, _ = _curve_arrays(curve, length)
+        with np.errstate(over="ignore"):
+            total -= float(np.dot(freqs, log_run_frequencies(length, ms, stay)))
+    if not math.isfinite(total):
+        raise ParameterError(f"run curves' negative log-likelihood at p11={p11}, p22={p22} passes float64")
     return total
 
 
@@ -189,15 +198,7 @@ def fit_runs_simulated(on_curve: dict, off_curve: dict, length: int = 10_000) ->
     state's self-transition probability s.  In theta = log s the model is an
     exponential family (statistic m-1, base weight n-m-1), so the curve
     enters only through sum f and sum f (m-1), the runs and stays `_fit_stay`
-    takes.
-    """
-    estimates = []
-    for name, curve in (("on", on_curve), ("off", off_curve)):
-        ms, freqs = _curve_arrays(curve, length)
-        estimates.append(_fit_stay(name, freqs.sum(), np.dot(freqs, ms - 1), length))
-    p11, p22 = estimates
-    return RunFit(
-        p11_hat=p11,
-        p22_hat=p22,
-        objective=run_curve_objective(on_curve, off_curve, p11, p22, length),
-    )
+    takes."""
+    p11, p22 = (_fit_stay(name, *_curve_arrays(curve, length)[2:], length)
+                for name, curve in (("on", on_curve), ("off", off_curve)))
+    return RunFit(p11, p22, run_curve_objective(on_curve, off_curve, p11, p22, length))

@@ -6,10 +6,11 @@ i >> 1, its low half first, so a chain of n steps takes ceil(n / 2)
 outputs.  A step's state is the comparison of its draw with an integer
 threshold, round(x·2^32) for a transition probability x, so each
 probability is realised to within 2^-33.  A chain is scanned slice by
-slice: the draws come from the stream `_SLICE` at a time, and each slice's
-scan starts from the state the previous slice ended in.  Consecutive draws
-equal one large draw, so the result is the same as from a single scan,
-while working memory is O(_SLICE) plus the output.
+slice: the draws come from the stream `_SLICE` at a time, an even number,
+so each slice but the last starts on a whole output, and each slice's scan
+starts from the state the previous slice ended in.  Consecutive draws equal
+one large draw, so the result is the same as from a single scan, while
+working memory is O(_SLICE) plus the output.
 
 One kernel, `_scanner`, scans every slice: it takes the slice's draws and
 returns the slice's states as bits, 64 steps to a uint64 word.  A step
@@ -43,6 +44,8 @@ _SEED_MASK = (1 << 64) - 1
 # forced-step masks; while the next slice is drawn, the last one's draws
 # are still held.  This is a memory limit, not a speed one: 2^18 raised
 # the funnel benchmark's peak RSS from 62.5 to 74 MB and was no faster.
+# It is even: `_draws` starts each slice on a fresh PCG64 output, two draws,
+# so an odd slice would drop a half and shift every later step's draw.
 _SLICE = 1 << 15
 # the bits of a uint64 word at odd positions; since a word holds an even
 # number of steps, a step's parity in its slice is its bit's
@@ -147,17 +150,12 @@ class ScatterDataset:
 def _draws(seed: int, n: int):
     """The first n draws of the seed's stream, _SLICE at a time, as pairs of
     the slice's first step and its uint32 draws: step i reads half i & 1 of
-    PCG64 output i >> 1, the low half first.  A slice that ends mid-output
-    leaves its high half to the next."""
+    PCG64 output i >> 1, the low half first.  _SLICE is even, so only the
+    last slice can end mid-output, and no step reads that high half."""
     bitgen = np.random.PCG64(seed)
-    spare = np.empty(0, dtype="<u4")
     for a in range(0, n, _SLICE):
         m = min(_SLICE, n - a)
-        u = bitgen.random_raw((m - spare.size + 1) // 2).astype("<u8", copy=False).view("<u4")
-        if spare.size:
-            u = np.concatenate((spare, u))
-        spare = u[m:].copy()
-        yield a, u[:m]
+        yield a, bitgen.random_raw((m + 1) // 2).astype("<u8", copy=False).view("<u4")[:m]
 
 
 def _scanner(params: MarkovParams, size: int):

@@ -102,6 +102,37 @@ MESSAGES = {
                                               "run curve must map run lengths to nonnegative frequencies"),
     "fit_runs_simulated-empty-curve": (lambda: fit_runs_simulated(CURVE, {}),
                                        "run curve must map run lengths to nonnegative frequencies"),
+    # a frequency that is not finite would give a nan or infinite objective, or
+    # an infeasible fit after a numpy warning
+    "run_curve_objective-nan-frequency": (lambda: run_curve_objective({1: math.nan, 2: 0.5}, {1: 1.0, 2: 1.0},
+                                                                      0.5, 0.5, 10),
+                                          "run curve must map run lengths to nonnegative frequencies"),
+    "run_curve_objective-infinite-frequency": (lambda: run_curve_objective({1: math.inf, 2: 0.5}, {1: 1.0, 2: 1.0},
+                                                                           0.5, 0.5, 10),
+                                               "run curve must map run lengths to nonnegative frequencies"),
+    "fit_runs_simulated-infinite-frequency": (lambda: fit_runs_simulated({1: math.inf, 2: 0.5}, {1: 1.0, 2: 1.0}, 10),
+                                              "run curve must map run lengths to nonnegative frequencies"),
+    # numpy cannot compare "a" or None with 1
+    "fit_runs_simulated-string-run-length": (lambda: fit_runs_simulated({"a": 0.5}, {1: 1.0}, 10),
+                                             "run curve must map run lengths to nonnegative frequencies"),
+    "fit_runs_simulated-none-run-length": (lambda: fit_runs_simulated({None: 0.5}, {1: 1.0}, 10),
+                                           "run curve must map run lengths to nonnegative frequencies"),
+    # the runs sum f, or the stays sum f (m-1), of finite frequencies passes float64
+    "fit_runs_simulated-runs-past-float64": (lambda: fit_runs_simulated({1: 1e308, 2: 1e308}, {1: 0.5, 2: 0.5}, 10),
+                                             "run curve must map run lengths to nonnegative frequencies"),
+    "fit_runs_simulated-stays-past-float64": (lambda: fit_runs_simulated({1: 1e305, 50_000: 1e305}, {1: 0.5, 2: 0.5},
+                                                                         100_000),
+                                              "run curve must map run lengths to nonnegative frequencies"),
+    "run_curve_objective-runs-past-float64": (lambda: run_curve_objective({1: 1e308, 2: 1e308}, {1: 0.5, 2: 0.5},
+                                                                          0.5, 0.5, 10),
+                                              "run curve must map run lengths to nonnegative frequencies"),
+    # both sums fit, but the objective at the fit does not: it was reported as Infinity
+    "fit_runs_simulated-objective-past-float64": (lambda: fit_runs_simulated({1: 5e307, 2: 5e307, 3: 5e307},
+                                                                             {1: 0.5, 2: 0.5}, 1000),
+                                                  "run curves' negative log-likelihood at p11="),
+    "run_curve_objective-past-float64": (lambda: run_curve_objective({1: 5e307, 2: 5e307, 3: 5e307}, {1: 0.5, 2: 0.5},
+                                                                     0.5, 0.5, 1000),
+                                         "run curves' negative log-likelihood at p11=0.5, p22=0.5 passes float64"),
     "RunHistogram-state-2": (lambda: RunHistogram(2, [1], 5), "state must be 0 or 1, got 2"),
     "log_run_frequencies-zero-run-length": (lambda: log_run_frequencies(10, [0], 0.5), "run length must be >= 1"),
     "ScatterDataset-unequal-lengths": (lambda: ScatterDataset([1, 2], [0.5]),

@@ -119,6 +119,7 @@ class TestRuns:
             ("--p 0.999 --q 0.1 --n 5000 --seeds 4 --seed 2",
              "fcd51752852639501345d8822a5f6364226994bcb216896dd0d3dd93ee311010"),
         ],
+        ids=["seed-7", "seed-1", "seed-2"],
     )
     def test_reference_bytes_pinned(self, tmp_path, argv, sha256):
         on, off, ref = (tmp_path / x for x in ("on.csv", "off.csv", "ref.csv"))
@@ -545,6 +546,11 @@ class TestExitCodeContract:
         # fits p11 ~ 1e-5: the confirmation chains enter state A, but its runs all have length 1
         "curve_single_steps_on": "m,frequency\n1,0.99999\n2,0.00001\n",
         "curve_short_off": "m,frequency\n1,0.5\n2,0.25\n3,0.25\n",
+        "curve_halves": "m,frequency\n1,0.5\n2,0.5\n",
+        # finite frequencies whose runs sum f, stays sum f (m-1) or objective at the fit passes float64
+        "curve_runs_past_float64": "m,frequency\n1,1e308\n2,1e308\n",
+        "curve_stays_past_float64": "m,frequency\n1,1e305\n50000,1e305\n",
+        "curve_objective_past_float64": "m,frequency\n1,5e307\n2,5e307\n3,5e307\n",
     }
     CASES = {
         "simulate-p-out-of-range": (1, ["simulate", "--p", "1.5", "--q", "0.5", "--n", "10", "--out", "{out}"]),
@@ -604,6 +610,13 @@ class TestExitCodeContract:
         "fit-runs-empty-curve": (3, ["fit-runs", "--on", "{on}", "--off", "{curve_empty}", "--out", "{out}"]),
         "fit-runs-all-mass-at-longest": (3, ["fit-runs", "--on", "{curve_longest}", "--off", "{off}",
                                              "--length", str(LENGTH), "--out", "{out}"]),
+        # numpy warned of the overflow, then the fit was infeasible or its objective was Infinity
+        "fit-runs-runs-past-float64": (2, ["fit-runs", "--on", "{curve_runs_past_float64}", "--off", "{curve_halves}",
+                                           "--length", "10", "--out", "{out}"]),
+        "fit-runs-stays-past-float64": (2, ["fit-runs", "--on", "{curve_stays_past_float64}",
+                                            "--off", "{curve_halves}", "--length", "100000", "--out", "{out}"]),
+        "fit-runs-objective-past-float64": (2, ["fit-runs", "--on", "{curve_objective_past_float64}",
+                                                "--off", "{curve_halves}", "--length", "1000", "--out", "{out}"]),
         # 10^15 bytes is more than the address space, so the state array cannot be allocated
         "simulate-n-too-large-to-allocate": (1, ["simulate", "--p", "0.5", "--q", "0.5", "--n", str(10**15),
                                                  "--out", "{out}"]),

@@ -39,6 +39,8 @@ INPUTS = {
     "curve_empty.csv": b"m,frequency\n1,0.0\n2,0.0\n",
     "curve_negative.csv": b"m,frequency\n1,-0.5\n2,1.5\n",
     "curve_nan.csv": b"m,frequency\n1,nan\n2,0.5\n",
+    # finite frequencies whose objective at the fit passes float64
+    "curve_huge.csv": b"m,frequency\n1,5e307\n2,5e307\n3,5e307\n",
     "curve_m_past_int64.csv": b"m,frequency\n9223372036854775808,1\n",
     "curve_three_columns.csv": b"m,frequency\n1,0.5,1\n",
     "studies_ok.csv": FIXTURE.read_bytes(),

@@ -203,12 +203,17 @@ class TestGenerate:
             one_scan = naive_states(params, stream(21, n))
             assert np.array_equal(generate(params, n, 21).states, one_scan), n
 
+    def test_slice_is_even(self):
+        # `_draws` starts every slice on a fresh PCG64 output, two draws, so an
+        # odd slice would drop a half and shift the draw of every later step
+        assert _SLICE % 2 == 0
+
     @given(
         p=probs | near_edge,
         q=st.none() | probs | near_edge,
         p1=st.none() | st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
         n=st.integers(1, 300) | st.sampled_from([63, 64, 65, 127, 128, 129]),
-        slice_size=st.sampled_from([1, 2, 7, 63, 64, 65, 130, _SLICE]),
+        slice_size=st.sampled_from([2, 6, 62, 64, 66, 130, _SLICE]),
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=300, deadline=None)
@@ -385,14 +390,14 @@ class TestEnsemble:
         q=st.none() | probs | near_edge,
         p1=st.none() | st.floats(min_value=0.0, max_value=1.0),
         sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
-        slice_size=st.sampled_from([1, 2, 7, 64]),
+        slice_size=st.sampled_from([2, 6, 64]),
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_sequential_rule(self, p, q, p1, sizes, slice_size, seed):
         # q=None is q = 1 - p, where every step is forced; small slices make
-        # members span several slices, as long studies do, and odd ones end
-        # in the middle of a 64-bit output
+        # members span several slices, as long studies do, and 2 and 6 end
+        # within a scan word, whose state is carried into the next slice
         params = MarkovParams(p, 1.0 - p if q is None else q, p1=p1)
         with mock.patch.object(simulate, "_SLICE", slice_size):
             ds = ensemble(params, sizes, seed)
