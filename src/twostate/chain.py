@@ -16,6 +16,7 @@ integer in [minimum, _INT64_MAX], as counts are held as int64; and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,15 @@ def _check_open_unit(name: str, value: float) -> None:
 
 def _is_integer(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _all_real(values) -> bool:
+    """Whether each of `values` is an int or a float that float64 holds, not a
+    bool, str or None; checked per type, as a run curve holds one or two."""
+    types = set(map(type, values))
+    return all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool for t in types) and (
+        int not in types or max(map(abs, values)) <= sys.float_info.max
+    )
 
 
 def _check_count(name: str, n, minimum: int = 1) -> None:

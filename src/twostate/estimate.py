@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovParams, ParameterError, _check_open_unit, _is_integer, derive
+from .chain import MarkovParams, ParameterError, _all_real, _check_open_unit, derive
 from .funnel import FunnelSpec, coverage, z_from_level
 from .runs import _check_run_domain, _mean_stays_per_run, log_run_frequencies
 from .simulate import ScatterDataset
@@ -138,14 +138,16 @@ def fit_scatter(
 def _curve_arrays(curve: dict, length: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     """A run curve's lengths m and frequencies f, in the dict's order, as every
     reader is order-free, and its runs sum f and stays sum f (m-1), all finite."""
-    ms, freqs = np.array(list(curve)), np.array(list(curve.values()), dtype=float)
-    numeric = ms.dtype.kind in "biuf" or all(map(_is_integer, curve))  # ints past int64 make an object array
-    if numeric and freqs.size and 0.0 <= freqs.min() <= freqs.max() < math.inf:
-        ms = _check_run_domain(length, ms)
-        with np.errstate(over="ignore"):
-            runs, stays = freqs.sum(), np.dot(freqs, ms - 1)
-        if max(runs, stays) < math.inf:
-            return ms, freqs, runs, stays
+    # numpy would read True as 1 and "0.5" as 0.5; ints past int64 make an
+    # object array of run lengths, which `_check_run_domain` refuses
+    if _all_real(curve) and _all_real(curve.values()):
+        ms, freqs = np.array(list(curve)), np.array(list(curve.values()), dtype=float)
+        if freqs.size and 0.0 <= freqs.min() <= freqs.max() < math.inf:
+            ms = _check_run_domain(length, ms)
+            with np.errstate(over="ignore"):
+                runs, stays = freqs.sum(), np.dot(freqs, ms - 1)
+            if max(runs, stays) < math.inf:
+                return ms, freqs, runs, stays
     raise ParameterError("run curve must map run lengths to nonnegative frequencies with finite sums")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ParameterError, _check_count, _check_open_unit, _holds_counts
+from .chain import ParameterError, _check_count, _check_open_unit, _holds_counts, _is_integer
 from .simulate import BinarySequence, _store, _value_eq
 
 STATE_A = 1
@@ -46,7 +46,7 @@ class RunHistogram:
     total_length: int
 
     def __post_init__(self):
-        if self.state not in (STATE_A, STATE_B):
+        if not _is_integer(self.state) or self.state not in (STATE_A, STATE_B):
             raise ParameterError(f"state must be 0 or 1, got {self.state!r}")
         _check_count("total_length", self.total_length)
         counts = np.asarray(self.counts)

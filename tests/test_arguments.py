@@ -117,6 +117,22 @@ MESSAGES = {
                                              "run curve must map run lengths to nonnegative frequencies"),
     "fit_runs_simulated-none-run-length": (lambda: fit_runs_simulated({None: 0.5}, {1: 1.0}, 10),
                                            "run curve must map run lengths to nonnegative frequencies"),
+    # numpy reads True as the run length 1 and "0.5" as the frequency 0.5,
+    # and fails on "x" with its own ValueError
+    "fit_runs_simulated-bool-run-length": (lambda: fit_runs_simulated({True: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}, 10),
+                                           "run curve must map run lengths to nonnegative frequencies"),
+    "fit_runs_simulated-string-frequency": (lambda: fit_runs_simulated({1: "x"}, {1: 1.0}, 10),
+                                            "run curve must map run lengths to nonnegative frequencies"),
+    "fit_runs_simulated-numeric-string-frequency": (lambda: fit_runs_simulated({1: "0.5", 2: 0.5}, CURVE),
+                                                    "run curve must map run lengths to nonnegative frequencies"),
+    "run_curve_objective-numeric-string-frequency": (lambda: run_curve_objective({1: "0.5", 2: 0.5}, CURVE,
+                                                                                 0.5, 0.5),
+                                                     "run curve must map run lengths to nonnegative frequencies"),
+    "run_curve_objective-bool-frequency": (lambda: run_curve_objective({1: True, 2: 0.5}, CURVE, 0.5, 0.5),
+                                           "run curve must map run lengths to nonnegative frequencies"),
+    # float() of an int past float64 raises OverflowError
+    "fit_runs_simulated-frequency-past-float64": (lambda: fit_runs_simulated({1: 10**400, 2: 0.5}, CURVE),
+                                                  "run curve must map run lengths to nonnegative frequencies"),
     # the runs sum f, or the stays sum f (m-1), of finite frequencies passes float64
     "fit_runs_simulated-runs-past-float64": (lambda: fit_runs_simulated({1: 1e308, 2: 1e308}, {1: 0.5, 2: 0.5}, 10),
                                              "run curve must map run lengths to nonnegative frequencies"),
@@ -134,6 +150,7 @@ MESSAGES = {
                                                                      0.5, 0.5, 1000),
                                          "run curves' negative log-likelihood at p11=0.5, p22=0.5 passes float64"),
     "RunHistogram-state-2": (lambda: RunHistogram(2, [1], 5), "state must be 0 or 1, got 2"),
+    "RunHistogram-bool-state": (lambda: RunHistogram(True, [1], 5), "state must be 0 or 1, got True"),
     "log_run_frequencies-zero-run-length": (lambda: log_run_frequencies(10, [0], 0.5), "run length must be >= 1"),
     "ScatterDataset-unequal-lengths": (lambda: ScatterDataset([1, 2], [0.5]),
                                        "sizes and p_bars must be equal-length"),

@@ -77,7 +77,7 @@ class TestSimulate:
         expected = "".join(str(int(s)) for s in seq.states)
         assert capsys.readouterr().out.strip() == expected
 
-    @pytest.mark.parametrize("n", [2 * simulate._SLICE + 3, 1])
+    @pytest.mark.parametrize("n", [simulate._SLICE + 3, 1])
     def test_file_and_stdout_bytes_match(self, tmp_path, capsysbinary, n):
         out = tmp_path / "seq.txt"
         argv = ["simulate", "--p", "0.88", "--q", "0.5", "--n", str(n), "--seed", "6"]

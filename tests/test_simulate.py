@@ -20,12 +20,21 @@ from twostate import (
     std_of_proportion,
 )
 from twostate import simulate
-from twostate.simulate import _SLICE, _scanner
+from twostate.simulate import _BLOCK, _SLICE, _scanner
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 # near 0 or 1, a forced step is rare in the copy (0.9999, 0.9999) and the
 # flip (0.0001, 0.0001) regime, so the steps before one can span slices
 near_edge = st.sampled_from([0.0001, 0.9999])
+# (slice, block) sizes a scan is mocked to: one-slice blocks of 2, 6, 62, 66
+# and 130 draws end within a word, whose state is carried into the next
+# block, and blocks of several 64-draw slices are packed slice by slice
+small_scans = [(2, 2), (6, 6), (62, 62), (64, 64), (66, 66), (130, 130), (64, 128), (64, 192), (64, 320)]
+
+
+def scan_sizes(slice_size, block):
+    """Scan in slices of `slice_size` draws and blocks of `block` steps."""
+    return mock.patch.multiple(simulate, _SLICE=slice_size, _BLOCK=block)
 
 
 def stream(seed, n):
@@ -39,10 +48,11 @@ def naive_states(params, u):
     """Sequential reference implementation of the generation rule on uint32
     draws u: a probability x is the threshold round(x * 2**32)."""
     u = u.tolist()
+    # the threshold of the step after state 0 and after state 1
+    after = (round((1.0 - params.q) * 2**32), round(params.p * 2**32))
     x = [1 if u[0] < round(params.p1 * 2**32) else 0]
     for ui in u[1:]:
-        stay = params.p if x[-1] == 1 else 1.0 - params.q
-        x.append(1 if ui < round(stay * 2**32) else 0)
+        x.append(1 if ui < after[x[-1]] else 0)
     return np.array(x, dtype=np.uint8)
 
 
@@ -51,13 +61,22 @@ def flips(params):
     return round(params.p * 2**32) < round((1.0 - params.q) * 2**32)
 
 
+def scan_block(params, u, starts, carry, slice_size):
+    """One `_scanner` block over the draws u from `carry`, packed slice_size
+    draws at a time, with chains starting at the block positions `starts`."""
+    pack, resolve = _scanner(params, min(u.size, slice_size))
+    parts = [pack(u[s : s + slice_size], starts[(starts >= s) & (starts < s + slice_size)] - s)
+             for s in range(0, u.size, slice_size)]
+    return resolve(u.size, carry, *(np.concatenate(p) for p in zip(*parts)))
+
+
 def scan_states(params, u, prev=None):
-    """One `_scanner` slice over `u`: a chain starts at u[0], or carries on
-    from the state `prev` before it."""
+    """One `_scanner` block of one slice over `u`: a chain starts at u[0], or
+    carries on from the state `prev` before it."""
     starts = np.array([0] if prev is None else [], dtype=np.intp)
     # the carry is w at position -1, whose parity is odd
     carry = (prev or 0) ^ flips(params)
-    words, _ = _scanner(params, u.size)(u, starts, carry)
+    words, _ = scan_block(params, u, starts, carry, u.size)
     return np.unpackbits(words.view(np.uint8), count=u.size, bitorder="little")
 
 
@@ -199,38 +218,43 @@ class TestGenerate:
     @pytest.mark.parametrize("p, q", [(0.8, 0.7), (0.2, 0.3), (0.5, 0.5)], ids=["copy", "flip", "balanced"])
     def test_slices_match_one_scan(self, p, q):
         params = MarkovParams(p, q)
-        for n in (1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 5):
+        for n in (1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
             one_scan = naive_states(params, stream(21, n))
             assert np.array_equal(generate(params, n, 21).states, one_scan), n
 
     def test_slice_is_even(self):
-        # `_draws` starts every slice on a fresh PCG64 output, two draws, so an
-        # odd slice would drop a half and shift the draw of every later step
-        assert _SLICE % 2 == 0
+        # `_blocks` starts every slice on a fresh PCG64 output, two draws, so an
+        # odd slice would drop a half and shift the draw of every later step;
+        # a block's slices are packed into its words, so each is whole words
+        # long and a block is whole slices
+        assert _SLICE % 64 == 0 and _BLOCK % _SLICE == 0
 
     @given(
         p=probs | near_edge,
         q=st.none() | probs | near_edge,
         p1=st.none() | st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
         n=st.integers(1, 300) | st.sampled_from([63, 64, 65, 127, 128, 129]),
-        slice_size=st.sampled_from([2, 6, 62, 64, 66, 130, _SLICE]),
+        scan=st.sampled_from(small_scans + [(_SLICE, _BLOCK)]),
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_sequential_rule_on_the_stream(self, p, q, p1, n, slice_size, seed):
+    def test_matches_sequential_rule_on_the_stream(self, p, q, p1, n, scan, seed):
         # q=None is q = 1 - p, where every step is forced; near the edges a
-        # forced step is rare, so whole rows have none; small slices end
-        # within rows, and the state is carried across rows and slices
+        # forced step is rare, so whole rows have none; small blocks end
+        # within rows, and the state is carried across rows and blocks
         params = MarkovParams(p, 1.0 - p if q is None else q, p1=p1)
-        with mock.patch.object(simulate, "_SLICE", slice_size):
+        with scan_sizes(*scan):
             states = generate(params, n, seed).states
         assert np.array_equal(states, naive_states(params, stream(seed, n)))
 
     @pytest.mark.parametrize("n, bound", [(3 * 10**6, 0.5 * 2**20), (10**4, 0.15 * 2**20)])
     @pytest.mark.parametrize("p, q", [(0.88, 0.5), (0.12, 0.12), (0.5, 0.5)])
     def test_working_memory_bounded(self, p, q, n, bound):
-        # beyond the n-byte state array, buffers for at most one slice of
-        # draws; the first call imports numpy's generators, so it comes first
+        # beyond the n-byte state array, one slice's draws (256 KiB) and
+        # comparisons (64 KiB) and one block's words (two 32 KiB arrays of
+        # forced steps, their concatenation and the kernel's temporaries):
+        # about 0.42 MiB; the first call imports numpy's generators, so it
+        # comes first
         generate(MarkovParams(p, q), 1, 4)
         tracemalloc.start()
         try:
@@ -241,8 +265,8 @@ class TestGenerate:
         assert peak - n < bound
 
     # sha256 of states.tobytes(), keyed by (p, q, seed, n): copy, flip, every
-    # step forced, and rarely forced steps of both kinds, at the edges of a
-    # 2^15 slice.  Taken from version 0.7.0, which moved every simulated value
+    # step forced, and rarely forced steps of both kinds, at the edges of
+    # what was a 2^15 slice and is now half of one.  Taken from version 0.7.0, which moved every simulated value
     # to uint32 draws; generate output must not change.
     PINNED = {
         (0.88, 0.5, 2026, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
@@ -269,9 +293,13 @@ class TestGenerate:
 
     @pytest.mark.parametrize("key", PINNED, ids=lambda key: "-".join(map(str, key)))
     def test_output_pinned(self, key):
+        # the blocks the stream is scanned in, of 4, 2 or 1 slices, do not
+        # show in the output
         p, q, seed, n = key
-        states = generate(MarkovParams(p, q), n, seed).states
-        assert hashlib.sha256(states.tobytes()).hexdigest() == self.PINNED[key]
+        for block_parts in (1, 2, 4):
+            with scan_sizes(_SLICE, _BLOCK // block_parts):
+                states = generate(MarkovParams(p, q), n, seed).states
+            assert hashlib.sha256(states.tobytes()).hexdigest() == self.PINNED[key], block_parts
 
     @pytest.mark.parametrize("p, q, never", [(1e-12, 0.5, (1, 1)), (0.5, 1e-12, (0, 0))], ids=["p", "q"])
     def test_probability_below_the_resolution_never_stays(self, p, q, never):
@@ -305,31 +333,34 @@ class TestGenerate:
 
 
 class TestScanner:
-    @pytest.mark.parametrize("size", [1, 63, 64, 65, _SLICE])
+    # blocks of one slice, the last of them partial, of two slices, the second
+    # partial, of one whole slice and of several, the last partial
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, _SLICE // 2, 3 * _SLICE // 2 + 5, _SLICE, 3 * _SLICE + 5])
     @pytest.mark.parametrize("p, q", [(0.88, 0.5), (0.12, 0.12), (0.12, 0.88)], ids=["copy", "flip", "every-step-forced"])
     def test_words_hold_the_slice_and_its_carry(self, p, q, size):
-        # bit i of word k is step 64k + i, no bit past the slice is set, so a
-        # popcount counts the slice's A states, and the carry is the w of the
-        # last step seen from the next slice, at its odd position -1
+        # bit i of word k is step 64k + i, no bit past the block is set, so a
+        # popcount counts the block's A states, and the carry is the w of the
+        # last step seen from the next block, at its odd position -1
         params = MarkovParams(p, q)
         u = stream(size, size)
-        words, carry = _scanner(params, size)(u, np.array([0], dtype=np.intp), 0)
+        words, carry = scan_block(params, u, np.array([0], dtype=np.intp), 0, _SLICE)
         states = naive_states(params, u)
         bits = np.unpackbits(words.view(np.uint8), bitorder="little")
         assert words.size == -(-size // 64) and np.array_equal(bits[:size], states) and not bits[size:].any()
         assert carry == states[-1] ^ flips(params)
 
     def test_allocates_only_its_buffers(self):
-        # two bool masks of forced steps, one byte a step each, and the
-        # words' ranks, 69,632 B; the draws are the caller's
+        # one bool buffer for a slice's comparisons, one byte a draw, 65,536 B;
+        # the draws are the caller's, and a block's words are allocated as it
+        # is packed
         _scanner(MarkovParams(0.88, 0.5), _SLICE)
         tracemalloc.start()
         try:
-            fill = _scanner(MarkovParams(0.88, 0.5), _SLICE)
+            pack, resolve = _scanner(MarkovParams(0.88, 0.5), _SLICE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert callable(fill) and peak < 340_000
+        assert callable(pack) and callable(resolve) and peak < 340_000
 
 
 class TestEnsemble:
@@ -374,10 +405,15 @@ class TestEnsemble:
             (0.9999, 0.9999, 1.0, [1, 4 * _SLICE + 1, 3]),
             (0.0001, 0.0001, 0.0, [1, 4 * _SLICE + 1, 3]),
             (0.0001, 0.0001, 1.0, [1, 4 * _SLICE + 1, 3]),
+            # members that end at, start at and span a block edge, and a
+            # member that is a whole block
+            (0.88, 0.50, None, [_BLOCK - 3, 3, _BLOCK, 1, _BLOCK + 7, 2]),
+            (0.12, 0.12, None, [1, _BLOCK - 1, 2, _BLOCK - 2, _BLOCK + 5]),
+            (0.12, 0.88, 0.3, [_BLOCK, _BLOCK - 1, 1, 9]),
         ],
         ids=["small", "copy-across-slices", "flip-size-one", "p-is-1-minus-q", "p-is-1-minus-q-p1", "p1-zero",
              "flip-p1-one", "rarely-forced-copy-p1-zero", "rarely-forced-copy-p1-one", "rarely-forced-flip-p1-zero",
-             "rarely-forced-flip-p1-one"],
+             "rarely-forced-flip-p1-one", "copy-block-edges", "flip-block-edges", "p-is-1-minus-q-block-edges"],
     )
     def test_members_follow_the_sequential_rule_on_one_stream(self, p, q, p1, sizes):
         params = MarkovParams(p, q, p1=p1)
@@ -390,20 +426,25 @@ class TestEnsemble:
         q=st.none() | probs | near_edge,
         p1=st.none() | st.floats(min_value=0.0, max_value=1.0),
         sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
-        slice_size=st.sampled_from([2, 6, 64]),
+        scan=st.sampled_from([(2, 2), (6, 6), (64, 64), (64, 128), (64, 192)]),
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_sequential_rule(self, p, q, p1, sizes, slice_size, seed):
-        # q=None is q = 1 - p, where every step is forced; small slices make
-        # members span several slices, as long studies do, and 2 and 6 end
-        # within a scan word, whose state is carried into the next slice
+    def test_matches_sequential_rule(self, p, q, p1, sizes, scan, seed):
+        # q=None is q = 1 - p, where every step is forced; small blocks make
+        # members span several blocks, as long studies do, and blocks of 2
+        # and 6 end within a scan word, whose state is carried into the next
+        # block; blocks of several slices hold members that start and end in
+        # any of their slices
         params = MarkovParams(p, 1.0 - p if q is None else q, p1=p1)
-        with mock.patch.object(simulate, "_SLICE", slice_size):
+        with scan_sizes(*scan):
             ds = ensemble(params, sizes, seed)
         assert ds.p_bars.tolist() == member_frequencies(params, sizes, seed)
 
-    @pytest.mark.parametrize("n", [1, 2, _SLICE, _SLICE + 1, 3 * _SLICE + 5])
+    # chains of a partial slice, of two slices, the second partial, and at
+    # slice and block edges
+    @pytest.mark.parametrize("n", [1, 2, _SLICE // 2, _SLICE // 2 + 1, 3 * _SLICE // 2 + 5, _SLICE, _SLICE + 1,
+                                   _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_one_member_is_a_generated_chain(self, n):
         for params in (MarkovParams(0.88, 0.5), MarkovParams(0.12, 0.12), MarkovParams(0.4, 0.6, p1=0.2)):
             assert ensemble(params, [n], 8).p_bars[0] == generate(params, n, 8).frequency
@@ -413,17 +454,30 @@ class TestEnsemble:
                              ids=["whole-slices", "across-slices"])
     def test_member_sums_reach_a_whole_slice(self, sizes, slice_parts):
         # every state is A: p = 1 - 1e-12 rounds to the threshold 2^32, which
-        # every draw is below; a member's share of a slice sums to up to 2^15,
+        # every draw is below; a member's share of a block sums to up to 2^16,
         # past int16, and a chain restarting from p1 = 1 at a member start
         # takes the state it had, so the members are stretches of one chain;
-        # a slice cut in two parts makes each whole member span two slices
+        # one-slice blocks cut in two parts make each whole member span two
         params = MarkovParams(1 - 1e-12, 0.5, p1=1.0)
-        with mock.patch.object(simulate, "_SLICE", _SLICE // slice_parts):
+        with scan_sizes(_SLICE // slice_parts, _SLICE // slice_parts):
             p_bars = ensemble(params, sizes, 5).p_bars
         states = generate(params, sum(sizes), 5).states
         ends = np.cumsum(sizes)
         counts = [int(states[end - n : end].sum()) for n, end in zip(sizes, ends)]
         assert counts == sizes and np.array_equal(p_bars, np.array(counts) / sizes)
+
+    @pytest.mark.parametrize("block", [62, 66, 130])
+    @pytest.mark.parametrize("p, q", [(0.9999, 0.9999), (0.0001, 0.0001)], ids=["copy", "flip"])
+    def test_block_ending_mid_word_carries_its_state(self, p, q, block):
+        # a forced step is rare, so the state a chain starts in is carried
+        # through many one-slice blocks, each ending within a word
+        params = MarkovParams(p, q, p1=1.0)
+        sizes = [1, 1000, 3]
+        with scan_sizes(block, block):
+            p_bars = ensemble(params, sizes, 12).p_bars
+            states = generate(params, 1000, 12).states
+        assert p_bars.tolist() == member_frequencies(params, sizes, 12)
+        assert np.array_equal(states, naive_states(params, stream(12, 1000)))
 
     @staticmethod
     def peak_bytes(sizes):
@@ -448,9 +502,10 @@ class TestEnsemble:
     @pytest.mark.parametrize("sizes, bound", [([3 * 10**6], 0.9 * 2**20), ("criterion-3", 2 * 2**20)],
                              ids=["one-long-member", "criterion-3"])
     def test_memory_is_the_scan_buffers(self, sizes, bound):
-        # the scan's buffers for one slice, about 6 bytes a draw (0.19 MiB),
-        # and the last slice's draws while the next is drawn (0.125 MiB),
-        # besides the counts and the returned dataset
+        # one slice's draws and comparisons, 5 bytes a draw (0.31 MiB), and
+        # one block's forced-step words, a quarter byte a step (0.0625 MiB),
+        # with the kernel's temporaries: about 0.45 MiB, besides the counts
+        # and the returned dataset
         assert self.peak_bytes(sizes) < bound
 
     # sha256 of p_bars.tobytes() for 1000 log-uniform study sizes in [20, 10^4]
@@ -463,13 +518,14 @@ class TestEnsemble:
         (0.12, 0.88): "851609ae735e445b114321839d4f9e464a33d0f28d0217a4a4757c47e8955661",
     }
 
-    @pytest.mark.parametrize("slice_parts", [1, 2])
+    @pytest.mark.parametrize("block_parts", [1, 2, 4])
     @pytest.mark.parametrize("key", PINNED, ids=["copy", "flip", "p-is-1-minus-q"])
-    def test_output_pinned(self, key, slice_parts):
-        # the slice the stream is scanned in does not show in the output
+    def test_output_pinned(self, key, block_parts):
+        # the blocks the stream is scanned in, of 4, 2 or 1 slices, do not
+        # show in the output
         rng = np.random.default_rng(20_260_811)
         sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 1000))).astype(int).tolist()
-        with mock.patch.object(simulate, "_SLICE", _SLICE // slice_parts):
+        with scan_sizes(_SLICE, _BLOCK // block_parts):
             p_bars = ensemble(MarkovParams(*key), sizes, 2026).p_bars
         assert hashlib.sha256(p_bars.tobytes()).hexdigest() == self.PINNED[key]
 
