@@ -6,11 +6,14 @@ transitions follow as P(B -> A) = 1 - q and P(A -> B) = 1 - p.  Everything
 in this module is exact algebra in these two numbers (plus the initial
 probability p1 of starting in A); no simulation is involved.
 
-Every module checks its arguments with the four rules here:
-`_check_open_unit`, for a probability strictly inside (0, 1); `_is_integer`,
-for an int or numpy integer that is not a bool; `_check_count`, for one such
-integer in [minimum, _INT64_MAX], as counts are held as int64; and
-`_holds_counts`, for an array of counts.
+Every module checks its scalar arguments with the rules here, and a scalar
+outside its rule raises `ParameterError`: `_check_real`, for a real number in
+an interval such as (0, 1) or [1, inf); `_is_integer`, for an int or numpy
+integer that is not a bool; `_check_count`, for one such integer in
+[minimum, _INT64_MAX], as counts are held as int64; and `_holds_counts`, for an
+array of counts.  A record argument (a `MarkovParams`, `FunnelSpec`,
+`ScatterDataset`, `BinarySequence` or run-curve dict) of another type may raise
+`TypeError` instead.
 """
 
 from __future__ import annotations
@@ -22,17 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 _INT64_MAX = 2**63 - 1
+# the types of a real number: int, float, and numpy's integer and floating scalar types
+_REAL_TYPES = frozenset({int, float, *(t for t in np.sctypeDict.values() if issubclass(t, (np.integer, np.floating)))})
 
 
 class ParameterError(ValueError):
     """An argument lies outside its valid domain."""
-
-
-def _check_open_unit(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ParameterError(
-            f"{name} must lie strictly inside (0, 1), got {value!r}"
-        )
 
 
 def _is_integer(n) -> bool:
@@ -40,12 +38,21 @@ def _is_integer(n) -> bool:
 
 
 def _all_real(values) -> bool:
-    """Whether each of `values` is an int or a float that float64 holds, not a
-    bool, str or None; checked per type, as a run curve holds one or two."""
+    """Whether each of `values` is a real number: of a type in `_REAL_TYPES`,
+    so not a bool, str, None, array or complex, and, if an int, one whose
+    magnitude float64 holds.  Checked per type, as a run curve holds one or
+    two."""
     types = set(map(type, values))
-    return all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool for t in types) and (
-        int not in types or max(map(abs, values)) <= sys.float_info.max
-    )
+    return types <= _REAL_TYPES and (int not in types or max(map(abs, values)) <= sys.float_info.max)
+
+
+def _check_real(name: str, value, low: float, high: float, ends: str = "()") -> float:
+    """`value` as a float, once it is a real number, as `_all_real` reads one, between `low`
+    and `high`, each end inside when its bracket in `ends` is square; nan lies in none."""
+    x = float(value) if _all_real((value,)) else math.nan
+    if not ((low <= x if ends[0] == "[" else low < x) and (x <= high if ends[1] == "]" else x < high)):
+        raise ParameterError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+    return x
 
 
 def _check_count(name: str, n, minimum: int = 1) -> None:
@@ -75,7 +82,8 @@ class MarkovParams:
     p and q must lie strictly inside (0, 1); the endpoint chains (frozen or
     strictly alternating) are excluded.  p1 is the probability that the
     first measurement yields state A; when omitted it defaults to the
-    stationary frequency, so simulated statistics are transient-free.
+    stationary frequency, so simulated statistics are transient-free.  All
+    three are held as floats, so a numpy float32 computes as float64.
     """
 
     p: float
@@ -83,12 +91,12 @@ class MarkovParams:
     p1: float | None = None
 
     def __post_init__(self):
-        _check_open_unit("p", self.p)
-        _check_open_unit("q", self.q)
+        object.__setattr__(self, "p", _check_real("p", self.p, 0, 1))
+        object.__setattr__(self, "q", _check_real("q", self.q, 0, 1))
         if self.p1 is None:
             object.__setattr__(self, "p1", _stationary_frequency(self.p, self.q))
-        elif not 0.0 <= self.p1 <= 1.0:
-            raise ParameterError(f"p1 must lie in [0, 1], got {self.p1!r}")
+        else:
+            object.__setattr__(self, "p1", _check_real("p1", self.p1, 0, 1, "[]"))
 
 
 @dataclass(frozen=True)

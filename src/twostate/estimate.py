@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovParams, ParameterError, _all_real, _check_open_unit, derive
+from .chain import MarkovParams, ParameterError, _all_real, _check_real, derive
 from .funnel import FunnelSpec, coverage, z_from_level
 from .runs import _check_run_domain, _mean_stays_per_run, log_run_frequencies
 from .simulate import ScatterDataset
@@ -67,10 +67,11 @@ def estimate_nu(dataset: ScatterDataset, pinf: float) -> float:
     sqrt(sum n_i (p_bar_i - pinf)^2 / (N pinf(1-pinf))) over the N points,
     the solution of mean(n_i (p_bar_i - pinf)^2) = pinf(1-pinf) nu^2.  At
     the weighted center this is the least value of the sum.  Returns 0.0
-    for the degenerate dataset whose points all sit exactly on the center.
+    for the degenerate dataset whose points all sit exactly on the center,
+    and inf where a pinf near 0 or 1 takes the quotient past float64.
     """
-    _check_open_unit("pinf", pinf)
-    moment = np.mean(dataset.sizes * (dataset.p_bars - pinf) ** 2)
+    pinf = _check_real("pinf", pinf, 0, 1)
+    moment = float(np.mean(dataset.sizes * (dataset.p_bars - pinf) ** 2))  # a Python float overflows to inf, where numpy's warns
     return math.sqrt(moment / (pinf * (1.0 - pinf)))
 
 
@@ -81,10 +82,10 @@ def invert_to_pq(pinf: float, nu: float) -> tuple[float, float]:
     p = s - q.  Raises when the pair is inconsistent with a two-state
     chain, i.e. when either solution leaves (0, 1).
     """
-    _check_open_unit("pinf", pinf)
-    if not nu >= 0.0:  # nan fails too
-        raise ParameterError(f"nu must be nonnegative, got {nu!r}")
-    s = 2.0 * nu**2 / (1.0 + nu**2)
+    pinf = _check_real("pinf", pinf, 0, 1)
+    nu = _check_real("nu", nu, 0, math.inf, "[)")
+    # from nu = 2^27 on, 1 + nu^2 rounds to nu^2 and s to 2, and past about 1.3e154 nu**2 overflows
+    s = 2.0 * nu**2 / (1.0 + nu**2) if nu < 2**27 else 2.0
     q = 1.0 - pinf * (2.0 - s)
     p = s - q
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
@@ -110,8 +111,8 @@ def fit_scatter(
     """
     z = z_from_level(level)
     for name, bound in (("min_p", min_p), ("min_q", min_q)):
-        if bound is not None and not 0.0 <= bound < 1.0:  # nan fails too
-            raise ParameterError(f"{name} must lie in [0, 1), got {bound!r}")
+        if bound is not None:
+            _check_real(name, bound, 0, 1, "[)")
     center = estimate_center(dataset)
     if not 0.0 < center < 1.0:
         raise InfeasibleParametersError(f"degenerate dataset: weighted mean proportion {center}")

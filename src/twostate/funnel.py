@@ -16,11 +16,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .chain import _INT64_MAX, ParameterError, _check_count, _check_open_unit
+from .chain import _INT64_MAX, ParameterError, _check_count, _check_real
 from .simulate import ScatterDataset
 
 def z_from_level(level: float) -> float:
     """Two-sided normal quantile for a coverage level in (0, 1)."""
+    level = _check_real("level", level, 0, 1)
     tail = 0.5 + level / 2.0
     # fails too for a level so near 0 or 1 that the tail rounds to 0.5 or 1,
     # whose quantile is 0 or infinite
@@ -33,17 +34,17 @@ def z_from_level(level: float) -> float:
 
 @dataclass(frozen=True)
 class FunnelSpec:
-    """Center, width factor and normal quantile of a funnel."""
+    """Center, width factor and normal quantile of a funnel, held as floats,
+    so that (z nu)^2 of a numpy float16 and an int is formed in float64."""
 
     pinf: float
     nu: float
     z: float = 1.96
 
     def __post_init__(self):
-        _check_open_unit("pinf", self.pinf)
-        for name, value in (("nu", self.nu), ("z", self.z)):
-            if not 0.0 < value < math.inf:  # nan fails too
-                raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+        object.__setattr__(self, "pinf", _check_real("pinf", self.pinf, 0, 1))
+        object.__setattr__(self, "nu", _check_real("nu", self.nu, 0, math.inf))
+        object.__setattr__(self, "z", _check_real("z", self.z, 0, math.inf))
         # bounds `half_width` at every n >= 1 and the numerator of `required_n`, and keeps both above 0
         if not 0.0 < (self.z * self.nu) * (self.z * self.nu) < math.inf:
             raise ParameterError(
@@ -62,10 +63,7 @@ def required_n(spec: FunnelSpec, p_bar: float) -> float:
     overflows or underflows alone.  A p_bar outside [0, 1], which no study
     shows, has no size, nor has one so near the center that its size passes
     float64's range."""
-    if not math.isfinite(p_bar):
-        raise ParameterError(f"p_bar must be finite, got {p_bar!r}")
-    if not 0.0 <= p_bar <= 1.0:
-        raise ParameterError(f"p_bar must be a proportion in [0, 1], got {p_bar!r}")
+    p_bar = _check_real("p_bar", p_bar, 0, 1, "[]")
     if p_bar == spec.pinf:
         raise ParameterError(
             "the boundary curve diverges at the funnel center; plot the two branches separately"
@@ -85,8 +83,10 @@ def coverage(dataset: ScatterDataset, spec: FunnelSpec) -> float:
 
 def sample_curve(spec: FunnelSpec, n_min: float = 10.0, n_max: float = 1e5, points: int = 200):
     """(n, lower, upper) samples over a log-spaced grid of study sizes."""
-    if not 1 <= n_min < n_max < math.inf:
-        raise ParameterError("need finite 1 <= n_min < n_max")
+    n_min = _check_real("n_min", n_min, 1, math.inf, "[)")
+    n_max = _check_real("n_max", n_max, 1, math.inf, "[)")
+    if not n_min < n_max:
+        raise ParameterError(f"n_min must be below n_max, got {n_min!r} and {n_max!r}")
     _check_count("points", points, minimum=2)
     # numpy sizes the grid from float(points), and past 2^63 - 1 bytes it
     # raises ValueError or IndexError where a smaller grid raises MemoryError

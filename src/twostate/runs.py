@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ParameterError, _check_count, _check_open_unit, _holds_counts, _is_integer
+from .chain import ParameterError, _check_count, _check_real, _holds_counts, _is_integer
 from .simulate import BinarySequence, _store, _value_eq
 
 STATE_A = 1
@@ -127,7 +127,8 @@ def _run_weight_total(n: int, stay: float) -> float:
     K/(1-s) - s(1-s^K)/(1-s)^2, which loses about log10(2/(K(1-s))) digits
     to cancellation when K(1-s) < 1.  Callers first check m <= n-2."""
     k, x = n - 2, 1.0 - stay
-    escape = -math.expm1(k * math.log1p(-x))  # 1 - s^K, accurate for s near 1
+    # 1 - s^K, accurate for s near 1; below s = 2^-54, 1 - s rounds to 1, whose log1p(-1) math refuses
+    escape = -math.expm1(k * math.log1p(-x)) if x < 1.0 else 1.0
     return k / x - stay * escape / x**2
 
 
@@ -178,7 +179,7 @@ def log_run_frequencies(n: int, ms, stay: float) -> np.ndarray:
     chances of entering and of leaving the state scale every count alike and
     cancel).  It forms no power of `stay`, so it stays finite where the
     frequency underflows to 0."""
-    _check_open_unit("stay", stay)
+    stay = _check_real("stay", stay, 0, 1)
     ms = _check_run_domain(n, ms)
     return np.log((n - ms - 1) / _run_weight_total(n, stay)) + (ms - 1) * math.log(stay)
 
@@ -190,9 +191,9 @@ def memoryfree_curve(n: int, p_bar: float, max_m: int) -> dict:
     p_bar (1-p_bar), state A's count is 1-p_bar times its run-length weight
     at s = p_bar and state B's is p_bar times its weight at s = 1-p_bar, so
     the total mixes the two states' `_run_weight_total`s alike."""
-    _check_open_unit("p_bar", p_bar)
+    p_bar = _check_real("p_bar", p_bar, 0, 1)
     a = 1.0 - p_bar
-    _check_open_unit("1 - p_bar", a)
+    _check_real("1 - p_bar", a, 0, 1)
     _check_count("max_m", max_m)
     _check_run_domain(n, max_m)  # before the lengths 1..max_m are built
     ms = np.arange(1, max_m + 1)

@@ -145,13 +145,14 @@ class ScatterDataset:
 
     def __post_init__(self):
         sizes = np.asarray(self.sizes)
-        p_bars = np.asarray(self.p_bars, dtype=float)
+        p_bars = np.asarray(self.p_bars)
         if sizes.ndim != 1 or sizes.size < 1 or p_bars.shape != sizes.shape:
             raise ParameterError("sizes and p_bars must be equal-length non-empty 1-d arrays")
         if not _holds_counts(sizes, 1):
             raise ParameterError("every study size must be an integer in [1, 2^63 - 1]")
+        # the dtype is checked before the cast, which would read "0.5" as 0.5 and True as 1;
         # min/max are nan when any p_bar is, and then the test fails
-        if not (p_bars.min() >= 0.0 and p_bars.max() <= 1.0):
+        if not (p_bars.dtype.kind in "iuf" and p_bars.min() >= 0.0 and p_bars.max() <= 1.0):
             raise ParameterError("every p_bar must lie in [0, 1]")
         _store(self, "sizes", sizes, np.int64)
         _store(self, "p_bars", p_bars, float)

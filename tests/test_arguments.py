@@ -27,6 +27,7 @@ from twostate import (
     run_curve_objective,
     sample_curve,
     state_probability,
+    z_from_level,
 )
 from twostate.dataio import parse_sequence
 from twostate.runs import log_run_frequencies
@@ -72,6 +73,11 @@ CASES = {
 def test_out_of_domain_argument_raises_parameter_error(case):
     with pytest.raises(ParameterError):
         CASES[case]()
+
+
+def test_numpy_float_is_a_real_number():
+    params = MarkovParams(np.float64(0.5), 0.5)
+    assert params.p == 0.5 and params.p1 == 0.5
 
 
 def test_bool_study_sizes_are_counts():
@@ -161,12 +167,12 @@ MESSAGES = {
     "memoryfree_curve-max_m-2^62": (lambda: memoryfree_curve(10, 0.5, 2**62),
                                     "longest run 4611686018427387904 outside formula domain"),
     # nan would give a size of nan, and an infinite p_bar a size of 0
-    "required_n-nan-p_bar": (lambda: required_n(SPEC, math.nan), "p_bar must be finite, got nan"),
-    "required_n-infinite-p_bar": (lambda: required_n(SPEC, math.inf), "p_bar must be finite, got inf"),
-    "required_n-minus-infinite-p_bar": (lambda: required_n(SPEC, -math.inf), "p_bar must be finite, got -inf"),
+    "required_n-nan-p_bar": (lambda: required_n(SPEC, math.nan), "p_bar must lie in [0, 1], got nan"),
+    "required_n-infinite-p_bar": (lambda: required_n(SPEC, math.inf), "p_bar must lie in [0, 1], got inf"),
+    "required_n-minus-infinite-p_bar": (lambda: required_n(SPEC, -math.inf), "p_bar must lie in [0, 1], got -inf"),
     # a study's proportion cannot pass [0, 1], though the unclamped bounds do
-    "required_n-p_bar-above-one": (lambda: required_n(SPEC, 2.0), "p_bar must be a proportion in [0, 1], got 2.0"),
-    "required_n-p_bar-below-zero": (lambda: required_n(SPEC, -1.0), "p_bar must be a proportion in [0, 1], got -1.0"),
+    "required_n-p_bar-above-one": (lambda: required_n(SPEC, 2.0), "p_bar must lie in [0, 1], got 2.0"),
+    "required_n-p_bar-below-zero": (lambda: required_n(SPEC, -1.0), "p_bar must lie in [0, 1], got -1.0"),
     "required_n-p_bar-one-ulp-from-the-center": (lambda: required_n(FunnelSpec(0.5, 1e150, 1e3),
                                                                     math.nextafter(0.5, 1.0)),
                                                  "p_bar = 0.5000000000000001 is so near the funnel center"),
@@ -179,6 +185,26 @@ MESSAGES = {
                                "z * nu must be below about 1.3e154 and above about 2.2e-162"),
     "required_n-z-nu-1e-320": (lambda: required_n(FunnelSpec(0.5, 1e-160, 1e-160), 0.9),
                                "z * nu must be below about 1.3e154 and above about 2.2e-162"),
+    # numpy reads "0.5" as 0.5, and fails on "a" with its own ValueError
+    "ScatterDataset-string-p_bar": (lambda: ScatterDataset([1], ["a"]), "every p_bar must lie in [0, 1]"),
+    "ScatterDataset-numeric-string-p_bar": (lambda: ScatterDataset([1], ["0.5"]), "every p_bar must lie in [0, 1]"),
+    "ScatterDataset-none-p_bar": (lambda: ScatterDataset([1], [None]), "every p_bar must lie in [0, 1]"),
+    # a scalar that is not a real number: a bool was read as 0 or 1, a one-element
+    # array compared as its element, and a str raised a comparison's TypeError
+    "MarkovParams-string-p": (lambda: MarkovParams("0.5", 0.5), "p must lie in (0, 1), got '0.5'"),
+    "MarkovParams-bool-p1": (lambda: MarkovParams(0.5, 0.5, p1=True), "p1 must lie in [0, 1], got True"),
+    "MarkovParams-array-p": (lambda: MarkovParams(np.array([0.5]), 0.5), "p must lie in (0, 1), got array([0.5])"),
+    "FunnelSpec-bool-nu": (lambda: FunnelSpec(0.5, True), "nu must lie in (0, inf), got True"),
+    "sample_curve-bool-n_min": (lambda: sample_curve(SPEC, True, 10), "n_min must lie in [1, inf), got True"),
+    "z_from_level-string-level": (lambda: z_from_level("0.9"), "level must lie in (0, 1), got '0.9'"),
+    "estimate_nu-string-pinf": (lambda: estimate_nu(scatter(), "0.5"), "pinf must lie in (0, 1), got '0.5'"),
+    "invert_to_pq-string-nu": (lambda: invert_to_pq(0.5, "1"), "nu must lie in [0, inf), got '1'"),
+    "required_n-string-p_bar": (lambda: required_n(SPEC, "0.9"), "p_bar must lie in [0, 1], got '0.9'"),
+    "run_curve_objective-string-p11": (lambda: run_curve_objective(CURVE, CURVE, "0.5", 0.5),
+                                       "stay must lie in (0, 1), got '0.5'"),
+    "fit_scatter-bool-min_p": (lambda: fit_scatter(scatter(), min_p=False), "min_p must lie in [0, 1), got False"),
+    # an infinite nu was inverted to (p=nan, q=nan) and reported as infeasible
+    "invert_to_pq-infinite-nu": (lambda: invert_to_pq(0.5, math.inf), "nu must lie in [0, inf), got inf"),
 }
 
 

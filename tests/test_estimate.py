@@ -105,6 +105,12 @@ class TestInvertToPq:
         with pytest.raises(InfeasibleParametersError):
             invert_to_pq(0.9, 0.3)
 
+    @pytest.mark.parametrize("nu", [2.0**27, 1e154, 1e308])
+    def test_huge_nu_maps_to_the_frozen_chain(self, nu):
+        # nu**2 overflows past about 1.3e154, and s is 2 from 2^27 on
+        with pytest.raises(InfeasibleParametersError, match=r"maps to \(p=1\.0000, q=1\.0000\)"):
+            invert_to_pq(0.5, nu)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterError):
             invert_to_pq(0.0, 1.0)
