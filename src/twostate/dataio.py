@@ -1,7 +1,10 @@
 """File formats: study tables, sequence files, run curves, JSON reports.
 
-A study table is read in one pass straight into a `ScatterDataset`, the
-(n, p_bar) arrays; columns other than the ones it names are ignored.
+A study table is read straight into a `ScatterDataset`, the (n, p_bar)
+arrays; columns other than the ones it names are ignored.  A plain table,
+ASCII with one value column and no quoting, is read by numpy's C reader;
+any other, or one with a bad row, by a csv row loop, which names every bad
+row.  Both give the same dataset, and only the loop builds messages.
 
 A sequence file is handled as bytes end to end: `sequence_text` builds it
 as one uint8 buffer, and `parse_sequence` reads its bytes once and turns
@@ -130,10 +133,15 @@ def parse_studies(source) -> ScatterDataset:
 
     The header must name study_id, n and successes and/or p_bar, each at
     most once; any other column is ignored.  Each data row gives n and
-    exactly one of successes / p_bar, and yields one (n, p_bar) point.  One
-    csv reader reads the text once and each row is checked as it is read;
-    no row is kept.  A row is named by the line it starts on, and every
-    malformed row is named in one message line, joined by '; '.
+    exactly one of successes / p_bar, and yields one (n, p_bar) point.
+
+    A plain table, which csv would split exactly at its delimiter, is read
+    by numpy's C reader in one call (`_plain_points`).  Any other table,
+    and any table that call or its range checks refuse, is read by the row
+    loop (`_row_points`): one csv reader reads the text once, checks each
+    row as it is read and keeps none, names a row by the line it starts
+    on, and names every malformed row in one message line, joined by '; '.
+    So the dataset and every message are the row loop's.
     """
     text = _decode(_read_all(source))
     if not text:
@@ -149,57 +157,107 @@ def parse_studies(source) -> ScatterDataset:
         for name in ("study_id", "n", "successes", "p_bar"):
             if header.count(name) > 1:
                 raise DataFormatError(f"header names column {name!r} more than once")
-        width = len(header)
-        i_n, i_succ, i_pbar = (header.index(name) if name in header else None for name in ("n", "successes", "p_bar"))
-        sizes, p_bars, problems = [], [], []
-        next_line = reader.line_num + 1
-        for row in reader:
-            lineno, next_line = next_line, reader.line_num + 1
-            if len(row) < width:  # a short row's missing cells are empty
-                row += [""] * (width - len(row))
-            raw_n = row[i_n].strip()
-            if not raw_n and not "".join(row).strip():
-                continue
-            raw_succ = "" if i_succ is None else row[i_succ].strip()
-            raw_pbar = "" if i_pbar is None else row[i_pbar].strip()
-            try:
-                n = int(raw_n)
-                if not 0 < n <= _INT64_MAX:
-                    raise ValueError
-            except ValueError:
-                problems.append(f"line {lineno}: n must be an integer in [1, 2^63 - 1], got {raw_n!r}")
-                continue
-            if bool(raw_succ) == bool(raw_pbar):
-                problems.append(f"line {lineno}: exactly one of successes/p_bar must be given")
-                continue
-            if raw_succ:
-                try:
-                    successes = int(raw_succ)
-                    if not 0 <= successes <= n:
-                        raise ValueError
-                except ValueError:
-                    problems.append(f"line {lineno}: successes must be an integer in [0, n], got {raw_succ!r}")
-                    continue
-                p_bar = successes / n
-            else:
-                try:
-                    p_bar = float(raw_pbar)
-                    if not 0.0 <= p_bar <= 1.0:
-                        raise ValueError
-                except ValueError:
-                    problems.append(f"line {lineno}: p_bar must lie in [0, 1], got {raw_pbar!r}")
-                    continue
-            sizes.append(n)
-            p_bars.append(p_bar)
+        columns = [header.index(name) if name in header else None for name in ("n", "successes", "p_bar")]
+        start = lines.tell()
+        points = _plain_points(text, lines, delim, *columns)
+        if points is None:
+            lines.seek(start)
+            points = _row_points(reader, len(header), *columns)
     except csv.Error as exc:  # e.g. a cell longer than csv's field size limit
         raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+    sizes, p_bars = points
+    sizes.flags.writeable = p_bars.flags.writeable = False
+    return ScatterDataset(sizes, p_bars)
+
+
+def _plain_points(text: str, lines: io.StringIO, delim: str, i_n: int, i_succ: int | None, i_pbar: int | None):
+    """The (sizes, p_bars) arrays of a plain table, read from `lines`, the
+    stream of `text` after its header line, by numpy's C reader; or None,
+    for the row loop to read the table.
+
+    A table is plain when it names one of successes / p_bar, its text is
+    ASCII without '"' or '\\r', and no line is longer than csv's field size
+    limit: then csv splits each line exactly at the delimiter, so the C
+    reader reads the cells the row loop would.  None is also returned for a
+    table without a data line, where `loadtxt` warns; for one it refuses,
+    such as one with a cell `int` reads but it does not, or an empty cell;
+    for a point out of range; and for an n past 2^53, past which float64
+    division may not round as Python's exact successes / n does.
+    """
+    limit = csv.field_size_limit()
+    if (i_succ is None) == (i_pbar is None) or not text.isascii() or '"' in text or "\r" in text:
+        return None
+    if "\n" not in text.rstrip("\n"):
+        return None
+    for j in range(limit, len(text), limit):  # a line longer than the limit holds one such j
+        end = text.find("\n", j)
+        if (end if end >= 0 else len(text)) - text.rfind("\n", 0, j) > limit + 1:
+            return None
+    try:
+        table = np.loadtxt(lines, delimiter=delim, comments=None, ndmin=1,
+                           usecols=(i_n, i_pbar if i_succ is None else i_succ),
+                           dtype=[("n", np.int64), ("v", np.float64 if i_succ is None else np.int64)])
+    except ValueError:
+        return None
+    sizes, values = table["n"], table["v"]  # views, which `ScatterDataset` copies
+    if not 1 <= sizes.min() <= sizes.max() <= 2**53:
+        return None
+    if i_succ is None:
+        ok, p_bars = np.all((values >= 0.0) & (values <= 1.0)), values
+    else:
+        ok, p_bars = np.all((values >= 0) & (values <= sizes)), values / sizes
+    return (sizes, p_bars) if ok else None
+
+
+def _row_points(reader, width: int, i_n: int, i_succ: int | None, i_pbar: int | None):
+    """The (sizes, p_bars) arrays of the rows `reader` has left, each row
+    checked as it is read; a malformed row is named by the line it starts
+    on, and every one in one `DataFormatError`."""
+    sizes, p_bars, problems = [], [], []
+    next_line = reader.line_num + 1
+    for row in reader:
+        lineno, next_line = next_line, reader.line_num + 1
+        if len(row) < width:  # a short row's missing cells are empty
+            row += [""] * (width - len(row))
+        raw_n = row[i_n].strip()
+        if not raw_n and not "".join(row).strip():
+            continue
+        raw_succ = "" if i_succ is None else row[i_succ].strip()
+        raw_pbar = "" if i_pbar is None else row[i_pbar].strip()
+        try:
+            n = int(raw_n)
+            if not 0 < n <= _INT64_MAX:
+                raise ValueError
+        except ValueError:
+            problems.append(f"line {lineno}: n must be an integer in [1, 2^63 - 1], got {raw_n!r}")
+            continue
+        if bool(raw_succ) == bool(raw_pbar):
+            problems.append(f"line {lineno}: exactly one of successes/p_bar must be given")
+            continue
+        if raw_succ:
+            try:
+                successes = int(raw_succ)
+                if not 0 <= successes <= n:
+                    raise ValueError
+            except ValueError:
+                problems.append(f"line {lineno}: successes must be an integer in [0, n], got {raw_succ!r}")
+                continue
+            p_bar = successes / n
+        else:
+            try:
+                p_bar = float(raw_pbar)
+                if not 0.0 <= p_bar <= 1.0:
+                    raise ValueError
+            except ValueError:
+                problems.append(f"line {lineno}: p_bar must lie in [0, 1], got {raw_pbar!r}")
+                continue
+        sizes.append(n)
+        p_bars.append(p_bar)
     if problems:
         raise DataFormatError("; ".join(problems))
     if not sizes:
         raise DataFormatError("study file contains no data rows")
-    sizes, p_bars = np.array(sizes, dtype=np.int64), np.array(p_bars)
-    sizes.flags.writeable = p_bars.flags.writeable = False
-    return ScatterDataset(sizes, p_bars)
+    return np.array(sizes, dtype=np.int64), np.array(p_bars)
 
 
 def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySequence:

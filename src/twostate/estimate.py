@@ -69,9 +69,15 @@ def estimate_nu(dataset: ScatterDataset, pinf: float) -> float:
     the weighted center this is the least value of the sum.  Returns 0.0
     for the degenerate dataset whose points all sit exactly on the center,
     and inf where a pinf near 0 or 1 takes the quotient past float64.
+    Deviations whose squares all underflow are scaled by the largest first.
     """
     pinf = _check_real("pinf", pinf, 0, 1)
-    moment = float(np.mean(dataset.sizes * (dataset.p_bars - pinf) ** 2))  # a Python float overflows to inf, where numpy's warns
+    deviations = dataset.p_bars - pinf
+    moment = float(np.mean(dataset.sizes * deviations**2))  # a Python float overflows to inf, where numpy's warns
+    if moment == 0.0 and deviations.any():  # every square underflowed: scale by the largest deviation first
+        scale = float(np.abs(deviations).max())
+        moment = float(np.mean(dataset.sizes * (deviations / scale) ** 2))
+        return scale * math.sqrt(moment) / math.sqrt(pinf * (1.0 - pinf))  # finite, as pinf >= 5e-324
     return math.sqrt(moment / (pinf * (1.0 - pinf)))
 
 
@@ -158,6 +164,7 @@ def run_curve_objective(on_curve: dict, off_curve: dict, p11: float, p22: float,
     is the model run-length frequency for sequences of `length` steps; log g_m
     is finite, so empty bins add 0.  Each state's term depends only on its own
     stay probability.  A sum that passes float64 is refused."""
+    p11, p22 = _check_real("p11", p11, 0, 1), _check_real("p22", p22, 0, 1)
     total = 0.0
     for curve, stay in ((on_curve, p11), (off_curve, p22)):
         ms, freqs, _, _ = _curve_arrays(curve, length)

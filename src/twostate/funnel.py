@@ -19,6 +19,7 @@ import numpy as np
 from .chain import _INT64_MAX, ParameterError, _check_count, _check_real
 from .simulate import ScatterDataset
 
+
 def z_from_level(level: float) -> float:
     """Two-sided normal quantile for a coverage level in (0, 1)."""
     level = _check_real("level", level, 0, 1)

@@ -201,7 +201,9 @@ MESSAGES = {
     "invert_to_pq-string-nu": (lambda: invert_to_pq(0.5, "1"), "nu must lie in [0, inf), got '1'"),
     "required_n-string-p_bar": (lambda: required_n(SPEC, "0.9"), "p_bar must lie in [0, 1], got '0.9'"),
     "run_curve_objective-string-p11": (lambda: run_curve_objective(CURVE, CURVE, "0.5", 0.5),
-                                       "stay must lie in (0, 1), got '0.5'"),
+                                       "p11 must lie in (0, 1), got '0.5'"),
+    "run_curve_objective-p22-out-of-range": (lambda: run_curve_objective(CURVE, CURVE, 0.5, 1.0),
+                                             "p22 must lie in (0, 1), got 1.0"),
     "fit_scatter-bool-min_p": (lambda: fit_scatter(scatter(), min_p=False), "min_p must lie in [0, 1), got False"),
     # an infinite nu was inverted to (p=nan, q=nan) and reported as infeasible
     "invert_to_pq-infinite-nu": (lambda: invert_to_pq(0.5, math.inf), "nu must lie in [0, inf), got inf"),

@@ -11,12 +11,13 @@ import re
 import stat
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from twostate import BinarySequence, MarkovParams, ScatterDataset, generate
+from twostate import BinarySequence, MarkovParams, ScatterDataset, dataio, generate
 from twostate.dataio import (
     DataFormatError,
     _detect_delimiter,
@@ -109,23 +110,30 @@ class TestParseStudies:
         assert str(err.value) == ("line 2: n must be an integer in [1, 2^63 - 1], got '0'; "
                                   "line 3: p_bar must lie in [0, 1], got '2'")
 
-    def test_memory_is_the_points_not_the_rows(self, tmp_path):
-        # a 10^4-row table of about 140 kB, as the benchmark writes it; the
-        # first call imports what the parse needs, so it comes first
-        rng = np.random.default_rng(7)
-        sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 10**4))).astype(int)
-        successes = rng.binomial(sizes, 0.6)
-        path = tmp_path / "studies.csv"
-        path.write_text("study_id,n,successes\n" + "".join(
-            f"s{i},{n},{k}\n" for i, (n, k) in enumerate(zip(sizes.tolist(), successes.tolist()))))
-        parse_studies(path)
+    @staticmethod
+    def traced_peak(path):
+        parse_studies(path)  # the first call imports what the parse needs
         tracemalloc.start()
         try:
             parse_studies(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+
+    def test_memory_is_the_points_not_the_rows(self, tmp_path):
+        # a 10^4-row table of about 140 kB, as the benchmark writes it; the
+        # traced peak, about 1.04 MiB, is the text, its csv stream and the C
+        # reader's buffers, where the row loop's was 1.38 MiB
+        path = tmp_path / "studies.csv"
+        path.write_text(benchmark_table())
+        assert self.traced_peak(path) < 2 * 2**20
+
+    def test_memory_of_a_p_bar_table_is_the_points_not_the_rows(self, tmp_path):
+        # the same studies as proportions in 9 digits, about 215 kB: a traced
+        # peak of about 1.35 MiB, where the row loop's was 1.74 MiB
+        path = tmp_path / "studies.csv"
+        path.write_text(benchmark_table("p_bar"))
+        assert self.traced_peak(path) < 2 * 2**20
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         # spreadsheets save UTF-8 tables with a leading U+FEFF
@@ -141,6 +149,16 @@ class TestParseStudies:
         ds = parse_studies(path)
         assert len(ds) == 2000
         assert ds.sizes.min() >= 50
+
+
+def benchmark_table(column="successes"):
+    """A 10^4-row study table of the benchmark's shape, its value column
+    `column`: successes, or p_bar in the canonical 9 digits."""
+    rng = np.random.default_rng(7)
+    sizes = np.round(np.exp(rng.uniform(np.log(20), np.log(10**4), 10**4))).astype(int).tolist()
+    successes = rng.binomial(sizes, 0.6).tolist()
+    values = successes if column == "successes" else [fmt(k / n) for n, k in zip(sizes, successes)]
+    return f"study_id,n,{column}\n" + "".join(f"s{i},{n},{v}\n" for i, (n, v) in enumerate(zip(sizes, values)))
 
 
 def parse_studies_list(text):
@@ -519,6 +537,120 @@ class TestOnePassParse:
         if isinstance(old, str) and isinstance(new, str) and new.startswith("header ") and CSV_ERROR.match(old):
             return
         assert new == (old.replace("\n", "; ") if isinstance(old, str) else old)
+
+
+# plain tables, which numpy's C reader reads: ASCII, no quote, no carriage
+# return, one value column.  Their numbers are valid ints and floats, at and
+# past 2^53 and int64, and edge cells: some that `int` or `float` reads and
+# the C reader refuses, such as "1_0", and some that neither reads.  Their
+# ids hold '#' and spaces.  A table holding U+0665, ARABIC-INDIC DIGIT FIVE,
+# is not plain after all, and goes to the row loop.
+EDGE_NUMBERS = [" 5", "+4", "1_0", "\u0665", "0x10", "\x0b7", "-0", ".5", "nan", "inf", "", "-1", "1e3", "10.0",
+                str(2**53), str(2**53 + 1), str(2**63 - 1), str(2**63), "\x00"]
+numbers = st.one_of(st.integers(-10, 10**6).map(str), st.integers(0, 2**64).map(str),
+                    st.floats(-1.0, 2.0).map(repr), st.sampled_from(EDGE_NUMBERS))
+ID_CELLS = st.sampled_from(["s1", "", " ", "#", "s 1", "# x", "1#"])
+
+
+@st.composite
+def plain_tables(draw):
+    column = draw(st.sampled_from(["successes", "p_bar"]))
+    header = draw(st.permutations(["study_id", "n", column, "group"][:draw(st.integers(3, 4))]))
+    valid = draw(st.booleans())
+    rows = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, 10**6) | st.integers(2**53 - 1, 2**53 + 1))
+        value = str(draw(st.integers(0, n))) if column == "successes" else repr(draw(st.floats(0.0, 1.0)))
+        cells = {"study_id": draw(ID_CELLS), "group": draw(ID_CELLS), "n": str(n), column: value}
+        if not valid and draw(st.booleans()):
+            cells[draw(st.sampled_from(["n", column]))] = draw(numbers)
+        row = [cells[name] for name in header]
+        rows.append(row if valid or draw(st.booleans()) else row[:draw(st.integers(0, len(row)))])
+    delim = draw(st.sampled_from([",", ";", "\t"]))
+    return "\n".join(delim.join(row) for row in rows) + "\n" * draw(st.integers(0, 2))
+
+
+def dataset_bytes(read, text):
+    """What `read` makes of `text`: its message, or its arrays' dtypes and bytes."""
+    try:
+        dataset = read(text)
+    except DataFormatError as exc:
+        return str(exc).replace("\n", "; ")
+    return [(a.dtype.str, a.tobytes()) for a in (dataset.sizes, dataset.p_bars)]
+
+
+class TestPlainTableParse:
+    """The C reader's tables give the row loop's datasets and messages."""
+
+    def test_matches_the_list_based_reader(self, monkeypatch):
+        plain = []
+        read_plain = dataio._plain_points
+        monkeypatch.setattr(dataio, "_plain_points", lambda *args: plain.append(read_plain(*args)) or plain[-1])
+
+        @seed(20261020)
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(text=plain_tables())
+        def check(text):
+            new = dataset_bytes(lambda t: parse_studies(io.StringIO(t)), text)
+            assert new == dataset_bytes(parse_studies_list, text)
+
+        check()
+        # both readers met many tables
+        read = sum(points is not None for points in plain)
+        assert read >= 100 and len(plain) - read >= 100
+
+    def test_benchmark_table_is_read_without_the_row_loop(self, monkeypatch):
+        def row_loop(*args):
+            raise AssertionError("the benchmark's table entered the row loop")
+
+        text = benchmark_table()
+        expected = parse_studies_list(text)
+        monkeypatch.setattr(dataio, "_row_points", row_loop)
+        assert parse_studies(io.StringIO(text)) == expected
+
+    # the long line holds the text's first multiple of the limit, or only its second
+    @pytest.mark.parametrize("before, line", [("", 2), ("s" * 131_060 + ",10,5\n", 3)], ids=["first", "second"])
+    def test_line_past_the_field_size_limit_is_csvs_error(self, before, line):
+        text = "study_id,n,successes\n" + before + "s" * 131_073 + ",10,5\n"
+        with pytest.raises(DataFormatError, match=rf"^line {line}: field larger than field limit \(131072\)$"):
+            parse_studies(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        "study_id,n,successes\ns1,10,5\ns2,0,0\n",
+        "study_id,n,successes\ns1,10,5\ns2,10,-1\n",
+        "study_id,n,successes\ns1,10,5\ns2,10,11\n",
+        "study_id,n,p_bar\ns1,10,0.5\ns2,10,-0.5\n",
+        "study_id,n,p_bar\ns1,10,0.5\ns2,10,1.5\n",
+        "study_id,n,p_bar\ns1,10,0.5\ns2,10,nan\n",
+    ], ids=["n-zero", "successes-negative", "successes-past-n", "p_bar-negative", "p_bar-past-one", "p_bar-nan"])
+    def test_point_out_of_range_is_named_by_the_row_loop(self, text):
+        assert dataset_bytes(lambda t: parse_studies(io.StringIO(t)), text) == dataset_bytes(parse_studies_list, text)
+
+    @pytest.mark.parametrize("text", [
+        "study_id,n,successes\r\ns1,10,5\r\ns2,4,1\r\n",
+        'study_id,n,successes\n"s1",10,5\ns2,"4",1\n',
+        'study_id,n,successes\ns1,10,5\ns2,"4\n",1\n',
+        # csv reads one row, from a cell that spans the lines; split at each ',' they are two
+        'study_id,n,successes\n",10,5\ns",10,6\n',
+        "study_id,n,successes\ns1,10,5\rs2,4,1\n",
+        "study_id,n,successes,p_bar\ns1,10,5,\ns2,4,,0.25\n",
+        "study_id,n,successes,p_bar\ns1,10,5,0.5\n",
+    ], ids=["crlf", "quoted", "quoted-newline", "quote-across-lines", "bare-cr", "both-columns",
+            "both-columns-both-given"])
+    def test_other_tables_are_the_row_loops(self, text):
+        assert dataset_bytes(lambda t: parse_studies(io.StringIO(t)), text) == dataset_bytes(parse_studies_list, text)
+
+    def test_size_past_2_53_gives_the_exact_quotient(self):
+        # float64 reads 2^53 + 1 as 2^53, and 1 / 2^53 is one ulp above the quotient
+        ds = parse_studies(io.StringIO(f"study_id,n,successes\ns1,{2**53 + 1},1\n"))
+        assert ds.sizes.tolist() == [2**53 + 1] and ds.p_bars.tolist() == [1 / (2**53 + 1)] != [2.0**-53]
+
+    @pytest.mark.parametrize("text", ["study_id,n,successes", "study_id,n,successes\n", "study_id,n,p_bar\n\n\n"])
+    def test_header_only_table_has_no_data_rows_and_no_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="^study file contains no data rows$"):
+                parse_studies(io.StringIO(text))
 
 
 class TestParserFuzz:

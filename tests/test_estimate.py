@@ -70,6 +70,15 @@ class TestEstimateNu:
         ds = ScatterDataset(np.full(25, 100), np.full(25, 0.58))
         assert estimate_nu(ds, 0.58) == 0.0
 
+    # each (p_bar - pinf)^2, about 2.5e-601 or 2.5e-641, is 0 in float64, yet no point sits on
+    # the center; in the second, n / pinf passes float64, though nu is about 1.5e-151
+    @pytest.mark.parametrize("n, p_bar", [(10, 1e-300), (2**62, 1e-320)])
+    def test_deviations_whose_squares_underflow(self, n, p_bar):
+        ds = ScatterDataset([n, n], [p_bar, 0.0])
+        assert estimate_nu(ds, p_bar / 2) == pytest.approx(np.sqrt(n * p_bar / 2), rel=1e-12)
+        with pytest.raises(InfeasibleParametersError, match=r"maps to \(p=-1.0000, q=1.0000\) outside"):
+            fit_scatter(ds)
+
     def test_moment_equation_exact(self):
         # sum n (p_bar - pinf)^2 = 100 * 0.075^2 + 300 * 0.025^2 = 0.75 over N pinf(1-pinf) = 2 * 0.249375
         ds = ScatterDataset([100, 300], [0.6, 0.5])
