@@ -48,14 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _emit(text: str | np.ndarray, out: str | None, staged: list) -> str:
-    """Stage `text`, a str or the ASCII bytes of `sequence_text`, in the
-    command's block for the file `out` and return "", or else return it as
-    the str to print."""
+def _emit(text: str, out: str | None, staged: list) -> str:
+    """Stage `text` in the command's block for the file `out` and return "",
+    or else return it to print."""
     if out:
         write_text_atomic(out, text, staged)
         return ""
-    return text if isinstance(text, str) else str(text, "ascii")
+    return text
 
 
 def _read_inputs(**paths) -> tuple[dict, list]:
@@ -101,13 +100,17 @@ def cmd_simulate(args, staged: list) -> str:
     _check_count("--count", args.count)
     for i in range(args.count):
         seed_i = seed if args.count == 1 else child_seed(seed, i)
-        seq = generate(params, args.n, seed_i)
-        out = None
+        text = sequence_text(generate(params, args.n, seed_i))
         if args.out:
-            out = args.out if args.count == 1 else _indexed_path(args.out, i)
-        # printed as drawn, so that memory does not grow with --count; a
-        # command that prints sequences stages no file
-        sys.stdout.write(_emit(sequence_text(seq), out, staged))
+            write_text_atomic(args.out if args.count == 1 else _indexed_path(args.out, i), text, staged)
+        elif hasattr(sys.stdout, "buffer"):
+            # printed as drawn, so that memory does not grow with --count, and
+            # as the bytes, so that no str of them is made; a command that
+            # prints sequences stages no file
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text)
+        else:  # a text-only stdout, such as an io.StringIO
+            sys.stdout.write(str(text, "ascii"))
     return ""
 
 

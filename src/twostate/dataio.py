@@ -7,10 +7,13 @@ any other, or one with a bad row, by a csv row loop, which names every bad
 row.  Both give the same dataset, and only the loop builds messages.
 
 A sequence file is handled as bytes end to end: `sequence_text` builds it
-as one uint8 buffer, and `parse_sequence` reads its bytes once and turns
-them into the state array, with no `str` built on either side unless the
-file holds more than '0', '1' and ASCII whitespace.  Every input is
-decoded at one point, `_decode`, which drops a leading byte-order mark.
+as one uint8 buffer, and `parse_sequence` reads a path in the default
+format into one array and turns it into the state array in place.  A file
+with other bytes, a stream and the alphabet format are read from a copy of
+their bytes or text; a `str` is built only for the alphabet format, a text
+stream, or a file with more than '0', '1' and ASCII whitespace.  Every
+input is decoded at one point, `_decode`, which drops a leading byte-order
+mark.
 
 All numeric output uses plain decimal with up to 9 significant digits and a
 '.' separator, independent of locale, so fixed inputs produce byte-identical
@@ -28,6 +31,7 @@ import io
 import json
 import math
 import os
+import stat
 from dataclasses import asdict
 
 import numpy as np
@@ -43,6 +47,7 @@ class DataFormatError(ValueError):
 
 # the ASCII characters str.isspace() accepts, which the sequence format skips
 _ASCII_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
+_PIPE_READ = 2**16  # the first size of the array a pipe is read into
 
 
 def fmt(x: float) -> str:
@@ -61,6 +66,27 @@ def _read_all(source) -> bytes | str:
         return source.read()
     with open(source, "rb") as fh:
         return fh.read()
+
+
+def _read_array(path) -> np.ndarray:
+    """All of a file's bytes, as a writable uint8 array that owns them.  A
+    regular file is read into an array of its size and one byte more, to
+    see its end; a pipe, or a file that grows meanwhile, doubles the array
+    whenever it is full.  The array is then cut to the bytes read."""
+    with open(path, "rb", buffering=0) as fh:
+        info = os.fstat(fh.fileno())
+        data = np.empty(info.st_size + 1 if stat.S_ISREG(info.st_mode) else _PIPE_READ, dtype=np.uint8)
+        filled = 0
+        while True:
+            with memoryview(data) as view:  # released before the array is resized
+                count = fh.readinto(view[filled:])
+            if not count:
+                break
+            filled += count
+            if filled == data.size:
+                data.resize(2 * filled, refcheck=False)
+    data.resize(filled, refcheck=False)
+    return data
 
 
 def _decode(data: bytes | str) -> str:
@@ -268,17 +294,23 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
     whitespace-separated tokens instead.  Any third symbol is an error
     naming its position (1-based, counted over non-whitespace input).
 
-    A file in the default format is read as bytes, once, to its end (so a
-    pipe is read in full), and '0' is subtracted from them into the state
-    array, with no loop per symbol (`_ascii_states`).  A file that holds
-    any other byte, such as a stray symbol, a non-ASCII character or
-    invalid UTF-8, is decoded as text and read by `_text_states`, which
-    names the error; so are a text stream and the alphabet format.
+    A path in the default format is read to its end (so a pipe is read in
+    full) into one array, which `_ascii_states` turns into the state array
+    in place, with no loop per symbol.  A file with any other byte, such as
+    interior whitespace or a stray symbol, and a binary stream, are read by
+    `_bytes_states`; one with a byte other than '0', '1' and ASCII
+    whitespace, a text stream and the alphabet format are decoded as text
+    and read by `_text_states`, which names the error.
     """
     if alphabet is not None:
         _check_alphabet(alphabet)
-    data = _read_all(source)
-    states = _ascii_states(data) if alphabet is None and isinstance(data, bytes) else None
+    if alphabet is None and not hasattr(source, "read"):
+        data = _ascii_states(_read_array(source))
+    else:
+        data = _read_all(source)
+    states = data if isinstance(data, np.ndarray) else None
+    if alphabet is None and isinstance(data, bytes):
+        states = _bytes_states(data)
     if states is None:
         states = _text_states(_decode(data), alphabet)
     if not states.size:
@@ -296,7 +328,30 @@ def _check_alphabet(alphabet, name: str = "alphabet") -> None:
         raise ParameterError(f"{name} needs exactly two different symbols, each without whitespace, got {alphabet!r}")
 
 
-def _ascii_states(data: bytes) -> np.ndarray | None:
+def _content_end(data: bytes | np.ndarray) -> int:
+    """The length of a file's bytes without up to 64 bytes of trailing ASCII
+    whitespace, such as the usual final newline."""
+    tail = bytes(data[-64:])
+    return len(data) - len(tail) + len(tail.rstrip(_ASCII_WHITESPACE))
+
+
+def _ascii_states(data: np.ndarray) -> np.ndarray | bytes:
+    """The states of a default-format file, made in place in `data`, the
+    uint8 array that owns its bytes, and cut to them, so that
+    `BinarySequence` keeps it without a copy; or, if the file holds a byte
+    other than '0', '1' and trailing whitespace, its bytes, restored."""
+    end = _content_end(data)
+    symbols = data[:end]
+    symbols -= ord("0")
+    if not end or symbols.max() <= 1:
+        del symbols  # no view into the array is left when it is resized
+        data.resize(end, refcheck=False)
+        return data
+    symbols += ord("0")
+    return data.tobytes()
+
+
+def _bytes_states(data: bytes) -> np.ndarray | None:
     """The states of a default-format file's bytes, or None if it holds a
     byte other than '0', '1' and ASCII whitespace.
 
@@ -305,9 +360,7 @@ def _ascii_states(data: bytes) -> np.ndarray | None:
     whitespace is read again from a copy of its bytes with all whitespace
     deleted.
     """
-    tail = data[-64:]
-    end = len(data) - len(tail) + len(tail.rstrip(_ASCII_WHITESPACE))
-    states = np.frombuffer(data, dtype=np.uint8, count=end) - ord("0")
+    states = np.frombuffer(data, dtype=np.uint8, count=_content_end(data)) - ord("0")
     if states.size and states.max() > 1:
         del states  # freed before the copy is made
         states = np.frombuffer(data.translate(None, _ASCII_WHITESPACE), dtype=np.uint8) - ord("0")

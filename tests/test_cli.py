@@ -1,13 +1,16 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +89,39 @@ class TestSimulate:
         expected = (generate(MarkovParams(0.88, 0.5), n, 6).states + ord("0")).tobytes() + b"\n"
         assert out.read_bytes() == capsysbinary.readouterr().out == expected
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_stdout_bytes_are_the_sequence_files(self, capsysbinary, count):
+        argv = ["simulate", "--p", "0.7", "--q", "0.4", "--n", "1001", "--seed", "5", "--count", str(count)]
+        assert main(argv) == 0
+        seeds = [5] if count == 1 else [twostate.child_seed(5, i) for i in range(count)]
+        expected = b"".join((generate(MarkovParams(0.7, 0.4), 1001, s).states + ord("0")).tobytes() + b"\n"
+                            for s in seeds)
+        assert capsysbinary.readouterr().out == expected
+
+    def test_text_only_stdout_gets_the_text(self, capsysbinary):
+        argv = ["simulate", "--p", "0.7", "--q", "0.4", "--n", "1001", "--seed", "5", "--count", "3"]
+        assert main(argv) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert main(argv) == 0
+        assert text.getvalue().encode() == capsysbinary.readouterr().out
+
+    def test_memory_printed_is_the_states_and_the_text(self, monkeypatch):
+        # the state array and its n + 1 bytes of text, written to stdout's
+        # buffer as they are: about 2.00 B/step traced, where a str of the
+        # text and stdout's encoding of it took 3.00
+        n = 3 * 10**6
+        argv = ["simulate", "--p", "0.88", "--q", "0.5", "--n", str(n), "--seed", "1"]
+        with open(os.devnull, "w") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            assert main(argv) == 0  # the first call imports what the command needs
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2.25 * n
+
     def test_env_var_default_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TWOSTATE_SEED", "777")
         assert main(["simulate", "--p", "0.5", "--q", "0.5", "--n", "40"]) == 0
@@ -133,6 +169,28 @@ class TestRuns:
         assert main(["runs", "--input", str(seq_file)]) == 0
         out = capsys.readouterr().out
         assert "state A" in out and "m,frequency" in out
+
+    @pytest.mark.parametrize("name, message", [
+        ("missing.txt", "[Errno 2] No such file or directory"),
+        ("", "[Errno 21] Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unreadable_input_is_one_line_data_error(self, tmp_path, capsys, name, message):
+        path = tmp_path / name
+        assert main(["runs", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}: '{path}'\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_input_gives_the_file_curves(self, tmp_path, capsys):
+        # a pipe has no size to read by, and 200 kB is more than its buffer holds
+        seq_file = tmp_path / "seq.txt"
+        assert main(["simulate", "--p", "0.8", "--q", "0.55", "--n", "200000", "--seed", "3",
+                     "--out", str(seq_file)]) == 0
+        assert main(["runs", "--input", str(seq_file)]) == 0
+        result = subprocess.run([sys.executable, "-m", "twostate", "runs", "--input", "/dev/stdin"],
+                                input=seq_file.read_bytes(), capture_output=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.decode() == capsys.readouterr().out
 
     def test_alphabet_input(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.txt"

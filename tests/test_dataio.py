@@ -11,6 +11,7 @@ import re
 import stat
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -416,9 +417,40 @@ class TestParseSequence:
             writer.join()
         assert parsed == seq
 
+    @pytest.mark.parametrize("change", [-1, 1], ids=["grew-after-fstat", "shrank-after-fstat"])
+    def test_file_whose_size_changes_is_read_to_its_end(self, tmp_path, monkeypatch, change):
+        # fstat reports one byte fewer or one more than the read then finds
+        text = sequence_text(generate(MarkovParams(0.65, 0.25), 1000, 4)).tobytes()
+        path = tmp_path / "seq.txt"
+        path.write_bytes(text)
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+            st_mode=fstat(fd).st_mode, st_size=fstat(fd).st_size + change))
+        assert dataio._read_array(path).tobytes() == text
+        assert parse_sequence(path) == parse_sequence(io.StringIO(text.decode()))
+
+    def test_memory_of_a_file_is_the_states(self, tmp_path):
+        # the file is read into one array, which becomes the state array in
+        # place: about 1.00 B/symbol traced, where the bytes and a second
+        # state array took 2.00
+        n = 3 * 10**6
+        path = tmp_path / "seq.txt"
+        with staged_writes() as staged:
+            write_text_atomic(path, sequence_text(generate(MarkovParams(0.88, 0.5), n, 1)), staged)
+        parse_sequence(path)
+        tracemalloc.start()
+        try:
+            parse_sequence(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n
+
     def test_memory_is_the_bytes_and_the_states(self, tmp_path):
-        # the file's bytes and the state array, one byte a symbol each; the
-        # first call imports what the parse needs, so it comes first
+        # the bound of a reader that holds the file's bytes and the state
+        # array, one byte a symbol each; `test_memory_of_a_file_is_the_states`
+        # holds the one-array bound.  The first call imports what the parse
+        # needs, so it comes first
         n = 3 * 10**6
         path = tmp_path / "seq.txt"
         with staged_writes() as staged:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from twostate import MarkovParams, ParameterError, ScatterDataset, child_seed, derive, ensemble, estimate, generate
 from twostate.estimate import (
     InfeasibleParametersError,
+    _fit_stay,
     estimate_center,
     estimate_nu,
     fit_runs_simulated,
@@ -24,6 +25,13 @@ from twostate.runs import (
 from conftest import run_frequencies
 
 probs = st.floats(min_value=0.02, max_value=0.98)
+
+
+def transition_table(x):
+    """The transition counts of a 0/1 record: table[i, j] is the number of
+    steps from state i to state j (A = 1, B = 0), n - 1 in all."""
+    x = np.asarray(x, dtype=np.intp)
+    return np.bincount(2 * x[:-1] + x[1:], minlength=4).reshape(2, 2)
 
 
 def model_curves(p11, p22, n=10_000, max_m=200):
@@ -277,3 +285,25 @@ class TestFitRunsSimulated:
         at_truth = run_curve_objective(on, off, 0.42, 0.77)
         for p11, p22 in ((0.41, 0.77), (0.43, 0.77), (0.42, 0.76), (0.42, 0.78), (0.5, 0.5)):
             assert run_curve_objective(on, off, p11, p22) > at_truth
+
+
+class TestTransitionTableOracle:
+    """Given its first state, a chain's likelihood is
+    p^n_AA (1-p)^n_AB q^n_BB (1-q)^n_BA, so the MLE of a state's stay is
+    n_stay / (n_stay + n_leave) from the record's transition table.  The
+    table is the run counts with the end run kept apart: a state's stays are
+    its summed m - 1, and it is left by every run but a last one."""
+
+    @pytest.mark.parametrize("p, q", [(0.8, 0.55), (0.25, 0.65), (0.93, 0.2), (0.5, 0.5), (0.7, 0.3), (0.52, 0.5)])
+    def test_pooled_run_fit_is_the_table_mle(self, p, q):
+        # within c/N for N runs of the state, c = 1 fixed beforehand
+        n = 10**4
+        for i in range(10):
+            seq = generate(MarkovParams(p, q), n, child_seed(35, i))
+            table = transition_table(seq.states)
+            for state, hist, name in zip((1, 0), extract_runs(seq), ("on", "off")):
+                runs, stays = hist.n_runs, hist.occupied_length - hist.n_runs
+                assert table[state, state] == stays
+                assert table[state, 1 - state] == runs - (seq.states[-1] == state)
+                mle = table[state, state] / table[state].sum()
+                assert abs(_fit_stay(name, runs, stays, n) - mle) <= 1 / runs
