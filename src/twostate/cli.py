@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import os
 import sys
 
@@ -25,7 +24,7 @@ from .chain import MarkovParams, ParameterError, _check_count
 from .dataio import (
     DataFormatError,
     _check_alphabet,
-    _read_all,
+    _read_bytes,
     curve_text,
     funnel_table_text,
     parse_curve,
@@ -58,15 +57,15 @@ def _emit(text: str, out: str | None, staged: list) -> str:
 
 
 def _read_inputs(**paths) -> tuple[dict, list]:
-    """The report's record of each input file, its path and the SHA-256 of
-    its bytes, and a stream of those bytes to parse.  Each file is read
-    once, so the digest is of what is parsed, a pipe's included."""
-    inputs, streams = {}, []
+    """Each input file's record for the report, its path and the SHA-256
+    of its bytes, and the array of those bytes as a parser's source: one
+    read, so the digest is of what is parsed, a pipe's included."""
+    inputs, arrays = {}, []
     for name, path in paths.items():
-        data = _read_all(path)
+        data = _read_bytes(path)
         inputs[name] = {"path": str(path), "sha256": sha256_of(data)}
-        streams.append(io.BytesIO(data))
-    return inputs, streams
+        arrays.append(data)
+    return inputs, arrays
 
 
 def _indexed_path(path: str, index: int) -> str:

@@ -1,19 +1,20 @@
 """File formats: study tables, sequence files, run curves, JSON reports.
 
+Every parser reads its source through one reader, `_read_bytes`, into one
+uint8 array of the bytes: a path's or a binary stream's, a text stream's
+text as UTF-8, or a given array itself, which the parse may change.  Text
+is made from them at one point, `_decode`, as a file opened as UTF-8 text
+reads, less a byte-order mark.
+
 A study table is read straight into a `ScatterDataset`, the (n, p_bar)
 arrays; columns other than the ones it names are ignored.  A plain table,
 ASCII with one value column and no quoting, is read by numpy's C reader;
 any other, or one with a bad row, by a csv row loop, which names every bad
 row.  Both give the same dataset, and only the loop builds messages.
 
-A sequence file is handled as bytes end to end: `sequence_text` builds it
-as one uint8 buffer, and `parse_sequence` reads a path in the default
-format into one array and turns it into the state array in place.  A file
-with other bytes, a stream and the alphabet format are read from a copy of
-their bytes or text; a `str` is built only for the alphabet format, a text
-stream, or a file with more than '0', '1' and ASCII whitespace.  Every
-input is decoded at one point, `_decode`, which drops a leading byte-order
-mark.
+A default-format sequence file becomes its state array in the array of its
+bytes; a `str` is built only for the alphabet format or a file with more
+than '0', '1' and ASCII whitespace.
 
 All numeric output uses plain decimal with up to 9 significant digits and a
 '.' separator, independent of locale, so fixed inputs produce byte-identical
@@ -47,7 +48,8 @@ class DataFormatError(ValueError):
 
 # the ASCII characters str.isspace() accepts, which the sequence format skips
 _ASCII_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
-_PIPE_READ = 2**16  # the first size of the array a pipe is read into
+_PIPE_READ = 2**16  # the first size of the array a pipe or a stream is read into
+_BLOCK = 2**16  # the bytes `_ascii_states` deletes whitespace from at a time
 
 
 def fmt(x: float) -> str:
@@ -60,46 +62,50 @@ def round9(x: float) -> float:
     return float(fmt(x))
 
 
-def _read_all(source) -> bytes | str:
-    """All of a path's bytes, or all that a stream reads."""
-    if hasattr(source, "read"):
-        return source.read()
-    with open(source, "rb") as fh:
-        return fh.read()
-
-
-def _read_array(path) -> np.ndarray:
-    """All of a file's bytes, as a writable uint8 array that owns them.  A
-    regular file is read into an array of its size and one byte more, to
-    see its end; a pipe, or a file that grows meanwhile, doubles the array
-    whenever it is full.  The array is then cut to the bytes read."""
-    with open(path, "rb", buffering=0) as fh:
-        info = os.fstat(fh.fileno())
-        data = np.empty(info.st_size + 1 if stat.S_ISREG(info.st_mode) else _PIPE_READ, dtype=np.uint8)
-        filled = 0
-        while True:
-            with memoryview(data) as view:  # released before the array is resized
-                count = fh.readinto(view[filled:])
-            if not count:
-                break
-            filled += count
-            if filled == data.size:
-                data.resize(2 * filled, refcheck=False)
+def _read_bytes(source) -> np.ndarray:
+    """All of an input's bytes, as a writable uint8 array that owns them.  A
+    path or binary stream is read by `readinto`: a regular file into an
+    array of its size and one byte more, to see its end, anything else into
+    one that doubles whenever it is full, then cut to the bytes read.  A text
+    stream gives its text as UTF-8, a lone surrogate left for `_decode` to
+    refuse; an array is returned as it is."""
+    if isinstance(source, np.ndarray):
+        return source
+    if not hasattr(source, "read"):
+        with open(source, "rb", buffering=0) as fh:
+            return _read_bytes(fh)
+    if not hasattr(source, "readinto"):
+        return np.frombuffer(source.read().encode("utf-8", "surrogatepass"), dtype=np.uint8).copy()
+    size = _PIPE_READ
+    with contextlib.suppress(OSError):  # a stream of no file, such as an io.BytesIO, has no fileno
+        info = os.fstat(source.fileno())
+        if stat.S_ISREG(info.st_mode):
+            size = info.st_size + 1
+    data = np.empty(size, dtype=np.uint8)
+    filled = 0
+    while True:
+        with memoryview(data) as view:  # released before the array is resized
+            count = source.readinto(view[filled:])
+        if not count:
+            break
+        filled += count
+        if filled == data.size:
+            data.resize(2 * filled, refcheck=False)
     data.resize(filled, refcheck=False)
     return data
 
 
-def _decode(data: bytes | str) -> str:
-    """The text of an input.  Bytes are decoded as a file opened as UTF-8
-    text would be, and bytes that are not UTF-8 raise `DataFormatError`.
-    Then one leading byte-order mark U+FEFF, which spreadsheets write, is
-    dropped: after decoding, so the error's byte offsets stay the file's."""
-    if isinstance(data, bytes):
-        try:
-            data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"input is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
-    return data.removeprefix("\ufeff")
+def _decode(data: np.ndarray) -> str:
+    """The text of an input's bytes, as a file opened as UTF-8 text reads
+    it: '\\r\\n' and '\\r' become '\\n', and bytes that are not UTF-8 raise
+    `DataFormatError`.  One leading byte-order mark U+FEFF, which
+    spreadsheets write, is dropped after decoding, so the error's byte
+    offsets stay the file's."""
+    try:
+        text = str(data, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"input is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
 
 
 @contextlib.contextmanager
@@ -157,6 +163,10 @@ def _detect_delimiter(lines: io.StringIO) -> str:
 def parse_studies(source) -> ScatterDataset:
     """Parse a delimiter-separated study table into a scatter dataset.
 
+    `source` is a path, a binary or text stream, or a uint8 array of the
+    file's bytes, all read by `_read_bytes` and decoded by `_decode`, so
+    every source of one text, whatever its line ends, gives one dataset.
+
     The header must name study_id, n and successes and/or p_bar, each at
     most once; any other column is ignored.  Each data row gives n and
     exactly one of successes / p_bar, and yields one (n, p_bar) point.
@@ -169,7 +179,7 @@ def parse_studies(source) -> ScatterDataset:
     on, and names every malformed row in one message line, joined by '; '.
     So the dataset and every message are the row loop's.
     """
-    text = _decode(_read_all(source))
+    text = _decode(_read_bytes(source))
     if not text:
         raise DataFormatError("empty study file")
     lines = io.StringIO(text)
@@ -202,7 +212,7 @@ def _plain_points(text: str, lines: io.StringIO, delim: str, i_n: int, i_succ: i
     for the row loop to read the table.
 
     A table is plain when it names one of successes / p_bar, its text is
-    ASCII without '"' or '\\r', and no line is longer than csv's field size
+    ASCII without '"', and no line is longer than csv's field size
     limit: then csv splits each line exactly at the delimiter, so the C
     reader reads the cells the row loop would.  None is also returned for a
     table without a data line, where `loadtxt` warns; for one it refuses,
@@ -211,7 +221,7 @@ def _plain_points(text: str, lines: io.StringIO, delim: str, i_n: int, i_succ: i
     division may not round as Python's exact successes / n does.
     """
     limit = csv.field_size_limit()
-    if (i_succ is None) == (i_pbar is None) or not text.isascii() or '"' in text or "\r" in text:
+    if (i_succ is None) == (i_pbar is None) or not text.isascii() or '"' in text:
         return None
     if "\n" not in text.rstrip("\n"):
         return None
@@ -294,23 +304,17 @@ def parse_sequence(source, alphabet: tuple[str, str] | None = None) -> BinarySeq
     whitespace-separated tokens instead.  Any third symbol is an error
     naming its position (1-based, counted over non-whitespace input).
 
-    A path in the default format is read to its end (so a pipe is read in
-    full) into one array, which `_ascii_states` turns into the state array
-    in place, with no loop per symbol.  A file with any other byte, such as
-    interior whitespace or a stray symbol, and a binary stream, are read by
-    `_bytes_states`; one with a byte other than '0', '1' and ASCII
-    whitespace, a text stream and the alphabet format are decoded as text
-    and read by `_text_states`, which names the error.
+    `source` is read as `parse_studies` reads it, into one array of the
+    bytes; a source that is such an array, writable and owning its data, is
+    used and changed.  In the default format `_ascii_states` turns it into
+    the state array in place, with no loop per symbol.  A file with a byte
+    other than '0', '1' and ASCII whitespace, and the alphabet format, are
+    decoded as text and read by `_text_states`, which names the error.
     """
     if alphabet is not None:
         _check_alphabet(alphabet)
-    if alphabet is None and not hasattr(source, "read"):
-        data = _ascii_states(_read_array(source))
-    else:
-        data = _read_all(source)
-    states = data if isinstance(data, np.ndarray) else None
-    if alphabet is None and isinstance(data, bytes):
-        states = _bytes_states(data)
+    data = _read_bytes(source)
+    states = None if alphabet is not None else _ascii_states(data)
     if states is None:
         states = _text_states(_decode(data), alphabet)
     if not states.size:
@@ -328,45 +332,39 @@ def _check_alphabet(alphabet, name: str = "alphabet") -> None:
         raise ParameterError(f"{name} needs exactly two different symbols, each without whitespace, got {alphabet!r}")
 
 
-def _content_end(data: bytes | np.ndarray) -> int:
-    """The length of a file's bytes without up to 64 bytes of trailing ASCII
-    whitespace, such as the usual final newline."""
-    tail = bytes(data[-64:])
-    return len(data) - len(tail) + len(tail.rstrip(_ASCII_WHITESPACE))
-
-
-def _ascii_states(data: np.ndarray) -> np.ndarray | bytes:
+def _ascii_states(data: np.ndarray) -> np.ndarray | None:
     """The states of a default-format file, made in place in `data`, the
     uint8 array that owns its bytes, and cut to them, so that
-    `BinarySequence` keeps it without a copy; or, if the file holds a byte
-    other than '0', '1' and trailing whitespace, its bytes, restored."""
-    end = _content_end(data)
-    symbols = data[:end]
-    symbols -= ord("0")
-    if not end or symbols.max() <= 1:
-        del symbols  # no view into the array is left when it is resized
-        data.resize(end, refcheck=False)
-        return data
-    symbols += ord("0")
-    return data.tobytes()
-
-
-def _bytes_states(data: bytes) -> np.ndarray | None:
-    """The states of a default-format file's bytes, or None if it holds a
-    byte other than '0', '1' and ASCII whitespace.
-
-    Up to 64 bytes of trailing whitespace, such as the usual final
-    newline, are cut off by length, without a copy; only a file with other
-    whitespace is read again from a copy of its bytes with all whitespace
-    deleted.
-    """
-    states = np.frombuffer(data, dtype=np.uint8, count=_content_end(data)) - ord("0")
-    if states.size and states.max() > 1:
-        del states  # freed before the copy is made
-        states = np.frombuffer(data.translate(None, _ASCII_WHITESPACE), dtype=np.uint8) - ord("0")
-        if states.size and states.max() > 1:
+    `BinarySequence` keeps it without a copy; or None if the file holds a
+    byte other than '0', '1' and ASCII whitespace.  Up to 64 bytes of
+    trailing whitespace are cut off by length; other ASCII whitespace is
+    deleted in place, a block at a time, only if every byte is ASCII, so
+    that a symbol left keeps its position and an undecodable byte its
+    offset."""
+    tail = bytes(data[-64:])
+    end = data.size - len(tail) + len(tail.rstrip(_ASCII_WHITESPACE))
+    if not _shift_to_states(data[:end]):
+        if data.max() > 127:
             return None
-    return states
+        end = 0
+        for start in range(0, data.size, _BLOCK):
+            block = bytes(data[start:start + _BLOCK]).translate(None, _ASCII_WHITESPACE)
+            data[end:end + len(block)] = np.frombuffer(block, dtype=np.uint8)
+            end += len(block)
+        if not _shift_to_states(data[:end]):
+            data.resize(end, refcheck=False)
+            return None
+    data.resize(end, refcheck=False)
+    return data
+
+
+def _shift_to_states(symbols: np.ndarray) -> bool:
+    """Whether `symbols` are all '0' and '1', made 0 and 1 in place if so."""
+    symbols -= ord("0")
+    if symbols.size and symbols.max() > 1:
+        symbols += ord("0")
+        return False
+    return True
 
 
 def _text_states(text: str, alphabet: tuple[str, str] | None) -> np.ndarray:
@@ -409,10 +407,11 @@ def curve_text(curve: dict) -> str:
 def parse_curve(source) -> dict:
     """Read a two-column (m, frequency) table.
 
-    The first line is a header, and skipped, when its first cell is not a
-    number; any other line must be an (m, frequency) pair.
+    `source` is read as `parse_studies` reads it.  The first line is a
+    header, and skipped, when its first cell is not a number; any other
+    line must be an (m, frequency) pair.
     """
-    text = _decode(_read_all(source))
+    text = _decode(_read_bytes(source))
     curve = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -166,8 +166,9 @@ def parse_studies_list(text):
     """Reference reader: the whole table buffered as a list of csv rows, read
     a second time for line numbers when a quoted cell spans lines, and its
     bad rows reported one to a line.  It takes its delimiter from the module's
-    rule, so that it differs from `parse_studies` only in how it reads."""
-    text = text.removeprefix("\ufeff")
+    rule, so that it differs from `parse_studies` only in how it reads.  Its
+    line ends are a file read's: '\\r\\n' and '\\r' become '\\n'."""
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     if not text:
         raise DataFormatError("empty study file")
     delim = _detect_delimiter(io.StringIO(text))
@@ -346,7 +347,12 @@ class TestParseSequence:
         (b"01 1x0\n", "unexpected symbol 'x' at position 4"),
         ("01\n\xe90\n".encode(), "unexpected symbol '\xe9' at position 3"),
         (b"0101\xff01\n", "input is not UTF-8 text: invalid start byte at byte offset 4"),
-    ], ids=["empty", "whitespace-only", "ascii-symbol", "non-ascii-symbol", "invalid-utf8"])
+        # whitespace is not deleted before the bytes are decoded, so the offset is the file's
+        (b"01 01\xff01\n", "input is not UTF-8 text: invalid start byte at byte offset 5"),
+        # 80-column lines, the stray symbol at byte 70875, past the first block of 65536
+        ((b"01" * 40 + b"\n") * 875 + b"x" + (b"01" * 40 + b"\n") * 10, "unexpected symbol 'x' at position 70001"),
+    ], ids=["empty", "whitespace-only", "ascii-symbol", "non-ascii-symbol", "invalid-utf8",
+            "invalid-utf8-after-whitespace", "stray-past-the-first-block"])
     def test_file_bytes_errors(self, tmp_path, data, message):
         path = tmp_path / "seq.txt"
         path.write_bytes(data)
@@ -426,17 +432,23 @@ class TestParseSequence:
         fstat = os.fstat
         monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
             st_mode=fstat(fd).st_mode, st_size=fstat(fd).st_size + change))
-        assert dataio._read_array(path).tobytes() == text
+        assert dataio._read_bytes(path).tobytes() == text
         assert parse_sequence(path) == parse_sequence(io.StringIO(text.decode()))
 
-    def test_memory_of_a_file_is_the_states(self, tmp_path):
+    @pytest.mark.parametrize("width", [None, 80], ids=["one-line", "80-columns"])
+    def test_memory_of_a_file_is_the_states(self, tmp_path, width):
         # the file is read into one array, which becomes the state array in
-        # place: about 1.00 B/symbol traced, where the bytes and a second
-        # state array took 2.00
+        # place, with the line ends of an 80-column file deleted in it: about
+        # 1.00 B/symbol traced, where the bytes and a second state array took
+        # 2.00, and a copy without the line ends 3.01.  The first call
+        # imports what the parse needs, so it comes first
         n = 3 * 10**6
+        text = sequence_text(generate(MarkovParams(0.88, 0.5), n, 1))
         path = tmp_path / "seq.txt"
-        with staged_writes() as staged:
-            write_text_atomic(path, sequence_text(generate(MarkovParams(0.88, 0.5), n, 1)), staged)
+        if width is None:
+            path.write_bytes(text)
+        else:
+            path.write_bytes(b"".join(bytes(text[i:i + width]) + b"\n" for i in range(0, n, width)))
         parse_sequence(path)
         tracemalloc.start()
         try:
@@ -446,23 +458,40 @@ class TestParseSequence:
             tracemalloc.stop()
         assert peak < 1.25 * n
 
-    def test_memory_is_the_bytes_and_the_states(self, tmp_path):
-        # the bound of a reader that holds the file's bytes and the state
-        # array, one byte a symbol each; `test_memory_of_a_file_is_the_states`
-        # holds the one-array bound.  The first call imports what the parse
-        # needs, so it comes first
-        n = 3 * 10**6
-        path = tmp_path / "seq.txt"
-        with staged_writes() as staged:
-            write_text_atomic(path, sequence_text(generate(MarkovParams(0.88, 0.5), n, 1)), staged)
-        parse_sequence(path)
-        tracemalloc.start()
-        try:
-            parse_sequence(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.0 * n
+
+class TestSources:
+    """A path, a binary stream and a text stream of the same file parse alike."""
+
+    @pytest.mark.parametrize("text", [
+        "study_id,n,successes\r\ns1,10,5\r\ns2,4,1\r\n",
+        "study_id,n,successes\ns1,10,5\rs2,4,1\n",
+    ], ids=["crlf", "bare-cr"])
+    def test_study_table_line_ends(self, tmp_path, text):
+        path = tmp_path / "studies.csv"
+        path.write_bytes(text.encode())
+        datasets = [parse_studies(source) for source in (path, io.BytesIO(text.encode()), io.StringIO(text))]
+        assert datasets == [ScatterDataset([10, 4], [0.5, 0.25])] * 3
+
+    @pytest.mark.parametrize("stream", ["bytes-io", "buffered-reader"])
+    def test_binary_stream_is_its_file(self, tmp_path, stream):
+        # 200 kB is more than the first array an io.BytesIO is read into, so that array doubles
+        seq_path = tmp_path / "seq.txt"
+        seq_path.write_bytes(sequence_text(generate(MarkovParams(0.65, 0.25), 200_000, 5)))
+        for parse, path in ((parse_sequence, seq_path), (parse_studies, FIXTURE)):
+            with io.BytesIO(path.read_bytes()) if stream == "bytes-io" else open(path, "rb") as source:
+                assert isinstance(source, io.BytesIO if stream == "bytes-io" else io.BufferedReader)
+                assert parse(source) == parse(path)
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_sequence, "01\ud8000\n", "input is not UTF-8 text: invalid continuation byte at byte offset 2"),
+        (parse_studies, "study_id,n,successes\ns\udc80,10,5\n",
+         "input is not UTF-8 text: invalid continuation byte at byte offset 22"),
+    ], ids=["sequence", "study-table"])
+    def test_text_without_a_utf8_form(self, parse, text, message):
+        # a lone surrogate has no UTF-8 form
+        with pytest.raises(DataFormatError) as err:
+            parse(io.StringIO(text))
+        assert str(err.value) == message
 
 
 class TestCurveIO:
