@@ -38,7 +38,7 @@ from .dataio import (
 )
 from .estimate import InfeasibleParametersError, _fit_stay, fit_runs_simulated, fit_scatter
 from .funnel import FunnelSpec, sample_curve, z_from_level
-from .runs import _check_run_domain, average_and_normalize, extract_runs, memoryfree_curve
+from .runs import _check_run_domain, _run_stay_counts, average_and_normalize, extract_runs, memoryfree_curve
 from .simulate import child_seed, generate
 
 
@@ -74,7 +74,8 @@ def _indexed_path(path: str, index: int) -> str:
 
 
 # here, not in `runs`, so that generate and extract_runs are called through
-# this module's names, which perfbench's tracer wraps to time them
+# this module's names, which perfbench's tracer wraps to time them; it serves
+# `runs` and tests/conftest.py only, as the confirmation refit reads no histogram
 def simulated_histograms(params: MarkovParams, n: int, count: int, seed: int) -> list:
     """(A, B) run histograms of `count` simulated chains of length n, chain i
     on child_seed(seed, i).  Each chain is histogrammed as soon as it is
@@ -189,14 +190,19 @@ def cmd_fit_runs(args, staged: list) -> str:
     details = {"length": args.length}
     if args.confirm_seeds > 0:
         # Monte Carlo confirmation: simulate at the fitted parameters and fit again
-        # from each state's pooled runs and summed stays m - 1, all its likelihood reads
-        hists = simulated_histograms(MarkovParams(fit.p11_hat, fit.p22_hat), args.length, args.confirm_seeds, seed)
-        pooled = [(sum(h.n_runs for h in hs), sum(h.occupied_length - h.n_runs for h in hs)) for hs in zip(*hists)]
+        # from each state's pooled runs and summed stays m - 1, all its likelihood
+        # reads, counted from each chain's states as it is drawn, with no histogram
+        params = MarkovParams(fit.p11_hat, fit.p22_hat)
+        per_chain = [_run_stay_counts(generate(params, args.length, child_seed(seed, i)))
+                     for i in range(args.confirm_seeds)]
+        pooled = [tuple(map(sum, zip(*chains))) for chains in zip(*per_chain)]
         try:
             for state, (runs, _) in zip("AB", pooled):
                 if not runs:
                     raise ParameterError(f"the state-{state} chains contain no runs")
-            _check_run_domain(args.length, max(h.counts.size for pair in hists for h in pair))
+            # a run of n - 1 or n steps fills a chain of at most two runs, whose
+            # longest run is then its longer state's count of states
+            _check_run_domain(args.length, [max(na + sa, nb + sb) for (na, sa), (nb, sb) in per_chain if na + nb <= 2])
             p11, p22 = (_fit_stay(name, *counts, args.length) for name, counts in zip(("on", "off"), pooled))
         except (ParameterError, InfeasibleParametersError) as exc:
             raise InfeasibleParametersError(f"Monte Carlo confirmation: {exc}") from None

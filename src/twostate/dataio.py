@@ -2,7 +2,8 @@
 
 Every parser reads its source through one reader, `_read_bytes`, into one
 uint8 array of the bytes: a path's or a binary stream's, a text stream's
-text as UTF-8, or a given array itself, which the parse may change.  Text
+text as UTF-8, or a given array itself, which the parse may change if it
+is writable and owns its bytes, and otherwise a copy of it.  Text
 is made from them at one point, `_decode`, as a file opened as UTF-8 text
 reads, less a byte-order mark.
 
@@ -68,9 +69,10 @@ def _read_bytes(source) -> np.ndarray:
     array of its size and one byte more, to see its end, anything else into
     one that doubles whenever it is full, then cut to the bytes read.  A text
     stream gives its text as UTF-8, a lone surrogate left for `_decode` to
-    refuse; an array is returned as it is."""
+    refuse.  An array is returned as it is if it is writable and owns its
+    data, so that a parse may change and resize it, and copied otherwise."""
     if isinstance(source, np.ndarray):
-        return source
+        return source if source.flags.writeable and source.flags.owndata else source.copy()
     if not hasattr(source, "read"):
         with open(source, "rb", buffering=0) as fh:
             return _read_bytes(fh)

@@ -6,7 +6,9 @@ chain's memory is most directly visible.
 
 A histogram is an int64 array of counts indexed by run length, built by one
 `np.bincount` per state; normalized curves, which files and reports carry,
-are dicts from m to frequency.
+are dicts from m to frequency.  A fit that reads only each state's runs and
+summed stays takes them from `_run_stay_counts`, which counts them from the
+state array with no histogram.
 
 The run-length model is written once, in (n, s): a state that stays with
 probability s has run-length weights (n-m-1) s^(m-1) on m = 1..n-2, and its
@@ -105,6 +107,21 @@ def extract_runs(seq: BinarySequence) -> tuple[RunHistogram, RunHistogram]:
             counts[state] = lengths
         last = int(starts[-1])
     return RunHistogram(STATE_A, counts[STATE_A][1:], n), RunHistogram(STATE_B, counts[STATE_B][1:], n)
+
+
+def _run_stay_counts(seq: BinarySequence) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((N_A, S_A), (N_B, S_B)): each state's number of runs N, as
+    `RunHistogram.n_runs` counts them, and its stays S, the summed m - 1,
+    `occupied_length - n_runs`.  The c state changes split the record into
+    c + 1 runs that alternate from the first state, so A holds
+    (c + 1 + x[0]) // 2 of them, and a state's stays are its states less
+    its runs."""
+    x = seq.states
+    changes = int(np.count_nonzero(x[1:] != x[:-1]))
+    a = int(np.count_nonzero(x))
+    runs_a = (changes + 1 + int(x[0])) // 2
+    runs_b = changes + 1 - runs_a
+    return (runs_a, a - runs_a), (runs_b, x.size - a - runs_b)
 
 
 def _check_run_domain(n: int, m) -> np.ndarray:

@@ -21,8 +21,10 @@ from twostate import (
     MarkovParams,
     ParameterError,
     average_and_normalize,
+    child_seed,
     cli,
     estimate,
+    extract_runs,
     fit_runs_simulated,
     generate,
     simulate,
@@ -375,7 +377,8 @@ class TestFitRuns:
 
 class TestConfirmation:
     """The `--confirm-seeds` refit solves each state's pooled run and stay
-    counts with `_fit_stay`, and builds no curve and no objective."""
+    counts with `_fit_stay`, and builds no curve, no objective and no run
+    histogram."""
 
     GRID = [(p11, p22, length) for p11, p22 in ((0.2, 0.3), (0.5, 0.5), (0.8, 0.55), (0.93, 0.2), (0.3, 0.9))
             for length in (20, 200, 10_000)]
@@ -383,17 +386,16 @@ class TestConfirmation:
     @pytest.mark.parametrize("p11,p22,length", GRID)
     def test_matches_the_curve_fit_of_the_same_chains(self, tmp_path, capsys, monkeypatch, p11, p22, length):
         drawn, solved = [], []
-        simulated_histograms = cli.simulated_histograms
 
         def draw(*args):
-            drawn.append(simulated_histograms(*args))
-            return drawn[-1]
+            drawn.append((args, generate(*args)))
+            return drawn[-1][1]
 
         def solve(*args):
             solved.append(estimate._fit_stay(*args))
             return solved[-1]
 
-        monkeypatch.setattr(cli, "simulated_histograms", draw)
+        monkeypatch.setattr(cli, "generate", draw)
         monkeypatch.setattr(cli, "_fit_stay", solve)
         on, off = write_model_curves(tmp_path, p11, p22, n=length, max_m=min(length - 2, 150))
         for seed in (1, 2):
@@ -401,7 +403,8 @@ class TestConfirmation:
             solved.clear()
             code = main(["fit-runs", "--on", on, "--off", off, "--length", str(length),
                          "--confirm-seeds", "3", "--seed", str(seed)])
-            (hists,) = drawn
+            assert [args[1:] for args, _ in drawn] == [(length, child_seed(seed, i)) for i in range(3)]
+            hists = [extract_runs(chain) for _, chain in drawn]
             try:
                 fit = fit_runs_simulated(average_and_normalize(a for a, _ in hists),
                                          average_and_normalize(b for _, b in hists), length)
@@ -421,6 +424,18 @@ class TestConfirmation:
         assert main(["fit-runs", "--on", on, "--off", off, "--confirm-seeds", "3", "--seed", "1"]) == 0
         assert len(calls) == 1
 
+    def test_report_is_the_same_without_run_histograms(self, tmp_path, capsys, monkeypatch):
+        def refuse(seq):
+            raise AssertionError("the confirmation built a run histogram")
+
+        on, off = write_model_curves(tmp_path, 0.60, 0.65)
+        argv = ["fit-runs", "--on", on, "--off", off, "--confirm-seeds", "3", "--seed", "11"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        monkeypatch.setattr(cli, "extract_runs", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == report
+
     def test_run_past_the_model_domain_is_infeasible(self, tmp_path, capsys):
         # at seed 0 the three 10-step chains hold state-A runs of 9 and 10, and a state-B run each of two
         on, off = write_model_curves(tmp_path, 0.95, 0.8, n=10, max_m=8)
@@ -428,6 +443,15 @@ class TestConfirmation:
                      "--seed", "0"]) == 3
         assert capsys.readouterr() == ("", "infeasible fit: Monte Carlo confirmation: longest run 10 outside "
                                            "formula domain (needs m <= n-2 for n=10)\n")
+
+    def test_state_held_all_but_once_inside_the_record_is_in_the_domain(self, tmp_path, capsys, monkeypatch):
+        # at seed 1 a 10-step chain is A but for one B inside it: 9 A states, and no run longer than 5
+        drawn = []
+        monkeypatch.setattr(cli, "generate", lambda *args: drawn.append(generate(*args)) or drawn[-1])
+        on, off = write_model_curves(tmp_path, 0.9, 0.3, n=10, max_m=8)
+        assert main(["fit-runs", "--on", on, "--off", off, "--length", "10", "--confirm-seeds", "3",
+                     "--seed", "1"]) == 0
+        assert [1, 1, 1, 1, 1, 0, 1, 1, 1, 1] in [chain.states.tolist() for chain in drawn]
 
     @pytest.mark.parametrize("state", ["A", "B"])
     def test_state_without_runs_is_named(self, tmp_path, capsys, state):

@@ -341,6 +341,16 @@ class TestParseSequence:
         assert not seq.states.flags.writeable and seq.states.flags.owndata
         assert seq == parse_sequence(io.StringIO(data.decode()))
 
+    @pytest.mark.parametrize("data, start", [
+        (np.frombuffer(b"0101\n", np.uint8), 0),
+        (np.array(list(b"x0101\n"), np.uint8), 1),
+    ], ids=["read-only", "writable-view"])
+    def test_array_it_may_not_change_is_copied(self, data, start):
+        # the caller's bytes: a read-only array, passed itself, or one passed as a view that does not own them
+        before = data.copy()
+        assert parse_sequence(data[start:] if start else data).states.tolist() == [0, 1, 0, 1]
+        assert np.array_equal(data, before)
+
     @pytest.mark.parametrize("data, message", [
         (b"", "sequence file contains no symbols"),
         (b" \n\t\r\n" * 30, "sequence file contains no symbols"),
@@ -643,11 +653,15 @@ def dataset_bytes(read, text):
 class TestPlainTableParse:
     """The C reader's tables give the row loop's datasets and messages."""
 
-    def test_matches_the_list_based_reader(self, monkeypatch):
-        plain = []
+    @pytest.fixture
+    def plain(self, monkeypatch):
+        """What each `_plain_points` call returned: the arrays, or None for a table left to the row loop."""
+        returned = []
         read_plain = dataio._plain_points
-        monkeypatch.setattr(dataio, "_plain_points", lambda *args: plain.append(read_plain(*args)) or plain[-1])
+        monkeypatch.setattr(dataio, "_plain_points", lambda *args: returned.append(read_plain(*args)) or returned[-1])
+        return returned
 
+    def test_matches_the_list_based_reader(self, plain):
         @seed(20261020)
         @settings(max_examples=400, deadline=None, database=None)
         @given(text=plain_tables())
@@ -689,17 +703,24 @@ class TestPlainTableParse:
 
     @pytest.mark.parametrize("text", [
         "study_id,n,successes\r\ns1,10,5\r\ns2,4,1\r\n",
+        "study_id,n,successes\ns1,10,5\rs2,4,1\n",
+    ], ids=["crlf", "bare-cr"])
+    def test_line_end_tables_are_plain(self, plain, text):
+        # `_decode` makes every line end '\n' before the table is read
+        assert dataset_bytes(lambda t: parse_studies(io.StringIO(t)), text) == dataset_bytes(parse_studies_list, text)
+        assert len(plain) == 1 and plain[0] is not None
+
+    @pytest.mark.parametrize("text", [
         'study_id,n,successes\n"s1",10,5\ns2,"4",1\n',
         'study_id,n,successes\ns1,10,5\ns2,"4\n",1\n',
         # csv reads one row, from a cell that spans the lines; split at each ',' they are two
         'study_id,n,successes\n",10,5\ns",10,6\n',
-        "study_id,n,successes\ns1,10,5\rs2,4,1\n",
         "study_id,n,successes,p_bar\ns1,10,5,\ns2,4,,0.25\n",
         "study_id,n,successes,p_bar\ns1,10,5,0.5\n",
-    ], ids=["crlf", "quoted", "quoted-newline", "quote-across-lines", "bare-cr", "both-columns",
-            "both-columns-both-given"])
-    def test_other_tables_are_the_row_loops(self, text):
+    ], ids=["quoted", "quoted-newline", "quote-across-lines", "both-columns", "both-columns-both-given"])
+    def test_other_tables_are_the_row_loops(self, plain, text):
         assert dataset_bytes(lambda t: parse_studies(io.StringIO(t)), text) == dataset_bytes(parse_studies_list, text)
+        assert plain == [None]
 
     def test_size_past_2_53_gives_the_exact_quotient(self):
         # float64 reads 2^53 + 1 as 2^53, and 1 / 2^53 is one ulp above the quotient

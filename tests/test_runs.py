@@ -20,6 +20,7 @@ from twostate.runs import (
     RunHistogram,
     average_and_normalize,
     _mean_stays_per_run,
+    _run_stay_counts,
     _run_weight_total,
     extract_runs,
     log_run_frequencies,
@@ -204,6 +205,39 @@ class TestExtractRuns:
             assert abs(observed - a_m) <= 3 * np.sqrt(a_m), f"bin {m}"
             m += 1
         assert m > 5  # the check actually covered several bins
+
+
+def histogram_counts(histograms):
+    """((N_A, S_A), (N_B, S_B)) summed out of the two run histograms."""
+    return tuple((h.n_runs, h.occupied_length - h.n_runs) for h in histograms)
+
+
+class TestRunStayCounts:
+    def test_every_record_up_to_12(self):
+        # all 8190 records of length 1..12.  A run of n - 1 or n, past the
+        # model domain, fits only a record of at most two runs, whose longest
+        # run the counts give; any other record's longest run is at most n - 2
+        for n in range(1, 13):
+            for bits in itertools.product((0, 1), repeat=n):
+                seq = seq_of(bits)
+                histograms = extract_runs(seq)
+                counts = _run_stay_counts(seq)
+                assert counts == histogram_counts(histograms), bits
+                (runs_a, stays_a), (runs_b, stays_b) = counts
+                longest = max(h.counts.size for h in histograms)
+                if runs_a + runs_b <= 2:
+                    assert max(runs_a + stays_a, runs_b + stays_b) == longest, bits
+                else:
+                    assert longest <= n - 2, bits
+
+    @given(stretches)
+    @example([(1, 1), (0, 1)] * 200)
+    def test_matches_extract_runs(self, pairs):
+        # the example's 400 runs are more than a uint8, the states' type, holds
+        seq = seq_of([state for state, length in pairs for _ in range(length)])
+        counts = _run_stay_counts(seq)
+        assert counts == histogram_counts(extract_runs(seq))
+        assert all(type(k) is int for pair in counts for k in pair)
 
 
 class TestExpectedRunsMemoryfree:
